@@ -20,9 +20,9 @@ so they are safe to share across concurrent workers.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,6 +68,8 @@ class Observation:
 
     ``state`` is 1 for exposed and 0 for control.  The action may be a scalar
     (stored as a length-1 vector) or a vector, e.g. per-bin mean press counts.
+    This is the single-animal value type of :func:`subjective_reward`;
+    :class:`Dataset` stores its animals as columns instead.
     """
 
     id: str
@@ -85,57 +87,103 @@ class Observation:
         return self.action.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A collection of observations with a declared action dimension."""
+    """n animals stored as columns: ids, exposure states and an action matrix.
 
-    observations: tuple[Observation, ...]
-    dimension: int
+    ``states`` is a read-only int array of shape (n,) with values in {0, 1};
+    ``actions`` is a read-only float array of shape (n, dimension) that the
+    dataset owns.  Build datasets with :meth:`from_arrays`; the whole input is
+    validated once, at construction.  Non-finite actions are accepted here so
+    that :func:`validate_dataset` can report them.
+    """
+
+    ids: tuple[str, ...] | None
+    _states: np.ndarray = field(repr=False)
+    _actions: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        obs = tuple(self.observations)
-        if not obs:
+        try:
+            acts = np.array(self._actions, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"actions must form an (n, d) numeric array: {exc}") from exc
+        if acts.ndim == 1:
+            acts = acts[:, None]  # one scalar action per animal
+        if acts.ndim != 2:
+            raise InputError(
+                f"each action must be a scalar or 1-D vector, got actions of shape {acts.shape}"
+            )
+        n = acts.shape[0]
+        if n == 0:
             raise InputError("dataset must contain at least one observation")
-        if not isinstance(self.dimension, int) or self.dimension < 1:
-            raise InputError(f"dimension must be a positive integer, got {self.dimension!r}")
-        object.__setattr__(self, "observations", obs)
+        if acts.shape[1] == 0:
+            raise InputError("action must have at least one component")
+        raw = np.asarray(self._states)
+        if raw.ndim != 1 or raw.shape[0] != n:
+            raise InputError("actions and states must have equal length")
+        if raw.dtype.kind not in "biuf" or not np.all((raw == 0) | (raw == 1)):
+            raise InputError("states must be 0 or 1")
+        ids = tuple(f"m{i}" for i in range(n)) if self.ids is None else tuple(self.ids)
+        if len(ids) != n:
+            raise InputError(f"got {len(ids)} ids for {n} observations")
+        states = raw.astype(int)
+        states.setflags(write=False)
+        acts.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_states", states)
+        object.__setattr__(self, "_actions", acts)
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return self._states.shape[0]
+
+    @property
+    def dimension(self) -> int:
+        return self._actions.shape[1]
 
     @property
     def states(self) -> np.ndarray:
-        """Exposure indicators as an int array of shape (n,)."""
-        return np.array([o.state for o in self.observations], dtype=int)
+        """Exposure indicators as a read-only int array of shape (n,)."""
+        return self._states
 
     @property
     def actions(self) -> np.ndarray:
-        """Action matrix of shape (n, dimension).
+        """Read-only action matrix of shape (n, dimension)."""
+        return self._actions
 
-        Only meaningful on dimensionally consistent datasets; run
-        :func:`validate_dataset` first if the source is untrusted.
-        """
-        return np.stack([o.action for o in self.observations])
+    @property
+    def observations(self) -> "_ObservationView":
+        """Per-animal view; each :class:`Observation` is built on access."""
+        return _ObservationView(self)
 
     @classmethod
     def from_arrays(
         cls,
-        actions: Iterable,
-        states: Iterable[int],
+        actions: Sequence | np.ndarray,
+        states: Sequence[int] | np.ndarray,
         ids: Sequence[str] | None = None,
     ) -> "Dataset":
-        """Build a dataset from parallel action/state sequences.
+        """Build a dataset from parallel action/state sequences or arrays.
 
-        Scalar actions become length-1 vectors; ids default to ``m0, m1, ...``.
+        Actions are an (n, d) array-like, or n scalars that become length-1
+        vectors; ids default to ``m0, m1, ...``.
         """
-        acts = [_as_action_array(a, "action") for a in actions]
-        sts = list(states)
-        if len(acts) != len(sts):
-            raise InputError("actions and states must have equal length")
-        if ids is None:
-            ids = [f"m{i}" for i in range(len(acts))]
-        obs = tuple(Observation(i, s, a) for i, s, a in zip(ids, sts, acts))
-        return cls(observations=obs, dimension=obs[0].dimension)
+        return cls(ids, states, actions)
+
+
+class _ObservationView(Sequence):
+    """A dataset's animals as :class:`Observation` values, each built on access."""
+
+    def __init__(self, ds: Dataset):
+        self._ds = ds
+
+    def __len__(self) -> int:
+        return len(self._ds)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        ds = self._ds
+        return Observation(ds.ids[i], int(ds.states[i]), ds.actions[i])
 
 
 @dataclass(frozen=True)
@@ -248,8 +296,6 @@ def dataset_divergences(ds: Dataset, spec: DivergenceSpec) -> np.ndarray:
             f"spec dimension {spec.dimension} does not match dataset dimension {ds.dimension}"
         )
     acts = ds.actions
-    if acts.shape[1] != spec.dimension:
-        raise InputError("observation dimension does not match spec dimension")
     if not np.all(np.isfinite(acts)):
         raise InputError("actions must be finite")
     resid = spec.effective_weights()[None, :] * (acts - spec.optimal[None, :])
@@ -272,24 +318,19 @@ class ValidationReport:
 def validate_dataset(ds: Dataset) -> ValidationReport:
     """Report every violation of the dataset invariants.
 
-    Checks, without raising: per-observation dimension against the declared
-    dimension, finiteness of actions, a minimum of two observations, and the
-    presence of both exposure groups.
+    Checks, without raising: finiteness of actions, a minimum of two
+    observations, and the presence of both exposure groups.  Shape and state
+    invariants are enforced when the dataset is built.
     """
-    violations: list[str] = []
-    for o in ds.observations:
-        if o.dimension != ds.dimension:
-            violations.append(
-                f"dimension mismatch: observation {o.id!r} has length {o.dimension}, "
-                f"dataset declares {ds.dimension}"
-            )
-        if not np.all(np.isfinite(o.action)):
-            violations.append(f"non-finite action: observation {o.id!r}")
+    violations = [
+        f"non-finite action: observation {ds.ids[i]!r}"
+        for i in np.flatnonzero(~np.isfinite(ds.actions).all(axis=1))
+    ]
     if len(ds) < 2:
         violations.append("fewer than two observations")
-    states = {o.state for o in ds.observations}
-    if 1 not in states:
+    states = ds.states
+    if states.max() != 1:
         violations.append("missing exposed group")
-    if 0 not in states:
+    if states.min() != 0:
         violations.append("missing control group")
     return ValidationReport(violations=tuple(violations))

@@ -53,7 +53,9 @@ __all__ = [
 
 DEFAULT_GRID_STEP = 1e-6
 
-#: var(u) below 1e-12 * (1 + max D^2) is treated as zero curvature.
+#: var(u) at or below 1e-12 * max(D)^2 is treated as zero curvature.  The
+#: bound is relative, so rescaling the actions and the optimum never changes
+#: whether an objective counts as degenerate.
 DEGENERACY_RTOL = 1e-12
 
 
@@ -110,14 +112,22 @@ def _require_theta(theta_e: float) -> float:
 
 
 def _require_both_groups(ds: Dataset) -> None:
-    states = {o.state for o in ds.observations}
-    missing = [name for bit, name in ((1, "exposed"), (0, "control")) if bit not in states]
+    s = ds.states
+    presence = ((s.max() == 1, "exposed"), (s.min() == 0, "control"))
+    missing = [name for present, name in presence if not present]
     if missing:
         raise EstimationError(f"missing {' and '.join(missing)} group")
 
 
 def _rewards(theta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u * theta + v
+
+
+def _objective(theta: float, u: np.ndarray, v: np.ndarray) -> float:
+    """Twice the divisor-n variance of the rewards ``u * theta + v``."""
+    r = _rewards(theta, u, v)
+    centered = r - r.mean()
+    return float(2.0 * np.mean(centered * centered))
 
 
 def pairwise_objective(theta_e: float, ds: Dataset, spec: DivergenceSpec) -> float:
@@ -140,9 +150,7 @@ def variance_objective(theta_e: float, ds: Dataset, spec: DivergenceSpec) -> flo
     """
     t = _require_theta(theta_e)
     u, v, _ = _decompose(ds, spec)
-    r = _rewards(t, u, v)
-    centered = r - r.mean()
-    return float(2.0 * np.mean(centered * centered))
+    return _objective(t, u, v)
 
 
 def _quadratic_coefficients(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
@@ -157,7 +165,7 @@ def _quadratic_coefficients(u: np.ndarray, v: np.ndarray) -> tuple[float, float,
 
 
 def _check_degenerate(var_u: float, d: np.ndarray) -> None:
-    tol = DEGENERACY_RTOL * (1.0 + float(np.max(d, initial=0.0)) ** 2)
+    tol = DEGENERACY_RTOL * float(np.max(d, initial=0.0)) ** 2
     if var_u <= tol:
         raise DegenerateObjectiveError(
             "objective has no curvature in theta (var of the reward slope "
@@ -238,10 +246,9 @@ def estimate_theta(
     else:
         raise InputError(f"unknown method {method!r}")
 
-    objective = variance_objective(theta, ds, spec)
     return EstimateResult(
         theta_e=theta,
-        objective_at_min=objective,
+        objective_at_min=_objective(theta, u, v),
         method=method,
         clamped=clamped,
         quadratic=(var_u, cov_uv, var_v),
@@ -330,14 +337,17 @@ def bootstrap_ci(
     s = ds.states
     exposed_idx = np.flatnonzero(s == 1)
     control_idx = np.flatnonzero(s == 0)
+    n_e, n_c = exposed_idx.size, control_idx.size
 
+    # one index buffer, exposed draws first; idx[integers(0, n)] consumes the
+    # stream exactly as rng.choice(idx, n, replace=True) does
+    take = np.empty(len(s), dtype=np.intp)
     estimates = []
     skipped = 0
     for k in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        take_e = rng.choice(exposed_idx, size=exposed_idx.size, replace=True)
-        take_c = rng.choice(control_idx, size=control_idx.size, replace=True)
-        take = np.concatenate([take_e, take_c])
+        np.take(exposed_idx, rng.integers(0, n_e, size=n_e), out=take[:n_e])
+        np.take(control_idx, rng.integers(0, n_c, size=n_c), out=take[n_e:])
         var_u, cov_uv, _ = _quadratic_coefficients(u[take], v[take])
         try:
             _check_degenerate(var_u, d[take])

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Observation
+from .core import Dataset
 from .errors import DataError, InputError, LinkageError, ParseError, SchemaError
 
 __all__ = [
@@ -176,8 +177,8 @@ def bin_events(
     d = layout.n_bins
     table: dict[tuple[str, int], np.ndarray] = {}
     for mouse_id, session, t in events:
-        if t < 0:
-            raise DataError(f"negative press time {t} for mouse {mouse_id!r}")
+        if not 0.0 <= t < math.inf:
+            raise DataError(f"press time {t} for mouse {mouse_id!r} is not finite and nonnegative")
         idx = int((t % layout.interval_length_s) // layout.bin_width_s)
         idx = min(idx, d - 1)  # guard the t % interval == interval float edge
         key = (mouse_id, session)
@@ -230,8 +231,12 @@ def assemble_dataset(
             "exposure entries without actions (excluded from dataset): %s",
             ", ".join(unmatched),
         )
-    observations = tuple(
-        Observation(id=mouse_id, state=exposures[mouse_id], action=actions[mouse_id])
-        for mouse_id in sorted(actions)
+    ids = sorted(actions)
+    ds = Dataset.from_arrays(
+        actions=[actions[m] for m in ids], states=[exposures[m] for m in ids], ids=ids
     )
-    return Dataset(observations=observations, dimension=layout.n_bins)
+    if ds.dimension != layout.n_bins:
+        raise InputError(
+            f"actions have {ds.dimension} components, layout declares {layout.n_bins} bins"
+        )
+    return ds

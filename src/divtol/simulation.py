@@ -312,7 +312,7 @@ def fit_anova(ds: Dataset) -> AnovaFit:
     if ds.dimension != 1:
         raise InputError("fit_anova requires scalar actions (dimension 1)")
     states = ds.states
-    if 1 not in states or 0 not in states:
+    if states.min() == states.max():
         raise EstimationError("missing exposed or control group")
     a = ds.actions[:, 0]
     if not np.all(np.isfinite(a)):

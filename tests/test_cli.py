@@ -1,10 +1,14 @@
 """Command-line interface: dispatch, serialization, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import divtol
 from divtol.cli import main
 
 TWELVE_ZEROS = ",".join(["0"] * 12)
@@ -397,3 +401,32 @@ class TestEventsInput:
         # m1's presses sit in the heavily weighted first bin: larger
         # weighted divergence, so the exposed group tolerates more
         assert json.loads(out.read_text())["result"]["theta_e"] < 0.5
+
+    @pytest.mark.parametrize("bad_time", ["nan", "inf", "-inf"])
+    def test_non_finite_press_time_is_a_data_error(self, bad_time, tmp_path, capsys):
+        exposures = tmp_path / "e.csv"
+        exposures.write_text("mouse_id,exposed\nm1,1\nm2,0\n", encoding="utf-8")
+        events = tmp_path / "ev.csv"
+        events.write_text(
+            f"mouse_id,session,press_time_s\nm1,1,2.0\nm2,1,{bad_time}\n", encoding="utf-8"
+        )
+        code, _, stderr = run(
+            ["--command", "estimate", "--exposures", str(exposures), "--events", str(events),
+             "--optimal", ",".join(["0"] * 12), "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 1
+        assert json.loads(stderr)["error"]["class"] == "DataError"
+
+
+def test_runs_as_a_module(two_mouse_files, tmp_path):
+    exposures, bins = two_mouse_files
+    out = tmp_path / "r.json"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(divtol.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "divtol.cli", "--command", "estimate", "--exposures", exposures,
+         "--bins", bins, "--optimal", "1", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["result"]["theta_e"] == pytest.approx(0.2, abs=1e-12)

@@ -146,15 +146,6 @@ class TestValidateDataset:
         report = validate_dataset(ds)
         assert any("non-finite action" in v for v in report.violations)
 
-    def test_declared_dimension_mismatch_reported(self):
-        obs = (
-            Observation("a", 1, np.array([1.0, 2.0])),
-            Observation("b", 0, np.array([3.0, 4.0])),
-        )
-        ds = Dataset(observations=obs, dimension=12)
-        report = validate_dataset(ds)
-        assert any("dimension mismatch" in v for v in report.violations)
-
     def test_singleton_reported(self):
         ds = Dataset.from_arrays(actions=[[1.0]], states=[1])
         report = validate_dataset(ds)
@@ -177,6 +168,42 @@ class TestConstruction:
     def test_weights_length_must_match(self):
         with pytest.raises(InputError):
             DivergenceSpec(optimal=np.array([0.0, 1.0]), weights=np.array([1.0]))
+
+    def test_ragged_actions_rejected(self):
+        # a dataset is one (n, d) matrix, so rows of unequal length cannot exist
+        with pytest.raises(InputError):
+            Dataset.from_arrays(actions=[[1.0, 2.0], [3.0, 4.0, 5.0]], states=[1, 0])
+
+    def test_scalar_actions_become_one_column(self):
+        ds = Dataset.from_arrays(actions=[3.0, 2.0, 1.0], states=[1, 0, 1], ids=["a", "b", "c"])
+        assert ds.actions.shape == (3, 1) and ds.dimension == 1
+        assert ds.ids == ("a", "b", "c")
+        assert ds.states.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "actions, states, ids",
+        [
+            ([], [], None),
+            ([[1.0], [2.0]], [1, 2], None),
+            ([[1.0], [2.0]], [0.5, 1], None),
+            ([[1.0], [2.0]], [1], None),
+            ([[1.0], [2.0]], [1, 0], ["only-one"]),
+            (np.ones((2, 0)), [1, 0], None),
+        ],
+    )
+    def test_dataset_invariants_enforced_at_construction(self, actions, states, ids):
+        with pytest.raises(InputError):
+            Dataset.from_arrays(actions=actions, states=states, ids=ids)
+
+    def test_dataset_columns_are_read_only_and_owned(self):
+        mine = np.ones((3, 2))
+        ds = Dataset.from_arrays(actions=mine, states=np.array([1, 0, 1]))
+        mine[0, 0] = 9.0
+        assert ds.actions[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            ds.actions[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            ds.states[0] = 0
 
     def test_action_arrays_are_read_only(self):
         obs = Observation("m", 1, np.array([1.0]))

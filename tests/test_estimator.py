@@ -13,6 +13,7 @@ from divtol import (
     InferenceError,
     InputError,
     Method,
+    Norm,
     PolicyConfig,
     bootstrap_ci,
     estimate_theta,
@@ -122,6 +123,33 @@ def test_pairwise_equals_twice_variance(theta, actions, data):
     a = pairwise_objective(theta, ds, SCALAR_AT_ONE)
     b = variance_objective(theta, ds, SCALAR_AT_ONE)
     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    c=st.floats(min_value=1e-6, max_value=1e6),
+    norm=st.sampled_from(list(Norm)),
+)
+def test_estimate_is_invariant_to_the_scale_of_actions(seed, c, norm):
+    # theta_e depends only on ratios of divergences, so scaling the actions
+    # and the optimum together must leave it unchanged
+    rng = np.random.default_rng(seed)
+    ds = random_two_group_dataset(rng, d=3)
+    optimal = rng.normal(size=3)
+    theta = estimate_theta(ds, DivergenceSpec(optimal=optimal, norm=norm)).theta_e
+    scaled = Dataset.from_arrays(actions=c * ds.actions, states=ds.states)
+    spec = DivergenceSpec(optimal=c * optimal, norm=norm)
+    assert estimate_theta(scaled, spec).theta_e == pytest.approx(theta, rel=1e-9)
+
+
+def test_small_actions_are_not_degenerate():
+    # under an absolute tolerance floor, shrinking this dataset's actions by
+    # 1e-4 made its objective count as flat
+    ds = generate_dataset(PolicyConfig(), 50, 0.5, np.random.default_rng(0))
+    theta = estimate_theta(ds, SCALAR_AT_ZERO).theta_e
+    small = Dataset.from_arrays(actions=1e-4 * ds.actions, states=ds.states)
+    assert estimate_theta(small, SCALAR_AT_ZERO).theta_e == pytest.approx(theta, rel=1e-9)
 
 
 class TestEstimateTheta:
@@ -321,21 +349,19 @@ class TestGroupDivergenceContrast:
 
 
 def naive_bootstrap(ds, spec, replicates, seed, level):
-    """Object-rebuilding reference implementation of the stratified bootstrap."""
+    """Dataset-rebuilding reference implementation of the stratified bootstrap."""
     states = ds.states
     exposed_idx = np.flatnonzero(states == 1)
     control_idx = np.flatnonzero(states == 0)
-    observations = ds.observations
     estimates = []
     for k in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
         take_e = rng.choice(exposed_idx, size=exposed_idx.size, replace=True)
         take_c = rng.choice(control_idx, size=control_idx.size, replace=True)
-        resampled = tuple(observations[i] for i in np.concatenate([take_e, take_c]))
+        take = np.concatenate([take_e, take_c])
+        resampled = Dataset.from_arrays(actions=ds.actions[take], states=states[take])
         try:
-            estimates.append(
-                estimate_theta(Dataset(resampled, ds.dimension), spec).theta_e
-            )
+            estimates.append(estimate_theta(resampled, spec).theta_e)
         except DegenerateObjectiveError:
             continue
     alpha = (1 - level) / 2

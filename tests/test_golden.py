@@ -1,0 +1,75 @@
+"""Bitwise pins on seed-fixed outputs, and the no-per-animal-object guarantee.
+
+The hashes were recorded from the object-per-animal implementation that the
+columnar ``Dataset`` replaced; any change to them is a numeric change and
+must be stated as one.
+"""
+
+import hashlib
+
+import numpy as np
+
+import divtol.core as core
+from divtol import McConfig, PolicyConfig, run_monte_carlo
+from divtol.cli import main
+
+MC_SHA256 = "72fea2ff557d819b77af04bd96ea20dc1663ff49d6dbae649853a2f09a1488f5"
+ESTIMATE_OUT_SHA256 = "801d34592eb259f542ce714e8542b6a63e6dc4bd00c4fd8cda7e491d9e0a3643"
+
+OPTIMAL_12 = ",".join(["1"] + ["0"] * 11)
+
+
+def write_bins_fixture(directory):
+    """24 mice x 3 sessions x 12 bins of integer counts, half of them exposed."""
+    rng = np.random.default_rng(2024)
+    mice = [f"m{i:02d}" for i in range(24)]
+    (directory / "exposures.csv").write_text(
+        "mouse_id,exposed\n" + "".join(f"{m},{i % 2}\n" for i, m in enumerate(mice)),
+        encoding="utf-8",
+    )
+    header = "mouse_id,session," + ",".join(f"b{j}" for j in range(12)) + "\n"
+    rows = []
+    for i, m in enumerate(mice):
+        for session in (1, 2, 3):
+            counts = rng.poisson(1.0 + 2.0 * (i % 2), size=12)
+            rows.append(f"{m},{session}," + ",".join(str(int(c)) for c in counts) + "\n")
+    (directory / "bins.csv").write_text(header + "".join(rows), encoding="utf-8")
+
+
+def estimate_argv(out="out.json"):
+    # relative paths: the config echo in --out must not depend on the temp dir
+    return ["--command", "estimate", "--exposures", "exposures.csv", "--bins", "bins.csv",
+            "--optimal", OPTIMAL_12, "--bootstrap", "500", "--seed", "7", "--out", out]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_monte_carlo_estimates_are_bitwise_pinned():
+    result = run_monte_carlo(McConfig(n_per_dataset=50, num_datasets=200, seed=0), PolicyConfig())
+    digest = sha256(repr((result.theta_estimates, result.b1_estimates)).encode())
+    assert digest == MC_SHA256
+
+
+def test_estimate_output_is_bitwise_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_bins_fixture(tmp_path)
+    assert main(estimate_argv()) == 0
+    assert sha256((tmp_path / "out.json").read_bytes()) == ESTIMATE_OUT_SHA256
+
+
+def test_no_observation_objects_on_the_hot_paths(tmp_path, monkeypatch, capsys):
+    built = []
+    original = core.Observation.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.id)
+        original(self)
+
+    monkeypatch.setattr(core.Observation, "__post_init__", counting_post_init)
+    run_monte_carlo(McConfig(n_per_dataset=50, num_datasets=20, seed=0), PolicyConfig())
+    monkeypatch.chdir(tmp_path)
+    write_bins_fixture(tmp_path)
+    assert main(estimate_argv()) == 0
+    assert built == []
