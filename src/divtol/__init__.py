@@ -61,7 +61,6 @@ from .simulation import (
     McConfig,
     McResult,
     PolicyConfig,
-    Positivity,
     ProbeResult,
     ProbeRow,
     RealizedPolicy,
@@ -73,7 +72,6 @@ from .simulation import (
     generate_study_dataset,
     objective_convergence_probe,
     run_monte_carlo,
-    sample_policy,
 )
 
 __version__ = "0.1.0"

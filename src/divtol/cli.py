@@ -168,8 +168,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigurationError(f"--optimal must be scalar for {command}")
 
     max_step = 1.0 if command == "curves" else 0.5
-    if args.grid_step is not None and not 0.0 < args.grid_step <= max_step:
-        raise ConfigurationError(f"--grid-step must lie in (0, {max_step}]")
+    if args.grid_step is not None and not DEFAULT_GRID_STEP <= args.grid_step <= max_step:
+        raise ConfigurationError(f"--grid-step must lie in [{DEFAULT_GRID_STEP}, {max_step}]")
     grid_step = args.grid_step
     if grid_step is None:
         grid_step = CURVES_DEFAULT_GRID_STEP if command == "curves" else DEFAULT_GRID_STEP
@@ -216,7 +216,6 @@ def _policy_echo(policy: PolicyConfig) -> dict:
         "sigma2_sq": policy.sigma2_sq,
         "shape_multiplier_exposed": policy.shape_multiplier_exposed,
         "rate": policy.rate,
-        "positivity": policy.positivity.value,
     }
 
 
@@ -258,7 +257,7 @@ def _load_dataset(cfg: RunConfig):
 def _layout_from_bins_header(path) -> StudyLayout:
     """Infer the bin count from the file header, assuming a 60 s interval."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             header = fh.readline()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc

@@ -51,7 +51,11 @@ __all__ = [
     "bootstrap_ci",
 ]
 
+#: default and finest accepted theta grid step: a grid has at most 10^6 + 1 points
 DEFAULT_GRID_STEP = 1e-6
+
+#: largest n for which :func:`pairwise_objective` builds its n x n matrix
+PAIRWISE_MAX_N = 5000
 
 #: var(u) at or below 1e-12 * max(D)^2 is treated as zero curvature.  The
 #: bound is relative, so rescaling the actions and the optimum never changes
@@ -84,9 +88,8 @@ class EstimateResult:
 class CurveSamples:
     """Group-mean subjective rewards sampled along a theta grid.
 
-    ``crossing_theta`` is the linearly interpolated point where the two mean
-    curves cross, or None when their difference never changes sign on the
-    grid.
+    ``crossing_theta`` is the exact point where the two mean curves (both
+    lines in theta) cross, or None when it lies outside the grid's range.
     """
 
     thetas: np.ndarray
@@ -133,10 +136,14 @@ def _objective(theta: float, u: np.ndarray, v: np.ndarray) -> float:
 def pairwise_objective(theta_e: float, ds: Dataset, spec: DivergenceSpec) -> float:
     """Mean squared reward difference over all ordered pairs (reference path).
 
-    Evaluates the literal O(n^2) double sum; prefer
-    :func:`variance_objective` for large n.
+    Evaluates the literal O(n^2) double sum, so n is capped at
+    ``PAIRWISE_MAX_N``; use :func:`variance_objective` for large n.
     """
     t = _require_theta(theta_e)
+    if len(ds) > PAIRWISE_MAX_N:
+        raise InputError(
+            f"pairwise_objective builds an n x n matrix; n={len(ds)} exceeds {PAIRWISE_MAX_N}"
+        )
     u, v, _ = _decompose(ds, spec)
     r = _rewards(t, u, v)
     diff = r[:, None] - r[None, :]
@@ -190,8 +197,8 @@ def _scan_grid(var_u: float, cov_uv: float, var_v: float, step: float) -> tuple[
     through the sampled objective has its vertex strictly outside [0, 1], so
     the flag means the same thing as on the closed-form path.
     """
-    if not 0.0 < step <= 0.5:
-        raise InputError(f"grid step must lie in (0, 0.5], got {step!r}")
+    if not DEFAULT_GRID_STEP <= step <= 0.5:
+        raise InputError(f"grid step must lie in [{DEFAULT_GRID_STEP}, 0.5], got {step!r}")
     n_intervals = int(round(1.0 / step))
     grid = np.linspace(0.0, 1.0, n_intervals + 1)
 
@@ -259,9 +266,11 @@ def reward_curves(ds: Dataset, spec: DivergenceSpec, grid) -> CurveSamples:
     """Group-mean subjective rewards along a theta grid, with their crossing.
 
     The exposed mean at theta is ``-theta * mean(D | exposed)`` and the
-    control mean is ``-(1 - theta) * mean(D | control)``; the crossing is
-    located by a sign change of their difference and refined by linear
-    interpolation between the bracketing grid points.
+    control mean is ``-(1 - theta) * mean(D | control)``, so the lines cross
+    at ``mean(D | control) / (mean(D | exposed) + mean(D | control))``.  The
+    grid only sets where the curves are sampled and the range in which a
+    crossing is reported; when every divergence is zero the curves coincide
+    and the first grid value is reported.
     """
     _require_both_groups(ds)
     thetas = np.asarray(grid, dtype=float)
@@ -277,24 +286,16 @@ def reward_curves(ds: Dataset, spec: DivergenceSpec, grid) -> CurveSamples:
     mean_exposed = -thetas * mean_d_exposed
     mean_control = -(1.0 - thetas) * mean_d_control
 
-    crossing = _find_crossing(thetas, mean_exposed - mean_control)
+    total = mean_d_exposed + mean_d_control
+    crossing = mean_d_control / total if total != 0.0 else float(thetas[0])
+    if not thetas.min() <= crossing <= thetas.max():
+        crossing = None
     return CurveSamples(
         thetas=thetas,
         mean_reward_exposed=mean_exposed,
         mean_reward_control=mean_control,
         crossing_theta=crossing,
     )
-
-
-def _find_crossing(thetas: np.ndarray, diff: np.ndarray) -> float | None:
-    for k in range(len(thetas)):
-        if diff[k] == 0.0:
-            return float(thetas[k])
-        if k > 0 and np.sign(diff[k]) != np.sign(diff[k - 1]):
-            t0, t1 = thetas[k - 1], thetas[k]
-            d0, d1 = diff[k - 1], diff[k]
-            return float(t0 + (t1 - t0) * d0 / (d0 - d1))
-    return None
 
 
 def group_divergence_contrast(ds: Dataset, spec: DivergenceSpec) -> float:

@@ -1,6 +1,7 @@
 """Parsers for experiment files and session aggregation into action vectors.
 
-Three comma-separated formats are supported (UTF-8, LF or CRLF):
+Three comma-separated formats are supported (UTF-8 with or without a byte
+order mark, LF or CRLF):
 
 * exposures:      header ``mouse_id,exposed``, state 0/1 per mouse
 * binned counts:  header ``mouse_id,session,b0,...,b{d-1}``, one row per session
@@ -86,7 +87,7 @@ class BinnedSession:
 
 def _read_rows(path) -> list[tuple[int, list[str]]]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
@@ -118,7 +119,10 @@ def parse_exposures(path) -> dict[str, int]:
 
 
 def parse_binned_counts(path, layout: StudyLayout) -> list[BinnedSession]:
-    """Read pre-binned counts, one session per row, in ascending bin-time order."""
+    """Read pre-binned counts, one session per row, in ascending bin-time order.
+
+    A repeated (mouse_id, session) pair is rejected, naming both lines.
+    """
     d = layout.n_bins
     expected_header = ["mouse_id", "session"] + [f"b{j}" for j in range(d)]
     rows = _read_rows(path)
@@ -131,6 +135,7 @@ def parse_binned_counts(path, layout: StudyLayout) -> list[BinnedSession]:
             line_number=1,
         )
     sessions = []
+    first_line: dict[tuple[str, int], int] = {}
     for lineno, row in rows[1:]:
         if len(row) != 2 + d:
             raise SchemaError(
@@ -146,6 +151,11 @@ def parse_binned_counts(path, layout: StudyLayout) -> list[BinnedSession]:
             raise DataError(f"negative count on line {lineno}")
         if session < 1:
             raise DataError(f"session must be >= 1 on line {lineno}")
+        seen = first_line.setdefault((mouse_id, session), lineno)
+        if seen != lineno:
+            raise DataError(
+                f"duplicate session {session} for mouse {mouse_id!r} on lines {seen} and {lineno}"
+            )
         sessions.append(BinnedSession(mouse_id=mouse_id, session=session, counts=np.array(counts)))
     return sessions
 

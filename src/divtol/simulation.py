@@ -29,16 +29,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .core import Dataset, DivergenceSpec
 from .errors import ConfigurationError, DegenerateObjectiveError, EstimationError, InputError, StudyError
-from .estimator import Method, estimate_theta
+from .estimator import Method, estimate_theta, variance_objective
 
 __all__ = [
-    "Positivity",
     "PolicyConfig",
     "RealizedPolicy",
     "AnovaFit",
@@ -47,7 +45,6 @@ __all__ = [
     "SweepRow",
     "ProbeRow",
     "ProbeResult",
-    "sample_policy",
     "generate_dataset",
     "draw_policy",
     "generate_study_dataset",
@@ -66,12 +63,6 @@ MAX_REJECTIONS = 10**6
 MAX_ASSIGNMENT_RETRIES = 10**5
 
 
-class Positivity(Enum):
-    """How nonpositive Gamma shapes are handled."""
-
-    REJECT_RESAMPLE = "reject_resample"
-
-
 @dataclass(frozen=True)
 class PolicyConfig:
     """Parameters of the synthetic behavioral policy.
@@ -86,15 +77,12 @@ class PolicyConfig:
     sigma2_sq: float = 4.0
     shape_multiplier_exposed: float = 2.0
     rate: float = 1.0
-    positivity: Positivity = Positivity.REJECT_RESAMPLE
 
     def __post_init__(self):
         if self.sigma1_sq <= 0 or self.sigma2_sq <= 0:
             raise ConfigurationError("shape noise variances must be positive")
         if self.rate <= 0:
             raise ConfigurationError("rate must be positive")
-        if not isinstance(self.positivity, Positivity):
-            raise ConfigurationError(f"unknown positivity rule {self.positivity!r}")
 
     def shape_params(self, s: int) -> tuple[float, float, float]:
         """(mu, sd, multiplier) of the shape noise for exposure state s."""
@@ -195,15 +183,6 @@ def _draw_positive_shape(mu: float, sd: float, mult: float, rng: np.random.Gener
 _SMALLEST_ACTION = float(np.finfo(float).tiny)
 
 
-def sample_policy(s: int, cfg: PolicyConfig, rng: np.random.Generator) -> float:
-    """Draw one action for exposure state s (fresh shape noise per call)."""
-    if s not in (0, 1):
-        raise InputError(f"state must be 0 or 1, got {s!r}")
-    mu, sd, mult = cfg.shape_params(s)
-    alpha = _draw_positive_shape(mu, sd, mult, rng)
-    return max(float(rng.gamma(alpha, 1.0 / cfg.rate)), _SMALLEST_ACTION)
-
-
 def _sample_actions(states: np.ndarray, cfg: PolicyConfig, rng: np.random.Generator) -> np.ndarray:
     """Vectorized iid sampler: one truncated-normal shape and one Gamma draw per animal."""
     n = states.shape[0]
@@ -255,15 +234,6 @@ def _draw_mixed_states(
     return states, regenerations
 
 
-def _simulate_scalar(
-    cfg: PolicyConfig, n: int, p_exposed: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array-level sampler behind :func:`generate_dataset` (same stream, no objects)."""
-    states, _ = _draw_mixed_states(n, p_exposed, rng)
-    actions = _sample_actions(states, cfg, rng)
-    return actions, states
-
-
 def generate_dataset(
     cfg: PolicyConfig, n: int, p_exposed: float, rng: np.random.Generator
 ) -> Dataset:
@@ -276,7 +246,8 @@ def generate_dataset(
         raise InputError(f"n must be >= 2, got {n}")
     if not 0.0 <= p_exposed <= 1.0:
         raise InputError(f"p_exposed must lie in [0, 1], got {p_exposed!r}")
-    actions, states = _simulate_scalar(cfg, n, p_exposed, rng)
+    states, _ = _draw_mixed_states(n, p_exposed, rng)
+    actions = _sample_actions(states, cfg, rng)
     return Dataset.from_arrays(actions=actions[:, None], states=states)
 
 
@@ -373,18 +344,6 @@ def _row_rng(seed: int, n: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, n, replicate]))
 
 
-def _scalar_psi(theta: float, actions: np.ndarray, states: np.ndarray, optimal: float) -> float:
-    """Pairwise objective (as 2 * var of rewards) on raw scalar-action arrays.
-
-    Array-level twin of ``estimator.variance_objective`` under the squared L2
-    divergence with unit weight; kept in lockstep by tests.
-    """
-    d = (actions - optimal) ** 2
-    r = -d * ((2 * states - 1) * theta + (1 - states))
-    centered = r - r.mean()
-    return float(2.0 * np.mean(centered * centered))
-
-
 def consistency_sweep(
     policy: PolicyConfig,
     ns: list[int],
@@ -437,18 +396,20 @@ def objective_convergence_probe(
         raise InputError(f"theta_fixed must lie in [0, 1], got {theta_fixed!r}")
     if list(ns) != sorted(ns):
         raise InputError("ns must be non-decreasing")
+    if any(n < 2 for n in ns):
+        raise InputError("every n must be >= 2")
 
+    spec = DivergenceSpec(optimal=np.array([optimal_action]))
     oracle_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    oracle_actions, oracle_states = _simulate_scalar(policy, oracle_n, 0.5, oracle_rng)
-    psi_hat_0 = _scalar_psi(theta_fixed, oracle_actions, oracle_states, optimal_action)
+    oracle = generate_dataset(policy, oracle_n, 0.5, oracle_rng)
+    psi_hat_0 = variance_objective(theta_fixed, oracle, spec)
 
     rows = []
     for n in ns:
         psis = np.empty(replicates)
         for j in range(replicates):
-            rng = _row_rng(seed, n, j)
-            actions, states = _simulate_scalar(policy, n, 0.5, rng)
-            psis[j] = _scalar_psi(theta_fixed, actions, states, optimal_action)
+            ds = generate_dataset(policy, n, 0.5, _row_rng(seed, n, j))
+            psis[j] = variance_objective(theta_fixed, ds, spec)
         scaled = np.sqrt(n) * (psis - psi_hat_0)
         rows.append(
             ProbeRow(

@@ -129,6 +129,35 @@ class TestEstimate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["estimate", "curves"])
+    def test_grid_step_below_the_default_rejected(self, command, two_mouse_files, tmp_path, capsys):
+        exposures, bins = two_mouse_files
+        code, _, stderr = run(
+            ["--command", command, "--exposures", exposures, "--bins", bins, "--optimal", "1",
+             "--method", "grid", "--grid-step", "1e-9", "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(stderr)["error"]["class"] == "ConfigurationError"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_byte_order_marks_do_not_change_the_result(self, two_mouse_files, tmp_path, capsys):
+        exposures, bins = two_mouse_files
+        bom_exposures, bom_bins = tmp_path / "e_bom.csv", tmp_path / "b_bom.csv"
+        for src, dst in ((exposures, bom_exposures), (bins, bom_bins)):
+            dst.write_bytes(b"\xef\xbb\xbf" + open(src, "rb").read())
+        results = []
+        for e, b in ((exposures, bins), (bom_exposures, bom_bins)):
+            out = tmp_path / "r.json"
+            code, _, _ = run(
+                ["--command", "estimate", "--exposures", str(e), "--bins", str(b),
+                 "--optimal", "1", "--out", str(out)],
+                capsys,
+            )
+            assert code == 0
+            results.append(json.loads(out.read_text())["result"])
+        assert results[0] == results[1]
+
     def test_wrong_optimal_length_rejected(self, two_mouse_files, tmp_path, capsys):
         exposures, bins = two_mouse_files
         code, _, stderr = run(
@@ -253,7 +282,7 @@ class TestSimulateMc:
             )
         assert a.read_bytes() == b.read_bytes()
 
-    def test_policy_and_positivity_rule_echoed(self, tmp_path, capsys):
+    def test_policy_echoed_without_positivity_key(self, tmp_path, capsys):
         out = tmp_path / "mc.json"
         run(
             ["--command", "simulate-mc", "--n", "10", "--datasets", "2", "--seed", "0",
@@ -261,7 +290,7 @@ class TestSimulateMc:
             capsys,
         )
         policy = json.loads(out.read_text())["policy"]
-        assert policy["positivity"] == "reject_resample"
+        assert "positivity" not in policy
         assert policy["sigma2_sq"] == 4.0
 
     def test_csv_parity(self, tmp_path, capsys):
@@ -354,6 +383,22 @@ class TestIngestCheck:
         assert code == 1
         violations = json.loads(out.read_text())["report"]["violations"]
         assert any("SchemaError" in v and "line 3" in v for v in violations)
+
+    def test_duplicate_session_reported(self, tmp_path, capsys):
+        exposures = tmp_path / "e.csv"
+        exposures.write_text("mouse_id,exposed\nm1,1\nm2,0\n", encoding="utf-8")
+        bins = tmp_path / "b.csv"
+        bins.write_text("mouse_id,session,b0\nm1,1,3\nm2,1,2\nm1,1,9\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        code, stdout, _ = run(
+            ["--command", "ingest-check", "--exposures", str(exposures), "--bins", str(bins),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        violations = json.loads(out.read_text())["report"]["violations"]
+        assert any("DataError" in v and "lines 2 and 4" in v for v in violations)
+        assert "clean" not in stdout
 
     def test_csv_report_quotes_messages_with_commas(self, tmp_path, capsys):
         exposures = tmp_path / "e.csv"

@@ -23,7 +23,7 @@ from divtol import (
     reward_curves,
     variance_objective,
 )
-from divtol.estimator import _minimize_quadratic, _scan_grid
+from divtol.estimator import PAIRWISE_MAX_N, _minimize_quadratic, _scan_grid
 
 SCALAR_AT_ONE = DivergenceSpec(optimal=np.array([1.0]))
 SCALAR_AT_ZERO = DivergenceSpec(optimal=np.array([0.0]))
@@ -41,6 +41,17 @@ def random_two_group_dataset(rng, n=None, d=1):
         states[0] ^= 1
     actions = rng.gamma(2.0, 2.0, size=(n, d))
     return Dataset.from_arrays(actions=actions, states=states)
+
+
+def sign_change_crossing(thetas, diff):
+    """Loop oracle: linear interpolation at the first sign change of sampled curves."""
+    for k in range(len(thetas)):
+        if diff[k] == 0.0:
+            return float(thetas[k])
+        if k > 0 and np.sign(diff[k]) != np.sign(diff[k - 1]):
+            t0, t1, d0, d1 = thetas[k - 1], thetas[k], diff[k - 1], diff[k]
+            return float(t0 + (t1 - t0) * d0 / (d0 - d1))
+    return None
 
 
 def reference_pairwise(theta, ds, spec):
@@ -84,6 +95,13 @@ class TestPairwiseObjective:
     def test_non_finite_dataset_rejected(self):
         ds = Dataset.from_arrays(actions=[[np.nan], [2.0]], states=[1, 0])
         with pytest.raises(InputError):
+            pairwise_objective(0.5, ds, SCALAR_AT_ONE)
+
+
+    def test_too_many_animals_rejected_before_the_matrix(self):
+        n = PAIRWISE_MAX_N + 1
+        ds = Dataset.from_arrays(actions=np.ones((n, 1)), states=np.arange(n) % 2)
+        with pytest.raises(InputError, match="exceeds"):
             pairwise_objective(0.5, ds, SCALAR_AT_ONE)
 
 
@@ -243,6 +261,12 @@ class TestEstimateTheta:
         assert _scan_grid(1.0, 0.5, 1.0, 1e-4) == (0.0, True)
         assert _scan_grid(1.0, -1.5, 1.0, 1e-4) == (1.0, True)
 
+    def test_grid_step_below_the_default_rejected(self):
+        with pytest.raises(InputError):
+            _scan_grid(1.0, -0.5, 1.0, 1e-9)
+        with pytest.raises(InputError):
+            estimate_theta(two_mouse_dataset(), SCALAR_AT_ONE, method=Method.GRID, grid_step=1e-9)
+
     def test_missing_group_raises(self):
         ds = Dataset.from_arrays(actions=[[1.0], [2.0]], states=[1, 1])
         with pytest.raises(EstimationError):
@@ -287,6 +311,25 @@ class TestRewardCurves:
         ds = two_mouse_dataset()
         curves = reward_curves(ds, SCALAR_AT_ONE, [0.5, 0.75, 1.0])
         assert curves.crossing_theta is None
+
+    def test_crossing_matches_the_sign_change_scan(self):
+        rng = np.random.default_rng(14)
+        for k in range(200):
+            ds = random_two_group_dataset(rng, d=1 + k % 3)
+            grid = np.linspace(0.0, 1.0, 201) if k % 2 else np.sort(rng.random(8))
+            spec = DivergenceSpec(optimal=np.zeros(ds.dimension))
+            curves = reward_curves(ds, spec, grid)
+            expected = sign_change_crossing(
+                curves.thetas, curves.mean_reward_exposed - curves.mean_reward_control
+            )
+            if expected is None:
+                assert curves.crossing_theta is None
+            else:
+                assert curves.crossing_theta == pytest.approx(expected, rel=1e-13)
+
+    def test_coincident_curves_report_the_first_grid_value(self):
+        ds = Dataset.from_arrays(actions=[[1.0], [1.0]], states=[1, 0])
+        assert reward_curves(ds, SCALAR_AT_ONE, [0.25, 0.5]).crossing_theta == 0.25
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):

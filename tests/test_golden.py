@@ -1,8 +1,10 @@
 """Bitwise pins on seed-fixed outputs, and the no-per-animal-object guarantee.
 
-The hashes were recorded from the object-per-animal implementation that the
-columnar ``Dataset`` replaced; any change to them is a numeric change and
-must be stated as one.
+The Monte-Carlo and ``estimate`` hashes were recorded from the
+object-per-animal implementation that the columnar ``Dataset`` replaced; the
+iid-dataset and sweep hashes from the simulation module as it was before its
+scalar sampler twin was folded into ``generate_dataset``.  Any change to
+them is a numeric change and must be stated as one.
 """
 
 import hashlib
@@ -10,11 +12,13 @@ import hashlib
 import numpy as np
 
 import divtol.core as core
-from divtol import McConfig, PolicyConfig, run_monte_carlo
+from divtol import McConfig, PolicyConfig, consistency_sweep, generate_dataset, run_monte_carlo
 from divtol.cli import main
 
 MC_SHA256 = "72fea2ff557d819b77af04bd96ea20dc1663ff49d6dbae649853a2f09a1488f5"
 ESTIMATE_OUT_SHA256 = "801d34592eb259f542ce714e8542b6a63e6dc4bd00c4fd8cda7e491d9e0a3643"
+IID_DATASET_SHA256 = "a5e3a205e921c8409bcfeb17dc900f704b65caa9ef72f812de1681fc4f379780"
+SWEEP_SHA256 = "13e1312b57ddf5b7b75c8bad98f5f44cbaf1dda271411a89087917bee51ea4fc"
 
 OPTIMAL_12 = ",".join(["1"] + ["0"] * 11)
 
@@ -50,6 +54,17 @@ def test_monte_carlo_estimates_are_bitwise_pinned():
     result = run_monte_carlo(McConfig(n_per_dataset=50, num_datasets=200, seed=0), PolicyConfig())
     digest = sha256(repr((result.theta_estimates, result.b1_estimates)).encode())
     assert digest == MC_SHA256
+
+
+def test_iid_dataset_is_bitwise_pinned():
+    ds = generate_dataset(PolicyConfig(), 1000, 0.5, np.random.default_rng(5))
+    data = ds.actions.astype("<f8").tobytes() + ds.states.astype("<i8").tobytes()
+    assert sha256(data) == IID_DATASET_SHA256
+
+
+def test_consistency_sweep_rows_are_bitwise_pinned():
+    rows = consistency_sweep(PolicyConfig(), [50, 200], 50, seed=0)
+    assert sha256(repr(rows).encode()) == SWEEP_SHA256
 
 
 def test_estimate_output_is_bitwise_pinned(tmp_path, monkeypatch, capsys):

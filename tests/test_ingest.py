@@ -124,6 +124,30 @@ class TestParseBinnedCounts:
         with pytest.raises(SchemaError):
             parse_binned_counts(path, StudyLayout(bin_width_s=60.0))
 
+    def test_duplicate_session_rejected_naming_both_lines(self, tmp_path):
+        path = write(tmp_path / "b.csv", "mouse_id,session,b0\nm1,1,3\nm2,1,4\nm1,1,9\n")
+        with pytest.raises(DataError, match="lines 2 and 4"):
+            parse_binned_counts(path, StudyLayout(bin_width_s=60.0))
+
+
+def test_byte_order_mark_is_ignored(tmp_path):
+    exposures = "mouse_id,exposed\nm1,1\nm2,0\n"
+    header = "mouse_id,session," + ",".join(f"b{j}" for j in range(12))
+    bins = header + "\nm1,1," + ",".join(["2"] * 12) + "\nm2,1," + ",".join(["5"] * 12) + "\n"
+    datasets = []
+    for prefix in ("", "\ufeff"):
+        directory = tmp_path / f"bom{len(prefix)}"
+        directory.mkdir()
+        e = write(directory / "e.csv", prefix + exposures)
+        b = write(directory / "b.csv", prefix + bins)
+        actions = average_sessions(parse_binned_counts(b, LAYOUT), LAYOUT)
+        datasets.append(assemble_dataset(parse_exposures(e), actions, LAYOUT))
+    plain, bommed = datasets
+    assert (tmp_path / "bom1" / "e.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert plain.ids == bommed.ids
+    np.testing.assert_array_equal(plain.states, bommed.states)
+    np.testing.assert_array_equal(plain.actions, bommed.actions)
+
 
 class TestBinEvents:
     def test_early_presses_share_the_first_bin(self):

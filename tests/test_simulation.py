@@ -14,16 +14,14 @@ from divtol import (
     PolicyConfig,
     StudyError,
     consistency_sweep,
+    draw_policy,
     estimate_theta,
     fit_anova,
     generate_dataset,
     objective_convergence_probe,
     run_monte_carlo,
-    sample_policy,
-    variance_objective,
 )
 from divtol.errors import ConfigurationError
-from divtol.simulation import _scalar_psi, _simulate_scalar
 
 
 def truncated_shape_mean(mu, sd, mult, rate=1.0):
@@ -37,7 +35,7 @@ class TestSamplePolicy:
     def test_vanishing_noise_recovers_the_gamma_mean(self):
         cfg = PolicyConfig(sigma1_sq=1e-12)
         rng = np.random.default_rng(0)
-        draws = np.array([sample_policy(1, cfg, rng) for _ in range(20_000)])
+        draws = simulation._sample_actions(np.ones(20_000, dtype=int), cfg, rng)
         assert draws.mean() == pytest.approx(4.0, abs=0.05)
 
     def test_exposed_mean_exceeds_control_mean(self):
@@ -46,13 +44,6 @@ class TestSamplePolicy:
         states = np.r_[np.ones(50_000, dtype=int), np.zeros(50_000, dtype=int)]
         actions = simulation._sample_actions(states, cfg, rng)
         assert actions[:50_000].mean() > actions[50_000:].mean()
-
-    def test_scalar_sampler_matches_integration_oracle(self):
-        cfg = PolicyConfig()
-        rng = np.random.default_rng(2)
-        draws = np.array([sample_policy(1, cfg, rng) for _ in range(100_000)])
-        oracle = truncated_shape_mean(2.0, 1.0, 2.0)
-        assert abs(draws.mean() - oracle) / oracle < 0.01
 
     def test_vectorized_sampler_matches_integration_oracle(self):
         cfg = PolicyConfig()
@@ -69,9 +60,13 @@ class TestSamplePolicy:
         states = np.r_[np.ones(5_000, dtype=int), np.zeros(5_000, dtype=int)]
         assert np.all(simulation._sample_actions(states, cfg, rng) > 0.0)
 
-    def test_invalid_state_rejected(self):
-        with pytest.raises(InputError):
-            sample_policy(2, PolicyConfig(), np.random.default_rng(0))
+    def test_realized_shapes_are_rejection_sampled_positive(self):
+        # mostly-negative shape noise: only the rejection loop keeps shapes positive
+        cfg = PolicyConfig(mu1=-1.0, mu2=-1.0)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            policy = draw_policy(cfg, rng)
+            assert policy.alpha_exposed > 0.0 and policy.alpha_control > 0.0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -240,9 +235,9 @@ class TestConvergenceProbe:
     def test_constant_actions_give_zero_objective_everywhere(self, monkeypatch):
         def constant(policy, n, p_exposed, rng):
             states = np.r_[np.ones(n // 2, dtype=int), np.zeros(n - n // 2, dtype=int)]
-            return np.full(n, 3.0), states
+            return Dataset.from_arrays(actions=np.full((n, 1), 3.0), states=states)
 
-        monkeypatch.setattr(simulation, "_simulate_scalar", constant)
+        monkeypatch.setattr(simulation, "generate_dataset", constant)
         probe = objective_convergence_probe(
             PolicyConfig(), [10, 20], 5, theta_fixed=0.5, seed=1, oracle_n=100
         )
@@ -265,17 +260,13 @@ class TestConvergenceProbe:
         with pytest.raises(InputError):
             objective_convergence_probe(PolicyConfig(), [100], 5, theta_fixed=1.5, seed=0)
 
+    def test_single_animal_sample_size_rejected_before_sampling(self, monkeypatch):
+        def no_draw(n, p_exposed, rng):
+            raise AssertionError("exposures drawn before the sample sizes were checked")
 
-def test_array_objective_matches_dataset_objective():
-    rng = np.random.default_rng(18)
-    for _ in range(10):
-        actions, states = _simulate_scalar(PolicyConfig(), 40, 0.5, rng)
-        ds = Dataset.from_arrays(actions=actions[:, None], states=states)
-        spec = DivergenceSpec(optimal=np.array([0.7]))
-        theta = float(rng.random())
-        assert _scalar_psi(theta, actions, states, 0.7) == pytest.approx(
-            variance_objective(theta, ds, spec), rel=1e-12
-        )
+        monkeypatch.setattr(simulation, "_draw_mixed_states", no_draw)
+        with pytest.raises(InputError):
+            objective_convergence_probe(PolicyConfig(), [1, 10], 2, 0.3, 0, oracle_n=100)
 
 
 def test_estimates_concentrate_below_half_under_default_policy():
