@@ -38,10 +38,12 @@ from .errors import (
     LinkageError,
 )
 from .estimator import (
+    BOOTSTRAP_MAX_REPLICATES,
     DEFAULT_GRID_STEP,
     Method,
     bootstrap_ci,
     estimate_theta,
+    grid_intervals,
     reward_curves,
 )
 from .ingest import (
@@ -60,6 +62,11 @@ __all__ = ["RunConfig", "build_parser", "main", "entrypoint"]
 COMMANDS = ("estimate", "curves", "simulate-mc", "consistency", "ingest-check")
 
 CURVES_DEFAULT_GRID_STEP = 0.005  # 201 grid points
+
+#: largest --n (each entry, for consistency) and --datasets accepted; both
+#: size the arrays the simulation commands allocate
+MAX_N = 10**7
+MAX_DATASETS = 10**6
 
 
 @dataclass(frozen=True)
@@ -147,8 +154,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigurationError("--seed must be nonnegative")
     if not 0.0 < args.level < 1.0:
         raise ConfigurationError("--level must lie in (0, 1)")
-    if args.bootstrap is not None and args.bootstrap < 100:
-        raise ConfigurationError("--bootstrap must be >= 100")
+    if args.bootstrap is not None and not 100 <= args.bootstrap <= BOOTSTRAP_MAX_REPLICATES:
+        raise ConfigurationError(f"--bootstrap must lie in [100, {BOOTSTRAP_MAX_REPLICATES}]")
     if not 0.0 < args.p_exposed < 1.0:
         raise ConfigurationError("--p-exposed must lie in (0, 1)")
 
@@ -168,11 +175,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigurationError(f"--optimal must be scalar for {command}")
 
     max_step = 1.0 if command == "curves" else 0.5
-    if args.grid_step is not None and not DEFAULT_GRID_STEP <= args.grid_step <= max_step:
-        raise ConfigurationError(f"--grid-step must lie in [{DEFAULT_GRID_STEP}, {max_step}]")
     grid_step = args.grid_step
     if grid_step is None:
         grid_step = CURVES_DEFAULT_GRID_STEP if command == "curves" else DEFAULT_GRID_STEP
+    elif not DEFAULT_GRID_STEP <= grid_step <= max_step:
+        raise ConfigurationError(f"--grid-step must lie in [{DEFAULT_GRID_STEP}, {max_step}]")
+    else:
+        try:
+            grid_intervals(grid_step)
+        except InputError:
+            raise ConfigurationError(f"--grid-step must divide 1, got {grid_step!r}") from None
 
     if command == "consistency":
         ns = _parse_n_list(args.n, default=(50, 200, 800))
@@ -182,10 +194,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if len(ns) != 1:
             raise ConfigurationError(f"--n must be a single integer for {command}")
         datasets = args.datasets if args.datasets is not None else 2000
-    if any(n < 2 for n in ns):
-        raise ConfigurationError("--n values must be >= 2")
-    if datasets < 1:
-        raise ConfigurationError("--datasets must be >= 1")
+    if not all(2 <= n <= MAX_N for n in ns):
+        raise ConfigurationError(f"--n values must lie in [2, {MAX_N}]")
+    if not 1 <= datasets <= MAX_DATASETS:
+        raise ConfigurationError(f"--datasets must lie in [1, {MAX_DATASETS}]")
 
     return RunConfig(
         command=command,
@@ -366,8 +378,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
 def cmd_curves(cfg: RunConfig) -> int:
     ds, layout = _load_dataset(cfg)
     spec = _build_spec(cfg, layout)
-    n_intervals = int(round(1.0 / cfg.grid_step))
-    grid = np.linspace(0.0, 1.0, n_intervals + 1)
+    grid = np.linspace(0.0, 1.0, grid_intervals(cfg.grid_step) + 1)
     curves = reward_curves(ds, spec, grid)
     try:
         theta_hat = estimate_theta(ds, spec).theta_e

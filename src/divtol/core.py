@@ -87,7 +87,7 @@ class Observation:
         return self.action.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Dataset:
     """n animals stored as columns: ids, exposure states and an action matrix.
 
@@ -98,9 +98,9 @@ class Dataset:
     that :func:`validate_dataset` can report them.
     """
 
-    ids: tuple[str, ...] | None
-    _states: np.ndarray = field(repr=False)
-    _actions: np.ndarray = field(repr=False)
+    _ids: tuple[str, ...] | None
+    _states: np.ndarray
+    _actions: np.ndarray
 
     def __post_init__(self):
         try:
@@ -123,18 +123,29 @@ class Dataset:
             raise InputError("actions and states must have equal length")
         if raw.dtype.kind not in "biuf" or not np.all((raw == 0) | (raw == 1)):
             raise InputError("states must be 0 or 1")
-        ids = tuple(f"m{i}" for i in range(n)) if self.ids is None else tuple(self.ids)
-        if len(ids) != n:
-            raise InputError(f"got {len(ids)} ids for {n} observations")
+        if self._ids is not None:
+            ids = tuple(self._ids)
+            if len(ids) != n:
+                raise InputError(f"got {len(ids)} ids for {n} observations")
+            object.__setattr__(self, "_ids", ids)
         states = raw.astype(int)
         states.setflags(write=False)
         acts.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "_states", states)
         object.__setattr__(self, "_actions", acts)
 
     def __len__(self) -> int:
         return self._states.shape[0]
+
+    def __repr__(self) -> str:
+        return f"Dataset(n={len(self)}, dimension={self.dimension})"
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """Animal ids; the default ``m0, m1, ...`` is built on first access."""
+        if self._ids is None:
+            object.__setattr__(self, "_ids", tuple(f"m{i}" for i in range(len(self))))
+        return self._ids
 
     @property
     def dimension(self) -> int:

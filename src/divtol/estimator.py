@@ -49,10 +49,15 @@ __all__ = [
     "reward_curves",
     "group_divergence_contrast",
     "bootstrap_ci",
+    "grid_intervals",
 ]
 
 #: default and finest accepted theta grid step: a grid has at most 10^6 + 1 points
 DEFAULT_GRID_STEP = 1e-6
+
+#: a grid step must divide 1: 1/step may differ from a whole number of
+#: intervals by at most this fraction of 1/step
+GRID_STEP_RTOL = 1e-9
 
 #: largest n for which :func:`pairwise_objective` builds its n x n matrix
 PAIRWISE_MAX_N = 5000
@@ -61,6 +66,13 @@ PAIRWISE_MAX_N = 5000
 #: bound is relative, so rescaling the actions and the optimum never changes
 #: whether an objective counts as degenerate.
 DEGENERACY_RTOL = 1e-12
+
+#: largest replicate count :func:`bootstrap_ci` accepts
+BOOTSTRAP_MAX_REPLICATES = 10**6
+
+#: :func:`bootstrap_ci` resamples max(1, this // n) replicates per block, so
+#: its working memory stays bounded at any n
+BOOTSTRAP_BLOCK_ELEMENTS = 16384
 
 
 class Method(Enum):
@@ -190,6 +202,19 @@ def _parabola_vertex(x: np.ndarray, y: np.ndarray) -> float:
     return float(x[0] + h * (3.0 * y[0] - 4.0 * y[1] + y[2]) / denom)
 
 
+def grid_intervals(step: float) -> int:
+    """Number of intervals of a uniform grid on [0, 1] with the given step.
+
+    Raises :class:`InputError` unless the step divides 1, i.e. unless 1/step
+    is a whole number to within a relative ``GRID_STEP_RTOL``.
+    """
+    intervals = 1.0 / step
+    whole = round(intervals)
+    if abs(intervals - whole) > GRID_STEP_RTOL * intervals:
+        raise InputError(f"grid step must divide 1, got {step!r} (1/step = {intervals!r})")
+    return int(whole)
+
+
 def _scan_grid(var_u: float, cov_uv: float, var_v: float, step: float) -> tuple[float, bool]:
     """Exhaustive argmin of the quadratic objective over a uniform grid on [0, 1].
 
@@ -199,8 +224,7 @@ def _scan_grid(var_u: float, cov_uv: float, var_v: float, step: float) -> tuple[
     """
     if not DEFAULT_GRID_STEP <= step <= 0.5:
         raise InputError(f"grid step must lie in [{DEFAULT_GRID_STEP}, 0.5], got {step!r}")
-    n_intervals = int(round(1.0 / step))
-    grid = np.linspace(0.0, 1.0, n_intervals + 1)
+    grid = np.linspace(0.0, 1.0, grid_intervals(step) + 1)
 
     def psi_at(t):
         return 2.0 * (var_u * t * t + 2.0 * cov_uv * t + var_v)
@@ -325,11 +349,18 @@ def bootstrap_ci(
     degenerate are skipped; if more than half are skipped an
     :class:`InferenceError` is raised.
 
+    Only the draws are made one replicate at a time: they fill the rows of
+    an index block of at most ``BOOTSTRAP_BLOCK_ELEMENTS`` entries, and the
+    moments and argmins of a whole block are computed together, with the
+    same floating-point operations as :func:`estimate_theta`.
+
     Note the percentile interval is not guaranteed to contain the point
     estimate.
     """
-    if replicates < 100:
-        raise InputError(f"replicates must be >= 100, got {replicates}")
+    if not 100 <= replicates <= BOOTSTRAP_MAX_REPLICATES:
+        raise InputError(
+            f"replicates must lie in [100, {BOOTSTRAP_MAX_REPLICATES}], got {replicates}"
+        )
     if not 0.0 < level < 1.0:
         raise InputError(f"level must lie in (0, 1), got {level!r}")
     _require_both_groups(ds)
@@ -338,26 +369,26 @@ def bootstrap_ci(
     s = ds.states
     exposed_idx = np.flatnonzero(s == 1)
     control_idx = np.flatnonzero(s == 0)
-    n_e, n_c = exposed_idx.size, control_idx.size
+    n_e, n = exposed_idx.size, len(s)
+    n_c = n - n_e
 
-    # one index buffer, exposed draws first; idx[integers(0, n)] consumes the
-    # stream exactly as rng.choice(idx, n, replace=True) does
-    take = np.empty(len(s), dtype=np.intp)
+    rows = max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
+    block = np.empty((min(rows, replicates), n), dtype=np.intp)
     estimates = []
-    skipped = 0
-    for k in range(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        np.take(exposed_idx, rng.integers(0, n_e, size=n_e), out=take[:n_e])
-        np.take(control_idx, rng.integers(0, n_c, size=n_c), out=take[n_e:])
-        var_u, cov_uv, _ = _quadratic_coefficients(u[take], v[take])
-        try:
-            _check_degenerate(var_u, d[take])
-        except DegenerateObjectiveError:
-            skipped += 1
-            continue
-        theta, _ = _minimize_quadratic(var_u, cov_uv)
-        estimates.append(theta)
+    for start in range(0, replicates, rows):
+        take = block[: min(rows, replicates - start)]
+        # exposed draws first; idx[integers(0, m, m)] consumes the stream
+        # exactly as rng.choice(idx, m, replace=True) does
+        for k, row in enumerate(take, start):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+            row[:n_e] = rng.integers(0, n_e, size=n_e)
+            row[n_e:] = rng.integers(0, n_c, size=n_c)
+        take[:, :n_e] = exposed_idx[take[:, :n_e]]
+        take[:, n_e:] = control_idx[take[:, n_e:]]
+        estimates.append(_block_estimates(u[take], v[take], d[take]))
 
+    estimates = np.concatenate(estimates)
+    skipped = replicates - estimates.size
     if skipped > replicates // 2:
         raise InferenceError(
             f"{skipped} of {replicates} bootstrap replicates were degenerate; "
@@ -366,3 +397,20 @@ def bootstrap_ci(
     alpha = (1.0 - level) / 2.0
     lo, hi = np.percentile(estimates, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return float(lo), float(hi)
+
+
+def _block_estimates(u: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Closed-form argmins of the non-degenerate rows of resampled (u, v, d).
+
+    Row by row this repeats :func:`_quadratic_coefficients`,
+    :func:`_check_degenerate` and :func:`_minimize_quadratic` bit for bit:
+    row means are the same pairwise sums, and a (1, n) @ (n, 1) matmul is the
+    same dot product.
+    """
+    n = u.shape[1]
+    uc = u - u.mean(axis=1, keepdims=True)
+    vc = v - v.mean(axis=1, keepdims=True)
+    var_u = np.matmul(uc[:, None, :], uc[:, :, None])[:, 0, 0] / n
+    cov_uv = np.matmul(uc[:, None, :], vc[:, :, None])[:, 0, 0] / n
+    ok = var_u > DEGENERACY_RTOL * np.max(d, axis=1, initial=0.0) ** 2
+    return np.clip(-cov_uv[ok] / var_u[ok], 0.0, 1.0) + 0.0  # normalize -0.0

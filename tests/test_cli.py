@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import divtol
-from divtol.cli import main
+import divtol.cli as cli
+from divtol.cli import MAX_DATASETS, MAX_N, build_parser, main
+from divtol.estimator import BOOTSTRAP_MAX_REPLICATES
 
 TWELVE_ZEROS = ",".join(["0"] * 12)
 
@@ -139,6 +141,22 @@ class TestEstimate:
         )
         assert code == 2
         assert json.loads(stderr)["error"]["class"] == "ConfigurationError"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "curves"])
+    def test_grid_step_that_does_not_divide_one_rejected(
+        self, command, two_mouse_files, tmp_path, capsys
+    ):
+        exposures, bins = two_mouse_files
+        code, _, stderr = run(
+            ["--command", command, "--exposures", exposures, "--bins", bins, "--optimal", "1",
+             "--method", "grid", "--grid-step", "0.3", "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 2
+        error = json.loads(stderr)["error"]
+        assert error["class"] == "ConfigurationError"
+        assert "divide 1" in error["message"]
         assert not (tmp_path / "r.json").exists()
 
     def test_byte_order_marks_do_not_change_the_result(self, two_mouse_files, tmp_path, capsys):
@@ -462,6 +480,48 @@ class TestEventsInput:
         )
         assert code == 1
         assert json.loads(stderr)["error"]["class"] == "DataError"
+
+
+class TestResourceBounds:
+    """Flags that size an allocation are refused above their limit, before any work."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command ran")
+
+        for name in ("bootstrap_ci", "run_monte_carlo", "consistency_sweep", "parse_exposures"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--command", "estimate", "--exposures", "e.csv", "--bins", "b.csv", "--optimal", "1",
+             "--bootstrap", str(BOOTSTRAP_MAX_REPLICATES + 1)],
+            ["--command", "simulate-mc", "--n", str(MAX_N + 1)],
+            ["--command", "simulate-mc", "--datasets", str(MAX_DATASETS + 1)],
+            ["--command", "consistency", "--n", f"50,{MAX_N + 1}"],
+            ["--command", "consistency", "--datasets", str(MAX_DATASETS + 1)],
+        ],
+        ids=["bootstrap", "mc-n", "mc-datasets", "consistency-n", "consistency-datasets"],
+    )
+    def test_one_past_the_limit_is_a_configuration_error(self, args, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code, _, stderr = run(args + ["--out", str(out)], capsys)
+        assert code == 2
+        assert json.loads(stderr)["error"]["class"] == "ConfigurationError"
+        assert not out.exists()
+
+    def test_the_limits_themselves_resolve(self):
+        def resolve(*args):
+            return cli._resolve_config(build_parser().parse_args([*args, "--out", "r.json"]))
+
+        estimate = resolve("--command", "estimate", "--exposures", "e.csv", "--bins", "b.csv",
+                           "--optimal", "1", "--bootstrap", str(BOOTSTRAP_MAX_REPLICATES))
+        assert estimate.bootstrap == BOOTSTRAP_MAX_REPLICATES
+        for command in ("simulate-mc", "consistency"):
+            cfg = resolve("--command", command, "--n", str(MAX_N), "--datasets", str(MAX_DATASETS))
+            assert (cfg.n, cfg.datasets) == ((MAX_N,), MAX_DATASETS)
 
 
 def test_runs_as_a_module(two_mouse_files, tmp_path):

@@ -180,6 +180,14 @@ class TestConstruction:
         assert ds.ids == ("a", "b", "c")
         assert ds.states.tolist() == [1, 0, 1]
 
+    def test_default_ids_are_built_on_first_access(self):
+        ds = Dataset.from_arrays(actions=[[1.0], [np.nan], [2.0]], states=[1, 0, 0])
+        assert vars(ds)["_ids"] is None
+        assert ds.ids == ("m0", "m1", "m2")
+        assert ds.ids is ds.ids
+        assert ds.observations[1].id == "m1"
+        assert validate_dataset(ds).violations == ("non-finite action: observation 'm1'",)
+
     @pytest.mark.parametrize(
         "actions, states, ids",
         [

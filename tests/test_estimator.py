@@ -1,5 +1,7 @@
 """Pairwise objective, minimizer, curves, contrast, and bootstrap."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,15 @@ from divtol import (
     reward_curves,
     variance_objective,
 )
-from divtol.estimator import PAIRWISE_MAX_N, _minimize_quadratic, _scan_grid
+import divtol.estimator as estimator
+from divtol.estimator import (
+    BOOTSTRAP_MAX_REPLICATES,
+    DEFAULT_GRID_STEP,
+    PAIRWISE_MAX_N,
+    _minimize_quadratic,
+    _scan_grid,
+    grid_intervals,
+)
 
 SCALAR_AT_ONE = DivergenceSpec(optimal=np.array([1.0]))
 SCALAR_AT_ZERO = DivergenceSpec(optimal=np.array([0.0]))
@@ -267,6 +277,21 @@ class TestEstimateTheta:
         with pytest.raises(InputError):
             estimate_theta(two_mouse_dataset(), SCALAR_AT_ONE, method=Method.GRID, grid_step=1e-9)
 
+    @pytest.mark.parametrize(
+        "step, intervals", [(DEFAULT_GRID_STEP, 10**6), (0.005, 200), (0.25, 4), (0.1, 10), (1.0, 1)]
+    )
+    def test_steps_that_divide_one_are_accepted(self, step, intervals):
+        assert grid_intervals(step) == intervals
+
+    @pytest.mark.parametrize("step", [0.3, 0.4, 3e-6])
+    def test_grid_step_that_does_not_divide_one_rejected(self, step):
+        with pytest.raises(InputError, match="divide 1"):
+            grid_intervals(step)
+        with pytest.raises(InputError, match="divide 1"):
+            _scan_grid(1.0, -0.5, 1.0, step)
+        with pytest.raises(InputError, match="divide 1"):
+            estimate_theta(two_mouse_dataset(), SCALAR_AT_ONE, method=Method.GRID, grid_step=step)
+
     def test_missing_group_raises(self):
         ds = Dataset.from_arrays(actions=[[1.0], [2.0]], states=[1, 1])
         with pytest.raises(EstimationError):
@@ -392,7 +417,11 @@ class TestGroupDivergenceContrast:
 
 
 def naive_bootstrap(ds, spec, replicates, seed, level):
-    """Dataset-rebuilding reference implementation of the stratified bootstrap."""
+    """Dataset-rebuilding reference implementation of the stratified bootstrap.
+
+    Returns None where :func:`bootstrap_ci` raises because more than half of
+    the replicates were degenerate.
+    """
     states = ds.states
     exposed_idx = np.flatnonzero(states == 1)
     control_idx = np.flatnonzero(states == 0)
@@ -407,9 +436,47 @@ def naive_bootstrap(ds, spec, replicates, seed, level):
             estimates.append(estimate_theta(resampled, spec).theta_e)
         except DegenerateObjectiveError:
             continue
+    if replicates - len(estimates) > replicates // 2:
+        return None
     alpha = (1 - level) / 2
     lo, hi = np.percentile(estimates, [100 * alpha, 100 * (1 - alpha)])
     return float(lo), float(hi)
+
+
+@st.composite
+def resampling_cases(draw):
+    """Datasets of 2-200 animals in d <= 3, some drawn from a few repeated mice.
+
+    With repeated mice at the optimum, replicates that draw only those are
+    degenerate; n up to 200 spans several resampling blocks for the larger B.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 200))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    states = np.zeros(n, dtype=int)
+    states[: draw(st.integers(1, n - 1))] = 1
+    if draw(st.booleans()):
+        pool = rng.gamma(2.0, 2.0, size=(3, d))
+        pool[0] = 0.0  # a mouse at the optimum
+        actions = pool[rng.choice(3, size=n, p=[0.8, 0.1, 0.1])]
+    else:
+        actions = rng.gamma(2.0, 2.0, size=(n, d))
+    norm = draw(st.sampled_from(list(Norm)))
+    spec = DivergenceSpec(optimal=np.zeros(d), norm=norm)
+    replicates = draw(st.integers(100, 700))
+    return Dataset.from_arrays(actions=actions, states=states), spec, replicates, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=resampling_cases(), level=st.sampled_from([0.5, 0.9, 0.95]))
+def test_bootstrap_equals_the_per_replicate_reference_exactly(case, level):
+    ds, spec, replicates, seed = case
+    try:
+        fast = bootstrap_ci(ds, spec, replicates=replicates, seed=seed, level=level)
+    except InferenceError:
+        fast = None
+    assert fast == naive_bootstrap(ds, spec, replicates, seed, level)
 
 
 class TestBootstrap:
@@ -434,11 +501,43 @@ class TestBootstrap:
         ds = random_two_group_dataset(rng, n=12)
         fast = bootstrap_ci(ds, SCALAR_AT_ZERO, replicates=200, seed=9, level=0.9)
         slow = naive_bootstrap(ds, SCALAR_AT_ZERO, replicates=200, seed=9, level=0.9)
-        assert fast == pytest.approx(slow, abs=1e-12)
+        assert fast == slow
+
+    @pytest.mark.parametrize("elements", [1, 97, 40 * 333])
+    def test_block_size_does_not_change_the_interval(self, elements, monkeypatch):
+        # blocks of 1, 2 and 333 replicates at n=40; 1000 is a multiple of none of 333
+        rng = np.random.default_rng(17)
+        ds = random_two_group_dataset(rng, n=40, d=2)
+        spec = DivergenceSpec(optimal=np.zeros(2), norm=Norm.L1)
+        expected = bootstrap_ci(ds, spec, replicates=1000, seed=3, level=0.9)
+        monkeypatch.setattr(estimator, "BOOTSTRAP_BLOCK_ELEMENTS", elements)
+        assert bootstrap_ci(ds, spec, replicates=1000, seed=3, level=0.9) == expected
+
+    def test_working_memory_is_bounded_at_large_n(self):
+        rng = np.random.default_rng(18)
+        ds = random_two_group_dataset(rng, n=50_000)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(ds, SCALAR_AT_ZERO, replicates=100, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a (100, 50_000) block of indices alone would take 40 MB
+        assert peak < 10 * 2**20
 
     def test_too_few_replicates_rejected(self):
         with pytest.raises(InputError):
             bootstrap_ci(two_mouse_dataset(), SCALAR_AT_ONE, replicates=99, seed=1)
+
+    def test_too_many_replicates_rejected_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a replicate")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(InputError, match="replicates"):
+            bootstrap_ci(
+                two_mouse_dataset(), SCALAR_AT_ONE, replicates=BOOTSTRAP_MAX_REPLICATES + 1, seed=1
+            )
 
     def test_all_degenerate_replicates_raise(self):
         ds = Dataset.from_arrays(actions=[[1.0], [1.0], [1.0], [1.0]], states=[1, 1, 0, 0])

@@ -3,22 +3,38 @@
 The Monte-Carlo and ``estimate`` hashes were recorded from the
 object-per-animal implementation that the columnar ``Dataset`` replaced; the
 iid-dataset and sweep hashes from the simulation module as it was before its
-scalar sampler twin was folded into ``generate_dataset``.  Any change to
-them is a numeric change and must be stated as one.
+scalar sampler twin was folded into ``generate_dataset``; the bootstrap
+hashes from the replicate-at-a-time bootstrap that the block-wise one
+replaced.  Any change to them is a numeric change and must be stated as one.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 
 import divtol.core as core
-from divtol import McConfig, PolicyConfig, consistency_sweep, generate_dataset, run_monte_carlo
+from divtol import (
+    DivergenceSpec,
+    McConfig,
+    Norm,
+    PolicyConfig,
+    bootstrap_ci,
+    consistency_sweep,
+    generate_dataset,
+    run_monte_carlo,
+)
 from divtol.cli import main
 
 MC_SHA256 = "72fea2ff557d819b77af04bd96ea20dc1663ff49d6dbae649853a2f09a1488f5"
 ESTIMATE_OUT_SHA256 = "801d34592eb259f542ce714e8542b6a63e6dc4bd00c4fd8cda7e491d9e0a3643"
 IID_DATASET_SHA256 = "a5e3a205e921c8409bcfeb17dc900f704b65caa9ef72f812de1681fc4f379780"
 SWEEP_SHA256 = "13e1312b57ddf5b7b75c8bad98f5f44cbaf1dda271411a89087917bee51ea4fc"
+# B=2500 at n=200 spans many resampling blocks and ends in a partial one
+BOOTSTRAP_SHA256 = {
+    Norm.L2_SQUARED: "313b02079cefb005cf9dd0655396dba00dce254f9992d754e4a1f77621a58724",
+    Norm.L1: "5a523755e489ad39c0ec20e71e0f517c28ad5a6fee5ba61cd8177d33236f0546",
+}
 
 OPTIMAL_12 = ",".join(["1"] + ["0"] * 11)
 
@@ -65,6 +81,14 @@ def test_iid_dataset_is_bitwise_pinned():
 def test_consistency_sweep_rows_are_bitwise_pinned():
     rows = consistency_sweep(PolicyConfig(), [50, 200], 50, seed=0)
     assert sha256(repr(rows).encode()) == SWEEP_SHA256
+
+
+@pytest.mark.parametrize("norm", list(BOOTSTRAP_SHA256))
+def test_multi_block_bootstrap_interval_is_bitwise_pinned(norm):
+    ds = generate_dataset(PolicyConfig(), 200, 0.5, np.random.default_rng(3))
+    spec = DivergenceSpec(optimal=[0.0], norm=norm)
+    interval = bootstrap_ci(ds, spec, replicates=2500, seed=11)
+    assert sha256(repr(interval).encode()) == BOOTSTRAP_SHA256[norm]
 
 
 def test_estimate_output_is_bitwise_pinned(tmp_path, monkeypatch, capsys):
