@@ -8,12 +8,16 @@ Commands (selected with ``--command``):
 * ``consistency``   sweep the estimate's spread across sample sizes
 * ``ingest-check``  parse and validate inputs without estimating
 
-Outputs are JSON or CSV, carry the seed and the full effective
-configuration, never include timestamps, and are written only to ``--out``.
-Floats are serialized at full (shortest round-trip) precision so both
-formats carry identical numeric values.
+Every command's output is the effective configuration, its scalars and at
+most one table, written by one writer only to ``--out``: as JSON (the table
+as one list per column) or as CSV (scalars as ``# key=value`` lines, then
+the table's rows).  Outputs carry the seed, never include timestamps, and
+serialize floats at full (shortest round-trip) precision, so both formats
+carry identical values.
 
-Exit codes: 0 success, 1 validation or data error, 2 configuration error.
+Exit codes: 0 success, 1 validation or data error (including inputs that
+are not UTF-8, and an ``ingest-check`` that finds violations), 2
+configuration error (including an ``--out`` that cannot be written).
 Failures emit a machine-readable ``{"error": {"class", "message"}}`` object
 on stderr.
 """
@@ -32,10 +36,12 @@ import numpy as np
 from .core import DivergenceSpec, Norm, validate_dataset
 from .errors import (
     ConfigurationError,
+    DataError,
     DegenerateObjectiveError,
     DivtolError,
     InputError,
     LinkageError,
+    ParseError,
 )
 from .estimator import (
     BOOTSTRAP_MAX_REPLICATES,
@@ -273,6 +279,8 @@ def _layout_from_bins_header(path) -> StudyLayout:
             header = fh.readline()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
     d = len(header.strip().split(",")) - 2
     if d < 1:
         raise InputError(f"cannot infer bin count from header of {path}")
@@ -310,23 +318,33 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write(cfg: RunConfig, scalars: dict, table: tuple[str, list[str], list] | None = None) -> None:
+    """Write the config echo, ``scalars`` and an optional table to ``--out``.
 
-
-def _write_csv(path: str, scalars: dict, table: tuple[list[str], list[list]] | None) -> None:
-    """Scalar values as '# key=value' comments, then an optional table."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for key, value in _flatten(scalars):
-            fh.write(f"# {key}={_fmt_value(value)}\n")
-        if table is not None:
-            columns, rows = table
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow(_fmt_value(cell) for cell in row)
+    ``table`` is ``(key, columns, rows)``.  JSON nests it under ``key`` as one
+    list per column; CSV writes the flattened scalars as ``# key=value`` lines,
+    then the table's header and rows.
+    """
+    payload = {"config": _config_echo(cfg), **scalars}
+    try:
+        fh = open(cfg.out, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write --out {cfg.out}: {exc.strerror or exc}") from exc
+    with fh:
+        if cfg.fmt == "json":
+            if table is not None:
+                key, columns, rows = table
+                payload[key] = {c: [row[j] for row in rows] for j, c in enumerate(columns)}
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        else:
+            for name, value in _flatten(payload):
+                fh.write(f"# {name}={_fmt_value(value)}\n")
+            if table is not None:
+                _, columns, rows = table
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(columns)
+                writer.writerows([_fmt_value(cell) for cell in row] for row in rows)
 
 
 def _flatten(obj: dict, prefix: str = "") -> list[tuple[str, object]]:
@@ -343,7 +361,7 @@ def _flatten(obj: dict, prefix: str = "") -> list[tuple[str, object]]:
     return items
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
+def cmd_estimate(cfg: RunConfig) -> None:
     ds, layout = _load_dataset(cfg)
     spec = _build_spec(cfg, layout)
     method = Method.CLOSED_FORM if cfg.method == "closed-form" else Method.GRID
@@ -352,30 +370,20 @@ def cmd_estimate(cfg: RunConfig) -> int:
     if cfg.bootstrap is not None:
         lo, hi = bootstrap_ci(ds, spec, replicates=cfg.bootstrap, seed=cfg.seed, level=cfg.level)
         interval = {"lo": lo, "hi": hi, "replicates": cfg.bootstrap, "level": cfg.level}
-    payload = {
-        "config": _config_echo(cfg),
-        "result": {
-            "theta_e": result.theta_e,
-            "objective_at_min": result.objective_at_min,
-            "method": result.method.name,
-            "clamped": result.clamped,
-            "quadratic": {
-                "var_u": result.quadratic[0],
-                "cov_uv": result.quadratic[1],
-                "var_v": result.quadratic[2],
-            },
-            "bootstrap": interval,
-        },
+    var_u, cov_uv, var_v = result.quadratic
+    result_echo = {
+        "theta_e": result.theta_e,
+        "objective_at_min": result.objective_at_min,
+        "method": result.method.name,
+        "clamped": result.clamped,
+        "quadratic": {"var_u": var_u, "cov_uv": cov_uv, "var_v": var_v},
+        "bootstrap": interval,
     }
-    if cfg.fmt == "json":
-        _write_json(cfg.out, payload)
-    else:
-        _write_csv(cfg.out, payload, table=None)
+    _write(cfg, {"result": result_echo})
     print(f"theta_e = {result.theta_e!r} ({_interpretation(result.theta_e)})")
-    return 0
 
 
-def cmd_curves(cfg: RunConfig) -> int:
+def cmd_curves(cfg: RunConfig) -> None:
     ds, layout = _load_dataset(cfg)
     spec = _build_spec(cfg, layout)
     grid = np.linspace(0.0, 1.0, grid_intervals(cfg.grid_step) + 1)
@@ -387,39 +395,18 @@ def cmd_curves(cfg: RunConfig) -> int:
     gap = None
     if theta_hat is not None and curves.crossing_theta is not None:
         gap = abs(curves.crossing_theta - theta_hat)
-    metadata = {
-        "crossing_theta": curves.crossing_theta,
-        "theta_e": theta_hat,
-        "crossing_gap": gap,
+    metadata = {"crossing_theta": curves.crossing_theta, "theta_e": theta_hat, "crossing_gap": gap}
+    columns = {
+        "theta": curves.thetas,
+        "mean_reward_exposed": curves.mean_reward_exposed,
+        "mean_reward_control": curves.mean_reward_control,
     }
-    if cfg.fmt == "json":
-        _write_json(
-            cfg.out,
-            {
-                "config": _config_echo(cfg),
-                "metadata": metadata,
-                "samples": {
-                    "theta": curves.thetas.tolist(),
-                    "mean_reward_exposed": curves.mean_reward_exposed.tolist(),
-                    "mean_reward_control": curves.mean_reward_control.tolist(),
-                },
-            },
-        )
-    else:
-        rows = [
-            [float(t), float(e), float(c)]
-            for t, e, c in zip(curves.thetas, curves.mean_reward_exposed, curves.mean_reward_control)
-        ]
-        _write_csv(
-            cfg.out,
-            {"config": _config_echo(cfg), "metadata": metadata},
-            table=(["theta", "mean_reward_exposed", "mean_reward_control"], rows),
-        )
+    rows = list(zip(*(c.tolist() for c in columns.values())))
+    _write(cfg, {"metadata": metadata}, ("samples", list(columns), rows))
     print(f"crossing_theta = {curves.crossing_theta!r}, theta_e = {theta_hat!r}")
-    return 0
 
 
-def cmd_simulate_mc(cfg: RunConfig) -> int:
+def cmd_simulate_mc(cfg: RunConfig) -> None:
     mc = McConfig(
         n_per_dataset=cfg.n[0],
         num_datasets=cfg.datasets,
@@ -435,35 +422,19 @@ def cmd_simulate_mc(cfg: RunConfig) -> int:
         "degenerate_count": result.degenerate_count,
         "replicates_used": len(result.theta_estimates),
     }
-    if cfg.fmt == "json":
-        _write_json(
-            cfg.out,
-            {
-                "config": _config_echo(cfg),
-                "policy": _policy_echo(policy),
-                "summary": summary,
-                "estimates": {
-                    "theta": list(result.theta_estimates),
-                    "b1": list(result.b1_estimates),
-                },
-            },
-        )
-    else:
-        rows = [[t, b] for t, b in zip(result.theta_estimates, result.b1_estimates)]
-        _write_csv(
-            cfg.out,
-            {"config": _config_echo(cfg), "policy": _policy_echo(policy), "summary": summary},
-            table=(["theta", "b1"], rows),
-        )
+    _write(
+        cfg,
+        {"policy": _policy_echo(policy), "summary": summary},
+        ("estimates", ["theta", "b1"], list(zip(result.theta_estimates, result.b1_estimates))),
+    )
     print(
         f"frac(theta < 0.5) = {result.frac_theta_below_half:.4f}, "
         f"frac(b1 > 0) = {result.frac_b1_above_zero:.4f} "
         f"over {len(result.theta_estimates)} datasets"
     )
-    return 0
 
 
-def cmd_consistency(cfg: RunConfig) -> int:
+def cmd_consistency(cfg: RunConfig) -> None:
     policy = PolicyConfig()
     rows = consistency_sweep(
         policy,
@@ -472,29 +443,15 @@ def cmd_consistency(cfg: RunConfig) -> int:
         seed=cfg.seed,
         optimal_action=cfg.optimal[0],
     )
-    table_rows = [[r.n, r.mean_theta, r.sd_theta] for r in rows]
-    if cfg.fmt == "json":
-        _write_json(
-            cfg.out,
-            {
-                "config": _config_echo(cfg),
-                "policy": _policy_echo(policy),
-                "rows": [
-                    {"n": r.n, "mean_theta": r.mean_theta, "sd_theta": r.sd_theta} for r in rows
-                ],
-            },
-        )
-    else:
-        _write_csv(
-            cfg.out,
-            {"config": _config_echo(cfg), "policy": _policy_echo(policy)},
-            table=(["n", "mean_theta", "sd_theta"], table_rows),
-        )
+    _write(
+        cfg,
+        {"policy": _policy_echo(policy)},
+        ("rows", ["n", "mean_theta", "sd_theta"], [(r.n, r.mean_theta, r.sd_theta) for r in rows]),
+    )
     print("; ".join(f"n={r.n}: sd={r.sd_theta:.5f}" for r in rows))
-    return 0
 
 
-def cmd_ingest_check(cfg: RunConfig) -> int:
+def cmd_ingest_check(cfg: RunConfig) -> None:
     violations: list[str] = []
     n = None
     dimension = None
@@ -506,24 +463,14 @@ def cmd_ingest_check(cfg: RunConfig) -> int:
         n = len(ds)
         dimension = ds.dimension
         violations.extend(validate_dataset(ds).violations)
-    payload = {
-        "config": _config_echo(cfg),
-        "report": {"violations": violations, "n": n, "dimension": dimension},
-    }
-    if cfg.fmt == "json":
-        _write_json(cfg.out, payload)
-    else:
-        rows = [[v] for v in violations]
-        _write_csv(
-            cfg.out,
-            {"config": _config_echo(cfg), "n": n, "dimension": dimension},
-            table=(["violation"], rows),
-        )
+    _write(
+        cfg,
+        {"n": n, "dimension": dimension},
+        ("violations", ["violation"], [[v] for v in violations]),
+    )
     if violations:
-        print(f"{len(violations)} violation(s) found")
-        return 1
+        raise DataError(f"{len(violations)} violation(s) found, listed in {cfg.out}")
     print("clean")
-    return 0
 
 
 _DISPATCH = {
@@ -545,7 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return _DISPATCH[cfg.command](cfg)
+        _DISPATCH[cfg.command](cfg)
+        return 0
     except ConfigurationError as exc:
         _emit_error(exc)
         return 2

@@ -74,7 +74,12 @@ class BinnedSession:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=int)
+        try:
+            counts = np.asarray(self.counts, dtype=int)
+        except OverflowError:
+            raise DataError(
+                f"count beyond int64 for mouse {self.mouse_id!r} session {self.session}"
+            ) from None
         if counts.ndim != 1 or counts.size == 0:
             raise InputError("counts must be a non-empty 1-D vector")
         if np.any(counts < 0):
@@ -91,6 +96,8 @@ def _read_rows(path) -> list[tuple[int, list[str]]]:
             return [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
 
 
 def parse_exposures(path) -> dict[str, int]:
@@ -121,7 +128,9 @@ def parse_exposures(path) -> dict[str, int]:
 def parse_binned_counts(path, layout: StudyLayout) -> list[BinnedSession]:
     """Read pre-binned counts, one session per row, in ascending bin-time order.
 
-    A repeated (mouse_id, session) pair is rejected, naming both lines.
+    :class:`BinnedSession` checks each row's counts and session number; its
+    ``DataError`` is re-raised with the line number.  A repeated
+    (mouse_id, session) pair is rejected, naming both lines.
     """
     d = layout.n_bins
     expected_header = ["mouse_id", "session"] + [f"b{j}" for j in range(d)]
@@ -147,16 +156,15 @@ def parse_binned_counts(path, layout: StudyLayout) -> list[BinnedSession]:
             counts = [int(c) for c in row[2:]]
         except ValueError as exc:
             raise ParseError(f"non-integer field: {exc}", line_number=lineno) from exc
-        if any(c < 0 for c in counts):
-            raise DataError(f"negative count on line {lineno}")
-        if session < 1:
-            raise DataError(f"session must be >= 1 on line {lineno}")
+        try:
+            sessions.append(BinnedSession(mouse_id=mouse_id, session=session, counts=counts))
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from exc
         seen = first_line.setdefault((mouse_id, session), lineno)
         if seen != lineno:
             raise DataError(
                 f"duplicate session {session} for mouse {mouse_id!r} on lines {seen} and {lineno}"
             )
-        sessions.append(BinnedSession(mouse_id=mouse_id, session=session, counts=np.array(counts)))
     return sessions
 
 

@@ -1,12 +1,18 @@
 """Command-line interface: dispatch, serialization, determinism, exit codes."""
 
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divtol
 import divtol.cli as cli
@@ -34,16 +40,15 @@ def run(args, capsys):
 
 def parse_csv_output(path):
     """Read back the '# key=value' scalars and the table of a CSV result."""
-    scalars, columns, rows = {}, None, []
+    scalars, table = {}, []
     for line in path.read_text(encoding="utf-8").splitlines():
         if line.startswith("# "):
             key, _, value = line[2:].partition("=")
             scalars[key] = value
-        elif columns is None:
-            columns = line.split(",")
         else:
-            rows.append(line.split(","))
-    return scalars, columns, rows
+            table.append(line)
+    rows = list(csv.reader(table))
+    return scalars, (rows[0] if rows else None), rows[1:]
 
 
 class TestEstimate:
@@ -209,22 +214,6 @@ class TestEstimate:
         )
         assert set(tmp_path.rglob("*")) - before == {out}
 
-    def test_json_and_csv_carry_identical_values(self, two_mouse_files, tmp_path, capsys):
-        exposures, bins = two_mouse_files
-        json_out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
-        base = ["--command", "estimate", "--exposures", exposures, "--bins", bins,
-                "--optimal", "1", "--bootstrap", "120"]
-        run(base + ["--out", str(json_out)], capsys)
-        run(base + ["--out", str(csv_out), "--format", "csv"], capsys)
-        payload = json.loads(json_out.read_text())
-        scalars, _, _ = parse_csv_output(csv_out)
-        for key in ("theta_e", "objective_at_min", "quadratic.var_u", "quadratic.cov_uv",
-                    "quadratic.var_v", "bootstrap.lo", "bootstrap.hi"):
-            node = payload["result"]
-            for part in key.split("."):
-                node = node[part]
-            assert abs(float(scalars[f"result.{key}"]) - node) <= 1e-12 * max(1.0, abs(node))
-
 
 class TestCurves:
     def test_crossing_in_metadata(self, two_mouse_files, tmp_path, capsys):
@@ -255,25 +244,6 @@ class TestCurves:
         assert columns == ["theta", "mean_reward_exposed", "mean_reward_control"]
         assert len(rows) == 2
         assert float(scalars["metadata.crossing_theta"]) == pytest.approx(0.2)
-
-    def test_json_and_csv_rows_match(self, two_mouse_files, tmp_path, capsys):
-        exposures, bins = two_mouse_files
-        json_out, csv_out = tmp_path / "c.json", tmp_path / "c.csv"
-        base = ["--command", "curves", "--exposures", exposures, "--bins", bins,
-                "--optimal", "1", "--grid-step", "0.25"]
-        run(base + ["--out", str(json_out)], capsys)
-        run(base + ["--out", str(csv_out), "--format", "csv"], capsys)
-        payload = json.loads(json_out.read_text())
-        _, _, rows = parse_csv_output(csv_out)
-        for row, theta, exposed, control in zip(
-            rows,
-            payload["samples"]["theta"],
-            payload["samples"]["mean_reward_exposed"],
-            payload["samples"]["mean_reward_control"],
-        ):
-            assert abs(float(row[0]) - theta) <= 1e-12
-            assert abs(float(row[1]) - exposed) <= 1e-12 * max(1.0, abs(exposed))
-            assert abs(float(row[2]) - control) <= 1e-12 * max(1.0, abs(control))
 
 
 class TestSimulateMc:
@@ -311,21 +281,6 @@ class TestSimulateMc:
         assert "positivity" not in policy
         assert policy["sigma2_sq"] == 4.0
 
-    def test_csv_parity(self, tmp_path, capsys):
-        json_out, csv_out = tmp_path / "mc.json", tmp_path / "mc.csv"
-        base = ["--command", "simulate-mc", "--n", "20", "--datasets", "5", "--seed", "4"]
-        run(base + ["--out", str(json_out)], capsys)
-        run(base + ["--out", str(csv_out), "--format", "csv"], capsys)
-        payload = json.loads(json_out.read_text())
-        scalars, columns, rows = parse_csv_output(csv_out)
-        assert columns == ["theta", "b1"]
-        assert float(scalars["summary.frac_theta_below_half"]) == payload["summary"][
-            "frac_theta_below_half"
-        ]
-        for row, theta, b1 in zip(rows, payload["estimates"]["theta"], payload["estimates"]["b1"]):
-            assert float(row[0]) == theta
-            assert float(row[1]) == b1
-
 
 class TestConsistency:
     def test_single_n_row(self, tmp_path, capsys):
@@ -337,8 +292,8 @@ class TestConsistency:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert len(payload["rows"]) == 1
-        assert payload["rows"][0]["n"] == 50
+        assert payload["rows"]["n"] == [50]
+        assert len(payload["rows"]["mean_theta"]) == len(payload["rows"]["sd_theta"]) == 1
 
     def test_csv_table(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -364,8 +319,8 @@ class TestIngestCheck:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["report"]["violations"] == []
-        assert payload["report"]["n"] == 2
+        assert payload["violations"] == {"violation": []}
+        assert (payload["n"], payload["dimension"]) == (2, 1)
         assert "clean" in stdout
 
     def test_single_group_reported(self, tmp_path, capsys):
@@ -374,14 +329,17 @@ class TestIngestCheck:
         bins = tmp_path / "b.csv"
         bins.write_text("mouse_id,session,b0\nm1,1,3\nm2,1,2\n", encoding="utf-8")
         out = tmp_path / "report.json"
-        code, _, _ = run(
+        code, _, stderr = run(
             ["--command", "ingest-check", "--exposures", str(exposures), "--bins", str(bins),
              "--out", str(out)],
             capsys,
         )
         assert code == 1
-        violations = json.loads(out.read_text())["report"]["violations"]
+        violations = json.loads(out.read_text())["violations"]["violation"]
         assert any("missing control group" in v for v in violations)
+        error = json.loads(stderr)["error"]
+        assert error["class"] == "DataError"
+        assert error["message"] == f"1 violation(s) found, listed in {out}"
 
     def test_ragged_bins_reported_with_row_number(self, tmp_path, capsys):
         exposures = tmp_path / "e.csv"
@@ -399,7 +357,7 @@ class TestIngestCheck:
             capsys,
         )
         assert code == 1
-        violations = json.loads(out.read_text())["report"]["violations"]
+        violations = json.loads(out.read_text())["violations"]["violation"]
         assert any("SchemaError" in v and "line 3" in v for v in violations)
 
     def test_duplicate_session_reported(self, tmp_path, capsys):
@@ -414,7 +372,7 @@ class TestIngestCheck:
             capsys,
         )
         assert code == 1
-        violations = json.loads(out.read_text())["report"]["violations"]
+        violations = json.loads(out.read_text())["violations"]["violation"]
         assert any("DataError" in v and "lines 2 and 4" in v for v in violations)
         assert "clean" not in stdout
 
@@ -441,6 +399,26 @@ class TestIngestCheck:
         assert rows[0] == ["violation"]
         assert all(len(r) == 1 for r in rows[1:])
         assert any("line 3" in r[0] for r in rows[1:])
+
+
+    def test_count_beyond_int64_reported_with_line_number(self, tmp_path, capsys):
+        exposures = tmp_path / "e.csv"
+        exposures.write_text("mouse_id,exposed\nm1,1\nm2,0\n", encoding="utf-8")
+        bins = tmp_path / "b.csv"
+        bins.write_text(
+            "mouse_id,session,b0\nm1,1,3\nm2,1,99999999999999999999\n", encoding="utf-8"
+        )
+        out = tmp_path / "report.json"
+        code, _, _ = run(
+            ["--command", "ingest-check", "--exposures", str(exposures), "--bins", str(bins),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        violations = json.loads(out.read_text())["violations"]["violation"]
+        assert violations == [
+            "DataError: line 3: count beyond int64 for mouse 'm2' session 1"
+        ]
 
 
 class TestEventsInput:
@@ -480,6 +458,165 @@ class TestEventsInput:
         )
         assert code == 1
         assert json.loads(stderr)["error"]["class"] == "DataError"
+
+
+# one small run per command; ingest-check reads a header that does not match
+# its bins, so its table holds a message with commas and n, dimension are null
+PARITY_RUNS = {
+    "estimate": (None, ["--optimal", "1", "--bootstrap", "120"]),
+    "curves": ("samples", ["--optimal", "1", "--grid-step", "0.25"]),
+    "simulate-mc": ("estimates", ["--n", "20", "--datasets", "5", "--seed", "4"]),
+    "consistency": ("rows", ["--n", "20,40", "--datasets", "8", "--seed", "2"]),
+    "ingest-check": ("violations", []),
+}
+
+
+def as_csv_text(value):
+    """A JSON value spelled as the CSV output spells it: lists comma-joined, strings bare."""
+    if isinstance(value, list):
+        return ",".join(as_csv_text(v) for v in value)
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def flatten_json(obj, prefix=""):
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from flatten_json(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", as_csv_text(value)
+
+
+class TestOutput:
+    @pytest.mark.parametrize("command", list(PARITY_RUNS))
+    def test_json_and_csv_carry_the_same_scalars_and_table(
+        self, command, two_mouse_files, tmp_path, capsys
+    ):
+        exposures, bins = two_mouse_files
+        if command == "ingest-check":
+            bins = tmp_path / "bad_header.csv"
+            bins.write_text("mouse_id,session,x\nm1,1,3\n", encoding="utf-8")
+        key, extra = PARITY_RUNS[command]
+        base = ["--command", command, *extra]
+        if command in ("estimate", "curves", "ingest-check"):
+            base += ["--exposures", exposures, "--bins", str(bins)]
+        json_out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
+        codes = {run(base + ["--out", str(json_out)], capsys)[0],
+                 run(base + ["--out", str(csv_out), "--format", "csv"], capsys)[0]}
+        assert codes == {1 if command == "ingest-check" else 0}
+
+        payload = json.loads(json_out.read_text())
+        table = payload.pop(key) if key is not None else None
+        payload["config"].pop("format")
+        scalars, columns, rows = parse_csv_output(csv_out)
+        assert scalars.pop("config.format") == "csv"
+        assert scalars == dict(flatten_json(payload))
+        if table is None:
+            assert columns is None
+            return
+        assert sorted(columns) == sorted(table)
+        assert rows
+        for j, column in enumerate(columns):
+            assert [row[j] for row in rows] == [as_csv_text(v) for v in table[column]]
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_a_configuration_error(
+        self, where, two_mouse_files, tmp_path, capsys
+    ):
+        exposures, bins = two_mouse_files
+        out = tmp_path / "absent" / "r.json" if where == "missing-directory" else tmp_path
+        code, stdout, stderr = run(
+            ["--command", "estimate", "--exposures", exposures, "--bins", bins,
+             "--optimal", "1", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        error = json.loads(stderr)["error"]
+        assert error["class"] == "ConfigurationError"
+        assert error["message"].startswith(f"cannot write --out {out}: ")
+        assert stdout == ""
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("target", ["exposures", "bins-header", "bins-body", "events"])
+    def test_non_utf8_input_is_a_parse_error(self, target, tmp_path, capsys):
+        exposures = b"mouse_id,exposed\nm1,1\nm2,0\n"
+        # longer than one read buffer, so the header is read without the bad byte
+        bins = b"mouse_id,session,b0\n" + b"".join(
+            b"m%d,%d,3\n" % (1 + k % 2, k + 1) for k in range(2000)
+        )
+        events = b"mouse_id,session,press_time_s\nm1,1,2.0\nm2,1,57.0\n"
+        if target == "exposures":
+            exposures = exposures.replace(b"m2,0", b"m2,\xff")
+        elif target == "bins-header":
+            bins = bins.replace(b"b0", b"b\xff")
+        elif target == "bins-body":
+            bins += b"m1,9999,\xff\n"
+        else:
+            events = events.replace(b"57.0", b"5\xff")
+        paths = {}
+        for name, data in (("exposures", exposures), ("bins", bins), ("events", events)):
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_bytes(data)
+        source, optimal = ("events", ",".join(["0"] * 12)) if target == "events" else ("bins", "1")
+        bad = paths["exposures"] if target == "exposures" else paths[source]
+        code, _, stderr = run(
+            ["--command", "estimate", "--exposures", str(paths["exposures"]),
+             f"--{source}", str(paths[source]), "--optimal", optimal,
+             "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 1
+        error = json.loads(stderr)["error"]
+        assert error["class"] == "ParseError"
+        assert error["message"].startswith(f"cannot parse {bad}: 'utf-8' codec can't decode")
+
+
+VALID_INPUTS = {
+    "exposures": b"mouse_id,exposed\nm1,1\nm2,0\nm3,1\n",
+    "bins": b"mouse_id,session,b0\nm1,1,3\nm2,1,2\nm3,2,5\n",
+    "events": b"mouse_id,session,press_time_s\nm1,1,2.0\nm2,1,57.5\nm3,2,61.0\n",
+}
+SPLICES = [b",", b"\n", b"\r\n", b'"', b"-", b"0", b"9" * 20, b"\xff", b"\x80", b"\x00",
+           b"\xef\xbb\xbf", b"nan", b"1e400", b"b0", b"m1"]
+
+
+@st.composite
+def mutated_file(draw, valid):
+    """Random bytes, or a valid file with up to three short spans replaced."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=80))
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(data)))
+        stop = draw(st.integers(start, min(len(data), start + 3)))
+        data[start:stop] = draw(st.sampled_from(SPLICES) | st.binary(min_size=1, max_size=3))
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["estimate", "ingest-check"]),
+    source=st.sampled_from(["bins", "events"]),
+    files=st.fixed_dictionaries({name: mutated_file(v) for name, v in VALID_INPUTS.items()}),
+)
+def test_fuzzed_inputs_exit_cleanly(command, source, files):
+    """Any input bytes give exit 0, 1 or 2, and every failure a JSON error on stderr."""
+    with tempfile.TemporaryDirectory() as directory:
+        for name, data in files.items():
+            with open(os.path.join(directory, f"{name}.csv"), "wb") as fh:
+                fh.write(data)
+        optimal = "1" if source == "bins" else ",".join(["0"] * 12)
+        argv = ["--command", command, "--optimal", optimal,
+                "--exposures", os.path.join(directory, "exposures.csv"),
+                f"--{source}", os.path.join(directory, f"{source}.csv"),
+                "--out", os.path.join(directory, "r.json")]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code != 0:
+        error = json.loads(stderr.getvalue().splitlines()[-1])["error"]
+        assert isinstance(error["class"], str) and isinstance(error["message"], str)
 
 
 class TestResourceBounds:

@@ -5,7 +5,9 @@ object-per-animal implementation that the columnar ``Dataset`` replaced; the
 iid-dataset and sweep hashes from the simulation module as it was before its
 scalar sampler twin was folded into ``generate_dataset``; the bootstrap
 hashes from the replicate-at-a-time bootstrap that the block-wise one
-replaced.  Any change to them is a numeric change and must be stated as one.
+replaced; the CLI output hashes from the per-command JSON/CSV writers that
+one writer replaced.  Any change to them is a numeric change and must be
+stated as one.
 """
 
 import hashlib
@@ -38,6 +40,35 @@ BOOTSTRAP_SHA256 = {
 
 OPTIMAL_12 = ",".join(["1"] + ["0"] * 11)
 
+# one small run of each command; every output except the JSON of consistency
+# and ingest-check, whose layouts changed on purpose
+CLI_RUNS = {
+    "estimate": ["--command", "estimate", "--exposures", "exposures.csv", "--bins", "bins.csv",
+                 "--optimal", OPTIMAL_12, "--bootstrap", "500", "--seed", "7"],
+    "curves": ["--command", "curves", "--exposures", "exposures.csv", "--bins", "bins.csv",
+               "--optimal", OPTIMAL_12, "--grid-step", "0.05"],
+    "simulate-mc": ["--command", "simulate-mc", "--n", "20", "--datasets", "5", "--seed", "4"],
+    "consistency": ["--command", "consistency", "--n", "20,40", "--datasets", "8", "--seed", "2"],
+    "ingest-check": ["--command", "ingest-check", "--exposures", "all_exposed.csv",
+                     "--bins", "bins.csv"],
+}
+CLI_OUT_SHA256 = {
+    ("estimate", "csv"):
+        "4d6957334d32e7803eadabf6438a141890355cffcb39ba2526db4770f5649277",
+    ("curves", "json"):
+        "338f5f1e7c35ff462fd5332d8c4cb867b5db675f55fc6f887ee61c7b56c025aa",
+    ("curves", "csv"):
+        "828977364f5d4530e0f4fd0a121185178c98e14d415ff4cbd31dd67defaf5445",
+    ("simulate-mc", "json"):
+        "9a763424629389f202e42881e80c3b06207d3af4623226484ef4cd1e6a741ce7",
+    ("simulate-mc", "csv"):
+        "348d6b41dbd3ea7e89d2db294474487f0819e90aa75a45e8e566fc373ca7326c",
+    ("consistency", "csv"):
+        "4eff4d9c73d4eaa7049861aeae7cccf2906bd11de2f3c490d26c197ec64bbe5d",
+    ("ingest-check", "csv"):
+        "b19b43fb24991c16fe1531f091612ad5e19c085676d478adb980dfd6d9792d16",
+}
+
 
 def write_bins_fixture(directory):
     """24 mice x 3 sessions x 12 bins of integer counts, half of them exposed."""
@@ -54,6 +85,9 @@ def write_bins_fixture(directory):
             counts = rng.poisson(1.0 + 2.0 * (i % 2), size=12)
             rows.append(f"{m},{session}," + ",".join(str(int(c)) for c in counts) + "\n")
     (directory / "bins.csv").write_text(header + "".join(rows), encoding="utf-8")
+    (directory / "all_exposed.csv").write_text(
+        "mouse_id,exposed\n" + "".join(f"{m},1\n" for m in mice), encoding="utf-8"
+    )
 
 
 def estimate_argv(out="out.json"):
@@ -96,6 +130,14 @@ def test_estimate_output_is_bitwise_pinned(tmp_path, monkeypatch, capsys):
     write_bins_fixture(tmp_path)
     assert main(estimate_argv()) == 0
     assert sha256((tmp_path / "out.json").read_bytes()) == ESTIMATE_OUT_SHA256
+
+
+@pytest.mark.parametrize("command, fmt", list(CLI_OUT_SHA256), ids="-".join)
+def test_cli_output_is_bitwise_pinned(command, fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_bins_fixture(tmp_path)
+    main(CLI_RUNS[command] + ["--format", fmt, "--out", f"out.{fmt}"])
+    assert sha256((tmp_path / f"out.{fmt}").read_bytes()) == CLI_OUT_SHA256[command, fmt]
 
 
 def test_no_observation_objects_on_the_hot_paths(tmp_path, monkeypatch, capsys):

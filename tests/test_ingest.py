@@ -116,8 +116,24 @@ class TestParseBinnedCounts:
     def test_negative_count_rejected(self, tmp_path):
         header = "mouse_id,session," + ",".join(f"b{j}" for j in range(12))
         path = write(tmp_path / "b.csv", header + "\nm1,1,-1," + ",".join(["0"] * 11) + "\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^line 2: negative count"):
             parse_binned_counts(path, LAYOUT)
+
+    def test_session_below_one_rejected_with_line_number(self, tmp_path):
+        path = write(tmp_path / "b.csv", "mouse_id,session,b0\nm2,1,4\nm1,0,1\n")
+        with pytest.raises(DataError, match="^line 3: session must be >= 1"):
+            parse_binned_counts(path, StudyLayout(bin_width_s=60.0))
+
+    @pytest.mark.parametrize("count", ["99999999999999999999", str(2**63)])
+    def test_count_beyond_int64_is_a_line_numbered_data_error(self, count, tmp_path):
+        path = write(tmp_path / "b.csv", f"mouse_id,session,b0\nm2,1,4\nm1,1,{count}\n")
+        with pytest.raises(DataError, match="^line 3: count beyond int64"):
+            parse_binned_counts(path, StudyLayout(bin_width_s=60.0))
+
+    def test_oversized_field_is_a_parse_error(self, tmp_path):
+        path = write(tmp_path / "b.csv", "mouse_id,session,b0\n" + "1" * 200_000 + ",1,1\n")
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            parse_binned_counts(path, StudyLayout(bin_width_s=60.0))
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = write(tmp_path / "b.csv", "mouse,sess,b0\nm1,1,0\n")
@@ -128,6 +144,16 @@ class TestParseBinnedCounts:
         path = write(tmp_path / "b.csv", "mouse_id,session,b0\nm1,1,3\nm2,1,4\nm1,1,9\n")
         with pytest.raises(DataError, match="lines 2 and 4"):
             parse_binned_counts(path, StudyLayout(bin_width_s=60.0))
+
+
+@pytest.mark.parametrize(
+    "session, counts",
+    [(1, [3, -1]), (0, [3, 1]), (1, [3, 2**64])],
+    ids=["negative-count", "session-zero", "beyond-int64"],
+)
+def test_binned_session_rejects_inadmissible_values(session, counts):
+    with pytest.raises(DataError):
+        BinnedSession("m1", session, counts)
 
 
 def test_byte_order_mark_is_ignored(tmp_path):
