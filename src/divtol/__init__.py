@@ -48,6 +48,8 @@ from .estimator import (
 )
 from .ingest import (
     BinnedSession,
+    Events,
+    Sessions,
     StudyLayout,
     assemble_dataset,
     average_sessions,

@@ -17,9 +17,10 @@ carry identical values.
 
 Exit codes: 0 success, 1 validation or data error (including inputs that
 are not UTF-8, and an ``ingest-check`` that finds violations), 2
-configuration error (including an ``--out`` that cannot be written).
-Failures emit a machine-readable ``{"error": {"class", "message"}}`` object
-on stderr.
+configuration error (including an ``--out`` that cannot be written, which
+is checked before any work).  A failed run removes an ``--out`` that it
+created and left empty.  Failures emit a machine-readable
+``{"error": {"class", "message"}}`` object on stderr.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .errors import (
     DivtolError,
     InputError,
     LinkageError,
-    ParseError,
 )
 from .estimator import (
     BOOTSTRAP_MAX_REPLICATES,
@@ -263,28 +263,12 @@ def _load_dataset(cfg: RunConfig):
         raise LinkageError(f"exposures file not found: {cfg.exposures}")
     exposures = parse_exposures(cfg.exposures)
     if cfg.bins is not None:
-        layout = _layout_from_bins_header(cfg.bins)
-        sessions = parse_binned_counts(cfg.bins, layout)
+        sessions = parse_binned_counts(cfg.bins)  # bin count from the header
     else:
-        layout = StudyLayout()
-        sessions = bin_events(parse_events(cfg.events), layout)
+        sessions = bin_events(parse_events(cfg.events), StudyLayout())
+    layout = sessions.layout
     actions = average_sessions(sessions, layout)
     return assemble_dataset(exposures, actions, layout), layout
-
-
-def _layout_from_bins_header(path) -> StudyLayout:
-    """Infer the bin count from the file header, assuming a 60 s interval."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            header = fh.readline()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"cannot parse {path}: {exc}") from exc
-    d = len(header.strip().split(",")) - 2
-    if d < 1:
-        raise InputError(f"cannot infer bin count from header of {path}")
-    return StudyLayout(interval_length_s=60.0, bin_width_s=60.0 / d)
 
 
 def _build_spec(cfg: RunConfig, layout: StudyLayout) -> DivergenceSpec:
@@ -318,6 +302,13 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
+def _open_out(path: str, mode: str):
+    try:
+        return open(path, mode, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+
+
 def _write(cfg: RunConfig, scalars: dict, table: tuple[str, list[str], list] | None = None) -> None:
     """Write the config echo, ``scalars`` and an optional table to ``--out``.
 
@@ -326,11 +317,7 @@ def _write(cfg: RunConfig, scalars: dict, table: tuple[str, list[str], list] | N
     then the table's header and rows.
     """
     payload = {"config": _config_echo(cfg), **scalars}
-    try:
-        fh = open(cfg.out, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write --out {cfg.out}: {exc.strerror or exc}") from exc
-    with fh:
+    with _open_out(cfg.out, "w") as fh:
         if cfg.fmt == "json":
             if table is not None:
                 key, columns, rows = table
@@ -492,7 +479,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        _DISPATCH[cfg.command](cfg)
+        created = not os.path.exists(cfg.out)
+        _open_out(cfg.out, "a").close()  # fail before the work, not after it
+        try:
+            _DISPATCH[cfg.command](cfg)
+        except BaseException:
+            if created and os.path.getsize(cfg.out) == 0:
+                os.remove(cfg.out)
+            raise
         return 0
     except ConfigurationError as exc:
         _emit_error(exc)

@@ -117,6 +117,19 @@ class TestEstimate:
         assert code == 1
         assert json.loads(stderr)["error"]["class"] == "LinkageError"
 
+    def test_missing_bins_file_is_a_parse_error(self, two_mouse_files, tmp_path, capsys):
+        exposures, _ = two_mouse_files
+        absent = tmp_path / "absent.csv"
+        code, _, stderr = run(
+            ["--command", "estimate", "--exposures", exposures, "--bins", str(absent),
+             "--optimal", "1", "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 1
+        error = json.loads(stderr)["error"]
+        assert error["class"] == "ParseError"
+        assert error["message"].startswith(f"cannot read {absent}: ")
+
     def test_missing_out_is_a_configuration_error(self, two_mouse_files, capsys):
         exposures, bins = two_mouse_files
         code, _, stderr = run(
@@ -420,6 +433,23 @@ class TestIngestCheck:
             "DataError: line 3: count beyond int64 for mouse 'm2' session 1"
         ]
 
+    @pytest.mark.parametrize("source", ["bins", "events"])
+    def test_session_beyond_int64_reported_with_line_number(self, source, tmp_path, capsys):
+        exposures = tmp_path / "e.csv"
+        exposures.write_text("mouse_id,exposed\nm1,1\nm2,0\n", encoding="utf-8")
+        data = tmp_path / "d.csv"
+        header = "mouse_id,session,b0" if source == "bins" else "mouse_id,session,press_time_s"
+        data.write_text(f"{header}\nm1,1,3\nm2,{10**30},2\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        code, _, _ = run(
+            ["--command", "ingest-check", "--exposures", str(exposures), f"--{source}", str(data),
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        violations = json.loads(out.read_text())["violations"]["violation"]
+        assert violations == ["DataError: line 3: session beyond int64 for mouse 'm2'"]
+
 
 class TestEventsInput:
     def test_estimate_from_raw_events(self, tmp_path, capsys):
@@ -534,6 +564,46 @@ class TestOutput:
         assert error["class"] == "ConfigurationError"
         assert error["message"].startswith(f"cannot write --out {out}: ")
         assert stdout == ""
+
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", refuse)
+        out = tmp_path / "absent" / "r.json"
+        code, _, stderr = run(
+            ["--command", "simulate-mc", "--datasets", "20000", "--out", str(out)], capsys
+        )
+        assert code == 2
+        error = json.loads(stderr)["error"]
+        assert error["class"] == "ConfigurationError"
+        assert error["message"].startswith(f"cannot write --out {out}: ")
+
+    def test_failed_run_leaves_no_empty_out(self, two_mouse_files, tmp_path, capsys):
+        exposures, _ = two_mouse_files
+        bins = tmp_path / "ragged.csv"
+        bins.write_text("mouse_id,session,b0\nm1,1\n", encoding="utf-8")
+        out = tmp_path / "r.json"
+        code, _, stderr = run(
+            ["--command", "estimate", "--exposures", exposures, "--bins", str(bins),
+             "--optimal", "1", "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert json.loads(stderr)["error"]["class"] == "SchemaError"
+        assert not out.exists()
+
+    def test_failed_run_keeps_an_existing_out(self, two_mouse_files, tmp_path, capsys):
+        exposures, _ = two_mouse_files
+        out = tmp_path / "r.json"
+        out.write_text("earlier result\n", encoding="utf-8")
+        code, _, _ = run(
+            ["--command", "estimate", "--exposures", exposures, "--bins",
+             str(tmp_path / "absent.csv"), "--optimal", "1", "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert out.read_text(encoding="utf-8") == "earlier result\n"
 
 
 class TestHostileInput:

@@ -6,7 +6,8 @@ iid-dataset and sweep hashes from the simulation module as it was before its
 scalar sampler twin was folded into ``generate_dataset``; the bootstrap
 hashes from the replicate-at-a-time bootstrap that the block-wise one
 replaced; the CLI output hashes from the per-command JSON/CSV writers that
-one writer replaced.  Any change to them is a numeric change and must be
+one writer replaced; the events and large-count CLI hashes from the
+row-at-a-time parsers that columnar ingest replaced.  Any change to them is a numeric change and must be
 stated as one.
 """
 
@@ -69,6 +70,33 @@ CLI_OUT_SHA256 = {
         "b19b43fb24991c16fe1531f091612ad5e19c085676d478adb980dfd6d9792d16",
 }
 
+# events input under L1, and bins whose mice have 1 to 4 (d=12) or 1 to 20
+# (d=1) sessions with counts beyond 2**53, where the order of the float64
+# additions inside a session mean shows in the bits
+INGEST_RUNS = {
+    "estimate-events-l1": ["--command", "estimate", "--exposures", "exposures.csv",
+                           "--events", "events.csv", "--optimal", OPTIMAL_12, "--norm", "l1",
+                           "--weights", "sixty-minus-midpoint"],
+    "curves-events": ["--command", "curves", "--exposures", "exposures.csv",
+                      "--events", "events.csv", "--optimal", OPTIMAL_12, "--grid-step", "0.05"],
+    "estimate-big-counts-d12": ["--command", "estimate", "--exposures", "exposures.csv",
+                                "--bins", "big12.csv", "--optimal", OPTIMAL_12],
+    "estimate-big-counts-d1": ["--command", "estimate", "--exposures", "exposures.csv",
+                               "--bins", "big1.csv", "--optimal", "1"],
+}
+INGEST_OUT_SHA256 = {
+    ("estimate-events-l1", "json"):
+        "51ef59c0de218d1491b137c567bf4301a97c802799d1fd0782ba8955d7c16170",
+    ("estimate-events-l1", "csv"):
+        "00938a11758dcee2bb1387ea95d15526599d5e13a5d94f37c8043f118ae741b5",
+    ("curves-events", "json"):
+        "cdec936ec542a01967128cf495c6a4a52df5ff8b5d9209299b7589c3efa91ce9",
+    ("estimate-big-counts-d12", "json"):
+        "939910f0ff47fce72bb3f2fa38e7080d838c470d6ecaf9a71eca7fa4dc8b2159",
+    ("estimate-big-counts-d1", "json"):
+        "b67b0a7acfcd177beabec4c6d6747bfeec8624d1401e940867cdba3bcccb4eb9",
+}
+
 
 def write_bins_fixture(directory):
     """24 mice x 3 sessions x 12 bins of integer counts, half of them exposed."""
@@ -88,6 +116,31 @@ def write_bins_fixture(directory):
     (directory / "all_exposed.csv").write_text(
         "mouse_id,exposed\n" + "".join(f"{m},1\n" for m in mice), encoding="utf-8"
     )
+
+
+def write_ingest_fixtures(directory):
+    """Events and large-count bins files for the mice of :func:`write_bins_fixture`."""
+    write_bins_fixture(directory)
+    rng = np.random.default_rng(2025)
+    mice = [f"m{i:02d}" for i in range(24)]
+    lines = ["mouse_id,session,press_time_s"]
+    for i, m in enumerate(mice):
+        for session in range(1, 2 + i % 3):
+            times = rng.uniform(0.0, 1800.0, size=int(rng.integers(5, 40)))
+            if i % 2:
+                times = times - times % 60.0 + rng.uniform(0.0, 15.0, size=times.size)
+            lines += [f"{m},{session},{t:.3f}" for t in times]
+        # presses just below a bin edge, on an edge, and just below an interval end
+        lines += [f"{m},1,{float(np.nextafter(5.0 * (1 + i % 12), 0.0))!r}", f"{m},1,{60.0 * i}",
+                  f"{m},1,{float(np.nextafter(60.0 * (i + 1), 0.0))!r}"]
+    (directory / "events.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for d, most in ((12, 4), (1, 20)):
+        rows = ["mouse_id,session," + ",".join(f"b{j}" for j in range(d))]
+        for i, m in enumerate(mice):
+            for session in range(1, 2 + i % most):
+                counts = 2**53 + rng.integers(0, 2**12, size=d) * (1 + i % 2)
+                rows.append(f"{m},{session}," + ",".join(str(int(c)) for c in counts))
+        (directory / f"big{d}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def estimate_argv(out="out.json"):
@@ -138,6 +191,14 @@ def test_cli_output_is_bitwise_pinned(command, fmt, tmp_path, monkeypatch, capsy
     write_bins_fixture(tmp_path)
     main(CLI_RUNS[command] + ["--format", fmt, "--out", f"out.{fmt}"])
     assert sha256((tmp_path / f"out.{fmt}").read_bytes()) == CLI_OUT_SHA256[command, fmt]
+
+
+@pytest.mark.parametrize("run, fmt", list(INGEST_OUT_SHA256), ids="-".join)
+def test_ingest_output_is_bitwise_pinned(run, fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_ingest_fixtures(tmp_path)
+    assert main(INGEST_RUNS[run] + ["--format", fmt, "--out", f"out.{fmt}"]) == 0
+    assert sha256((tmp_path / f"out.{fmt}").read_bytes()) == INGEST_OUT_SHA256[run, fmt]
 
 
 def test_no_observation_objects_on_the_hot_paths(tmp_path, monkeypatch, capsys):

@@ -1,13 +1,19 @@
 """File parsing, event binning, session averaging, and dataset assembly."""
 
 import csv
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divtol import (
     BinnedSession,
     DataError,
+    DivtolError,
+    Events,
     InputError,
     LinkageError,
     ParseError,
@@ -37,6 +43,12 @@ def write_binned_counts(path, sessions, d):
         for s in sessions:
             writer.writerow([s.mouse_id, s.session] + [int(c) for c in s.counts])
     return path
+
+
+def parsed_sessions(path, sessions, d=12):
+    """The ``Sessions`` that parsing a binned-counts file of ``sessions`` gives."""
+    write_binned_counts(path, sessions, d)
+    return parse_binned_counts(path, StudyLayout(bin_width_s=60.0 / d))
 
 
 class TestStudyLayout:
@@ -151,9 +163,10 @@ class TestParseBinnedCounts:
     [(1, [3, -1]), (0, [3, 1]), (1, [3, 2**64])],
     ids=["negative-count", "session-zero", "beyond-int64"],
 )
-def test_binned_session_rejects_inadmissible_values(session, counts):
-    with pytest.raises(DataError):
-        BinnedSession("m1", session, counts)
+def test_binned_session_rejects_inadmissible_values(session, counts, tmp_path):
+    path = write_binned_counts(tmp_path / "b.csv", [BinnedSession("m1", session, counts)], d=2)
+    with pytest.raises(DataError, match="^line 2: "):
+        parse_binned_counts(path, StudyLayout(bin_width_s=30.0))
 
 
 def test_byte_order_mark_is_ignored(tmp_path):
@@ -210,47 +223,66 @@ class TestBinEvents:
 
 
 class TestAverageSessions:
-    def test_single_session_passthrough(self):
+    def test_single_session_passthrough(self, tmp_path):
         counts = np.arange(12)
-        out = average_sessions([BinnedSession("m1", 1, counts)], LAYOUT)
+        sessions = parsed_sessions(tmp_path / "b.csv", [BinnedSession("m1", 1, counts)])
+        out = average_sessions(sessions, LAYOUT)
         np.testing.assert_allclose(out["m1"], counts)
 
-    def test_two_session_midpoint(self):
+    def test_two_session_midpoint(self, tmp_path):
         a = np.r_[np.zeros(11, dtype=int), 2]
         b = np.r_[np.zeros(11, dtype=int), 4]
-        out = average_sessions(
-            [BinnedSession("m1", 1, a), BinnedSession("m1", 2, b)], LAYOUT
+        sessions = parsed_sessions(
+            tmp_path / "b.csv", [BinnedSession("m1", 1, a), BinnedSession("m1", 2, b)]
         )
+        out = average_sessions(sessions, LAYOUT)
         np.testing.assert_allclose(out["m1"], np.r_[np.zeros(11), 3.0])
 
-    def test_missing_sessions_shrink_the_divisor(self):
+    def test_missing_sessions_shrink_the_divisor(self, tmp_path):
         # mouse with one session is averaged over one session, not padded
-        out = average_sessions(
+        sessions = parsed_sessions(
+            tmp_path / "b.csv",
             [
                 BinnedSession("m1", 1, np.full(12, 4)),
                 BinnedSession("m1", 2, np.full(12, 2)),
                 BinnedSession("m2", 1, np.full(12, 6)),
             ],
-            LAYOUT,
         )
+        out = average_sessions(sessions, LAYOUT)
         np.testing.assert_allclose(out["m1"], np.full(12, 3.0))
         np.testing.assert_allclose(out["m2"], np.full(12, 6.0))
 
-    def test_matches_column_mean_oracle(self):
+    def test_matches_column_mean_oracle(self, tmp_path):
         rng = np.random.default_rng(2)
         counts = rng.integers(0, 10, size=(25, 12))
         sessions = [BinnedSession("m1", k + 1, counts[k]) for k in range(25)]
-        out = average_sessions(sessions, LAYOUT)
+        out = average_sessions(parsed_sessions(tmp_path / "b.csv", sessions), LAYOUT)
         expected = [sum(int(counts[k][j]) for k in range(25)) / 25.0 for j in range(12)]
         np.testing.assert_allclose(out["m1"], expected, atol=1e-12)
 
-    def test_order_invariance(self):
+    def test_order_invariance(self, tmp_path):
         rng = np.random.default_rng(3)
         sessions = [BinnedSession("m1", k + 1, rng.integers(0, 9, size=12)) for k in range(25)]
-        forward = average_sessions(sessions, LAYOUT)
+        forward = average_sessions(parsed_sessions(tmp_path / "f.csv", sessions), LAYOUT)
         perm = [sessions[i] for i in rng.permutation(25)]
-        shuffled = average_sessions(perm, LAYOUT)
+        shuffled = average_sessions(parsed_sessions(tmp_path / "s.csv", perm), LAYOUT)
         np.testing.assert_array_equal(forward["m1"], shuffled["m1"])
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_sums_beyond_2_53_keep_the_bits_of_np_mean(self, d, tmp_path):
+        rng = np.random.default_rng(6)
+        counts = 2**53 + rng.integers(0, 4096, size=(40, d))
+        sessions = [BinnedSession(f"m{k % 3}", k + 1, counts[k]) for k in range(40)]
+        parsed = parsed_sessions(tmp_path / "b.csv", sessions, d)
+        out = average_sessions(parsed, parsed.layout)
+        for m in ("m0", "m1", "m2"):
+            mine = np.stack([s.counts for s in sessions if s.mouse_id == m])
+            assert out[m].tobytes() == np.mean(mine, axis=0).tobytes()
+
+    def test_layout_mismatch_names_the_mouse(self, tmp_path):
+        sessions = parsed_sessions(tmp_path / "b.csv", [BinnedSession("m7", 1, [1, 2])], d=2)
+        with pytest.raises(InputError, match="'m7' have length 2, layout declares 12 bins"):
+            average_sessions(sessions, LAYOUT)
 
 
 class TestAssembleDataset:
@@ -312,3 +344,398 @@ class TestRoundTrip:
         assert len(ds) == 48
         assert sorted(set(ds.states)) == [0, 1]
         assert validate_dataset(ds).ok
+
+
+class TestSessions:
+    def test_columns_and_per_session_view(self, tmp_path):
+        path = write(tmp_path / "b.csv", "mouse_id,session,b0,b1\nm2,3,1,2\n\nm1,1,0,5\nm2,1,4,4\n")
+        sessions = parse_binned_counts(path)
+        assert len(sessions) == 3
+        assert sessions.mouse_ids == ("m2", "m1")
+        assert sessions.codes.tolist() == [0, 1, 0]
+        assert sessions.session.dtype == np.int64 and sessions.session.tolist() == [3, 1, 1]
+        assert sessions.counts.dtype == np.int64 and sessions.counts.shape == (3, 2)
+        assert sessions.line_numbers.tolist() == [2, 4, 5]
+        assert sessions.layout == StudyLayout(bin_width_s=30.0)
+        second = sessions[1]
+        assert (second.mouse_id, second.session, second.counts.tolist()) == ("m1", 1, [0, 5])
+        assert [s.mouse_id for s in sessions] == ["m2", "m1", "m2"]
+        assert [s.session for s in sessions[1:]] == [1, 1]
+        assert not sessions.counts.flags.writeable
+
+    def test_ids_differing_by_a_nul_or_inner_spaces_stay_distinct(self, tmp_path):
+        ids = ["m1", "m1\x00", "m 1", "m  1", "m1\x00\x00"]
+        path = write(
+            tmp_path / "b.csv",
+            "mouse_id,session,b0\n" + "".join(f"{m},1,{k}\n" for k, m in enumerate(ids)),
+        )
+        sessions = parse_binned_counts(path)
+        assert sessions.mouse_ids == tuple(ids)
+        means = average_sessions(sessions, sessions.layout)
+        assert list(means) == ids
+        assert [float(means[m][0]) for m in ids] == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_bin_count_is_inferred_from_the_header(self, tmp_path):
+        path = write(tmp_path / "b.csv", "mouse_id,session,b0,b1,b2\nm1,1,1,2,3\n")
+        layout = parse_binned_counts(path).layout
+        assert (layout.interval_length_s, layout.bin_width_s, layout.n_bins) == (60.0, 20.0, 3)
+
+    def test_inferred_header_mismatch_keeps_its_message(self, tmp_path):
+        path = write(tmp_path / "b.csv", "mouse_id,session,x\nm1,1,3\n")
+        with pytest.raises(SchemaError) as err:
+            parse_binned_counts(path)
+        assert str(err.value) == (
+            "line 1: expected header 'mouse_id,session,b0', got 'mouse_id,session,x'"
+        )
+
+    @pytest.mark.parametrize("text", ["", "mouse_id,session\nm1,1\n"], ids=["empty", "no-bins"])
+    def test_header_without_bins_cannot_be_inferred(self, text, tmp_path):
+        path = write(tmp_path / "b.csv", text)
+        with pytest.raises(InputError, match="^cannot infer bin count from header of "):
+            parse_binned_counts(path)
+
+    def test_missing_file_is_a_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match="^cannot read .*absent.csv: No such file"):
+            parse_binned_counts(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize("session", [str(10**30), str(2**63), str(-(2**63) - 1)])
+class TestSessionBeyondInt64:
+    def test_in_binned_counts(self, session, tmp_path):
+        path = write(tmp_path / "b.csv", f"mouse_id,session,b0\nm2,1,4\nm1,{session},1\n")
+        with pytest.raises(DataError, match="^line 3: session beyond int64 for mouse 'm1'$"):
+            parse_binned_counts(path)
+
+    def test_in_events(self, session, tmp_path):
+        text = f"mouse_id,session,press_time_s\nm2,1,4.0\nm1,{session},1.5\n"
+        path = write(tmp_path / "e.csv", text)
+        with pytest.raises(DataError, match="^line 3: session beyond int64 for mouse 'm1'$"):
+            parse_events(path)
+
+    def test_in_event_tuples(self, session):
+        with pytest.raises(DataError, match="^session beyond int64 for mouse 'm1'$"):
+            bin_events([("m2", 1, 4.0), ("m1", int(session), 1.5)], LAYOUT)
+
+
+class TestEvents:
+    def test_columns(self, tmp_path):
+        path = write(tmp_path / "e.csv", "mouse_id,session,press_time_s\nm2,1,4.5\n m1 ,2,61\n")
+        events = parse_events(path)
+        assert isinstance(events, Events) and len(events) == 2
+        assert events.mouse_ids == ("m2", "m1")
+        assert events.session.tolist() == [1, 2] and events.time.tolist() == [4.5, 61.0]
+        assert events.line_numbers.tolist() == [2, 3]
+
+    def test_parsed_and_tuple_events_bin_alike(self, tmp_path):
+        rng = np.random.default_rng(7)
+        events = [
+            (f"m{int(rng.integers(0, 6))}", int(rng.integers(1, 5)), float(rng.uniform(0, 600)))
+            for _ in range(500)
+        ]
+        path = write(
+            tmp_path / "e.csv",
+            "mouse_id,session,press_time_s\n" + "".join(f"{m},{s},{t!r}\n" for m, s, t in events),
+        )
+        from_file, from_tuples = bin_events(parse_events(path), LAYOUT), bin_events(events, LAYOUT)
+        mice = tuple(sorted({m for m, _, _ in events}))
+        assert from_file.mouse_ids == from_tuples.mouse_ids == mice
+        np.testing.assert_array_equal(from_file.session, from_tuples.session)
+        np.testing.assert_array_equal(from_file.counts, from_tuples.counts)
+        keys = [(s.mouse_id, s.session) for s in from_file]
+        assert keys == sorted(set(keys)) and len(keys) == len(set((m, s) for m, s, _ in events))
+
+    def test_vector_bins_match_the_scalar_rule_at_bin_edges(self):
+        edges = np.arange(0.0, 7200.0, 5.0)
+        t = np.concatenate([
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges[1:], 0.0),
+            np.random.default_rng(8).uniform(0.0, 1e6, 20_000), [1.7976931348623157e308, 5e-324],
+        ])
+        sessions = bin_events([("m", 1, float(x)) for x in t], LAYOUT)
+        expected = np.zeros(12, dtype=int)
+        for x in t.tolist():
+            expected[min(int((x % 60.0) // 5.0), 11)] += 1
+        np.testing.assert_array_equal(sessions.counts[0], expected)
+
+
+# ---------------------------------------------------------------------------
+# Row-at-a-time reference: the parsers as they were before columnar ingest,
+# kept verbatim (names prefixed) as the oracle for the differential tests.
+
+
+@dataclass(frozen=True)
+class RowBinnedSession:
+    """Press counts for one mouse in one session, binned by interval time."""
+
+    mouse_id: str
+    session: int
+    counts: np.ndarray
+
+    def __post_init__(self):
+        try:
+            counts = np.asarray(self.counts, dtype=int)
+        except OverflowError:
+            raise DataError(
+                f"count beyond int64 for mouse {self.mouse_id!r} session {self.session}"
+            ) from None
+        if counts.ndim != 1 or counts.size == 0:
+            raise InputError("counts must be a non-empty 1-D vector")
+        if np.any(counts < 0):
+            raise DataError(f"negative count for mouse {self.mouse_id!r} session {self.session}")
+        if self.session < 1:
+            raise DataError(f"session must be >= 1, got {self.session}")
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
+
+
+def row_read_rows(path) -> list[tuple[int, list[str]]]:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
+
+
+def row_parse_binned_counts(path, layout: StudyLayout) -> list[RowBinnedSession]:
+    """Read pre-binned counts, one session per row, in ascending bin-time order.
+
+    :class:`RowBinnedSession` checks each row's counts and session number; its
+    ``DataError`` is re-raised with the line number.  A repeated
+    (mouse_id, session) pair is rejected, naming both lines.
+    """
+    d = layout.n_bins
+    expected_header = ["mouse_id", "session"] + [f"b{j}" for j in range(d)]
+    rows = row_read_rows(path)
+    if not rows:
+        raise SchemaError("empty file", line_number=1)
+    header = [c.strip() for c in rows[0][1]]
+    if header != expected_header:
+        raise SchemaError(
+            f"expected header '{','.join(expected_header)}', got '{','.join(header)}'",
+            line_number=1,
+        )
+    sessions = []
+    first_line: dict[tuple[str, int], int] = {}
+    for lineno, row in rows[1:]:
+        if len(row) != 2 + d:
+            raise SchemaError(
+                f"expected {2 + d} columns, got {len(row)}", line_number=lineno
+            )
+        mouse_id = row[0].strip()
+        try:
+            session = int(row[1])
+            counts = [int(c) for c in row[2:]]
+        except ValueError as exc:
+            raise ParseError(f"non-integer field: {exc}", line_number=lineno) from exc
+        try:
+            sessions.append(RowBinnedSession(mouse_id=mouse_id, session=session, counts=counts))
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from exc
+        seen = first_line.setdefault((mouse_id, session), lineno)
+        if seen != lineno:
+            raise DataError(
+                f"duplicate session {session} for mouse {mouse_id!r} on lines {seen} and {lineno}"
+            )
+    return sessions
+
+
+def row_parse_events(path) -> list[tuple[str, int, float]]:
+    """Read raw press events as (mouse_id, session, press_time_s) tuples."""
+    rows = row_read_rows(path)
+    if not rows or [c.strip() for c in rows[0][1]] != ["mouse_id", "session", "press_time_s"]:
+        raise SchemaError("expected header 'mouse_id,session,press_time_s'", line_number=1)
+    events = []
+    for lineno, row in rows[1:]:
+        if len(row) != 3:
+            raise ParseError(f"expected 3 columns, got {len(row)}", line_number=lineno)
+        try:
+            events.append((row[0].strip(), int(row[1]), float(row[2])))
+        except ValueError as exc:
+            raise ParseError(f"malformed field: {exc}", line_number=lineno) from exc
+    return events
+
+
+def row_bin_events(
+    events: list[tuple[str, int, float]], layout: StudyLayout
+) -> list[RowBinnedSession]:
+    """Aggregate raw press times into per-(mouse, session) bin counts.
+
+    Times are reduced modulo the interval length (idealized fixed-interval
+    clock), so the total count is conserved across bins.
+    """
+    d = layout.n_bins
+    table: dict[tuple[str, int], np.ndarray] = {}
+    for mouse_id, session, t in events:
+        if not 0.0 <= t < math.inf:
+            raise DataError(f"press time {t} for mouse {mouse_id!r} is not finite and nonnegative")
+        idx = int((t % layout.interval_length_s) // layout.bin_width_s)
+        idx = min(idx, d - 1)  # guard the t % interval == interval float edge
+        key = (mouse_id, session)
+        if key not in table:
+            table[key] = np.zeros(d, dtype=int)
+        table[key][idx] += 1
+    return [
+        RowBinnedSession(mouse_id=m, session=s, counts=c)
+        for (m, s), c in sorted(table.items())
+    ]
+
+
+def row_average_sessions(
+    sessions: list[RowBinnedSession], layout: StudyLayout
+) -> dict[str, np.ndarray]:
+    """Per-mouse componentwise mean count vector over the observed sessions."""
+    d = layout.n_bins
+    grouped: dict[str, list[np.ndarray]] = {}
+    for s in sessions:
+        if s.counts.shape[0] != d:
+            raise InputError(
+                f"session counts for mouse {s.mouse_id!r} have length {s.counts.shape[0]}, "
+                f"layout declares {d} bins"
+            )
+        grouped.setdefault(s.mouse_id, []).append(s.counts)
+    return {
+        mouse_id: np.mean(np.stack(counts), axis=0) for mouse_id, counts in grouped.items()
+    }
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: files with injected faults through both parsers.
+
+IDS = ["m1", "m2", "m3", "m1\x00", "m 1", "m  1", " m2 "]
+INT_LIKE = [" 7", "+3", "1_0", "٣", "007"]
+NOT_INT = ["x", "1.5", "", "1e3", "--1", "0x10", "½"]
+
+
+def field(rnd, usual, faults, rate):
+    """``usual()`` most of the time, one of ``faults`` about once in ``rate`` draws."""
+    return rnd.choice(faults) if rnd.randrange(rate) == 0 else usual()
+
+
+def file_text(draw, header, row):
+    """Header, then up to 30 rows from ``row(rnd)``, a few ragged or after a blank line.
+
+    Hypothesis draws the file's parameters and a seeded ``Random`` for the
+    rows, so one example costs a handful of draws rather than one per field.
+    """
+    rnd = draw(st.randoms(use_true_random=True))
+    lines = [header]
+    for _ in range(rnd.randint(0, 30)):
+        fields = row(rnd)
+        shape = rnd.randrange(120)
+        if shape == 0:
+            fields = fields[:-1]
+        elif shape == 1:
+            fields = fields + ["1"]
+        elif shape == 2:
+            lines.append("")
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def bins_files(draw):
+    d = draw(st.integers(1, 3))
+    ids = IDS[: draw(st.integers(1, len(IDS)))]  # few mice: many sessions each
+    max_session = draw(st.sampled_from([3, 10**4]))
+    big = draw(st.booleans())  # counts past 2**53, where a mean's addition order shows
+    rate = draw(st.sampled_from([10, 40, 400]))
+    count_faults = ["-1", str(2**63), str(-(2**63) - 1), "99999999999999999999"]
+    count_faults += INT_LIKE + NOT_INT
+    session_faults = ["0", "-1"] + INT_LIKE + NOT_INT
+
+    def row(rnd):
+        if rnd.randrange(rate) == 0:  # several faults in one row
+            return [rnd.choice(ids), rnd.choice(["0", "-1", "x", "1"])] + [
+                rnd.choice(["-1", str(2**63), "x", "1"]) for _ in range(d)
+            ]
+        if big:
+            count = lambda: str(rnd.randrange(2**53, 2**62))
+        else:
+            count = lambda: str(rnd.randrange(10))
+        session = lambda: str(rnd.randint(1, max_session))
+        return [rnd.choice(ids), field(rnd, session, session_faults, rate)] + [
+            field(rnd, count, count_faults, rate) for _ in range(d)
+        ]
+
+    return d, file_text(draw, "mouse_id,session," + ",".join(f"b{j}" for j in range(d)), row)
+
+
+@st.composite
+def events_files(draw):
+    d = draw(st.sampled_from([1, 7, 12]))
+    edges = [repr(float(np.nextafter(60.0 / d * k, 0.0))) for k in range(1, d + 1)]
+    time_faults = ["nan", "inf", "-inf", "-1", "-0.0", "1e400", "1.7976931348623157e308",
+                   "60", "x", "", "1_0.5", " 2.5"] + edges
+    session_faults = ["0", "-2"] + INT_LIKE + NOT_INT
+    rate = draw(st.sampled_from([10, 40, 400]))
+
+    def row(rnd):
+        return [
+            rnd.choice(IDS),
+            field(rnd, lambda: str(rnd.randint(1, 4)), session_faults, rate),
+            field(rnd, lambda: repr(rnd.uniform(0.0, 1800.0)), time_faults, rate),
+        ]
+
+    return StudyLayout(bin_width_s=60.0 / d), file_text(draw, "mouse_id,session,press_time_s", row)
+
+
+def outcome(fn, *args):
+    """``("ok", result)``, or ``("error", (class, message, line))`` for a divtol error."""
+    try:
+        return "ok", fn(*args)
+    except DivtolError as exc:
+        return "error", (type(exc), str(exc), getattr(exc, "line_number", None))
+
+
+def session_rows(sessions):
+    return [(s.mouse_id, s.session, s.counts.tolist()) for s in sessions]
+
+
+def mean_bits(means):
+    return [(m, v.dtype.str, v.tobytes()) for m, v in means.items()]
+
+
+def assert_same_sessions(expected, got, layout):
+    """Equal rows and bitwise-equal per-mouse means, or the same error."""
+    assert got[0] == expected[0], (expected, got)
+    if expected[0] == "error":
+        assert got[1] == expected[1]
+        return
+    assert session_rows(got[1]) == session_rows(expected[1])
+    assert mean_bits(average_sessions(got[1], layout)) == mean_bits(
+        row_average_sessions(expected[1], layout)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(bins_files())
+def test_columnar_bins_parser_matches_the_row_loop(tmp_path_factory, case):
+    d, text = case
+    path = tmp_path_factory.mktemp("bins") / "b.csv"
+    path.write_text(text, encoding="utf-8")
+    layout = StudyLayout(bin_width_s=60.0 / d)
+    expected = outcome(row_parse_binned_counts, path, layout)
+    assert_same_sessions(expected, outcome(parse_binned_counts, path, layout), layout)
+    assert_same_sessions(expected, outcome(parse_binned_counts, path), layout)
+
+
+@settings(max_examples=400, deadline=None)
+@given(events_files())
+def test_columnar_events_parser_matches_the_row_loop(tmp_path_factory, case):
+    layout, text = case
+    path = tmp_path_factory.mktemp("events") / "e.csv"
+    path.write_text(text, encoding="utf-8")
+    expected, got = outcome(row_parse_events, path), outcome(parse_events, path)
+    assert got[0] == expected[0], (expected, got)
+    if expected[0] == "error":
+        assert got[1] == expected[1]
+        return
+    events = got[1]
+    assert [(m, s, np.float64(t).tobytes()) for m, s, t in expected[1]] == [
+        (events.mouse_ids[c], s, t.tobytes())
+        for c, s, t in zip(events.codes.tolist(), events.session.tolist(), events.time)
+    ]
+    binned = outcome(row_bin_events, expected[1], layout)
+    assert_same_sessions(binned, outcome(bin_events, events, layout), layout)
+    assert_same_sessions(binned, outcome(bin_events, expected[1], layout), layout)
