@@ -14,12 +14,8 @@ from .core import (
     DivergenceSpec,
     Norm,
     Observation,
-    RewardModel,
     ValidationReport,
     dataset_divergences,
-    divergence,
-    objective_reward,
-    subjective_reward,
     validate_dataset,
 )
 from .errors import (
@@ -41,7 +37,6 @@ from .estimator import (
     Method,
     bootstrap_ci,
     estimate_theta,
-    group_divergence_contrast,
     pairwise_objective,
     reward_curves,
     variance_objective,

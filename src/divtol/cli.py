@@ -30,7 +30,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,7 +77,10 @@ MAX_DATASETS = 10**6
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective configuration of one CLI run (defaults resolved per command)."""
+    """Effective configuration of one CLI run (defaults resolved per command).
+
+    Every output echoes all of its fields except ``out``.
+    """
 
     command: str
     exposures: str | None
@@ -95,7 +98,7 @@ class RunConfig:
     datasets: int
     p_exposed: float
     out: str
-    fmt: str
+    format: str
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datasets", type=int, default=None)
     p.add_argument("--p-exposed", type=float, default=0.5, dest="p_exposed")
     p.add_argument("--out", help="output file path")
-    p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     return p
 
 
@@ -222,40 +225,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         datasets=datasets,
         p_exposed=args.p_exposed,
         out=args.out,
-        fmt=args.fmt,
+        format=args.format,
     )
-
-
-def _policy_echo(policy: PolicyConfig) -> dict:
-    return {
-        "mu1": policy.mu1,
-        "sigma1_sq": policy.sigma1_sq,
-        "mu2": policy.mu2,
-        "sigma2_sq": policy.sigma2_sq,
-        "shape_multiplier_exposed": policy.shape_multiplier_exposed,
-        "rate": policy.rate,
-    }
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "command": cfg.command,
-        "exposures": cfg.exposures,
-        "bins": cfg.bins,
-        "events": cfg.events,
-        "optimal": list(cfg.optimal) if cfg.optimal is not None else None,
-        "norm": cfg.norm,
-        "weights": cfg.weights,
-        "method": cfg.method,
-        "grid_step": cfg.grid_step,
-        "bootstrap": cfg.bootstrap,
-        "level": cfg.level,
-        "seed": cfg.seed,
-        "n": list(cfg.n),
-        "datasets": cfg.datasets,
-        "p_exposed": cfg.p_exposed,
-        "format": cfg.fmt,
-    }
 
 
 def _load_dataset(cfg: RunConfig):
@@ -316,9 +287,11 @@ def _write(cfg: RunConfig, scalars: dict, table: tuple[str, list[str], list] | N
     list per column; CSV writes the flattened scalars as ``# key=value`` lines,
     then the table's header and rows.
     """
-    payload = {"config": _config_echo(cfg), **scalars}
+    config = asdict(cfg)
+    del config["out"]
+    payload = {"config": config, **scalars}
     with _open_out(cfg.out, "w") as fh:
-        if cfg.fmt == "json":
+        if cfg.format == "json":
             if table is not None:
                 key, columns, rows = table
                 payload[key] = {c: [row[j] for row in rows] for j, c in enumerate(columns)}
@@ -411,7 +384,7 @@ def cmd_simulate_mc(cfg: RunConfig) -> None:
     }
     _write(
         cfg,
-        {"policy": _policy_echo(policy), "summary": summary},
+        {"policy": asdict(policy), "summary": summary},
         ("estimates", ["theta", "b1"], list(zip(result.theta_estimates, result.b1_estimates))),
     )
     print(
@@ -432,7 +405,7 @@ def cmd_consistency(cfg: RunConfig) -> None:
     )
     _write(
         cfg,
-        {"policy": _policy_echo(policy)},
+        {"policy": asdict(policy)},
         ("rows", ["n", "mean_theta", "sd_theta"], [(r.n, r.mean_theta, r.sd_theta) for r in rows]),
     )
     print("; ".join(f"n={r.n}: sd={r.sd_theta:.5f}" for r in rows))

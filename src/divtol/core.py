@@ -1,4 +1,4 @@
-"""Domain types, divergence metrics, and reward evaluation.
+"""Domain types, the divergence metric, and dataset validation.
 
 The central quantity is the divergence of an observed action vector ``a``
 from a configured optimal action ``a*``:
@@ -7,12 +7,10 @@ from a configured optimal action ``a*``:
     L1:          D(a) = sum_j |w_j * (a_j - a*_j)|
 
 with optional nonnegative per-component weights ``w`` (all ones by default).
-The objective reward of an action is ``-D(a)``; the subjective reward scales
-that divergence by a group tolerance: an exposed animal (state 1) with
-tolerance parameter ``theta_e`` receives ``-D * theta_e`` and a control
-(state 0) receives ``-D * (1 - theta_e)``.  Everything downstream (the
-pairwise objective, the simulation study, the CLI) is built on these
-functions.
+:func:`dataset_divergences` computes it for every animal of a
+:class:`Dataset` at once.  The rewards that scale it by a group tolerance
+(``-D * theta_e`` for exposed animals, ``-D * (1 - theta_e)`` for controls)
+are formed in :mod:`divtol.estimator`.
 
 All values here are immutable after construction and the functions are pure,
 so they are safe to share across concurrent workers.
@@ -23,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,11 +32,7 @@ __all__ = [
     "Observation",
     "Dataset",
     "DivergenceSpec",
-    "RewardModel",
     "ValidationReport",
-    "divergence",
-    "objective_reward",
-    "subjective_reward",
     "dataset_divergences",
     "validate_dataset",
 ]
@@ -62,29 +57,17 @@ def _as_action_array(value, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One animal: an opaque id, a binary exposure state, and an action vector.
+class Observation(NamedTuple):
+    """One animal: one row of a :class:`Dataset`, as its view yields it.
 
-    ``state`` is 1 for exposed and 0 for control.  The action may be a scalar
-    (stored as a length-1 vector) or a vector, e.g. per-bin mean press counts.
-    This is the single-animal value type of :func:`subjective_reward`;
-    :class:`Dataset` stores its animals as columns instead.
+    ``state`` is 1 for exposed and 0 for control; ``action`` is the dataset's
+    read-only action row.  The dataset has validated both, so nothing is
+    checked or copied here.
     """
 
     id: str
     state: int
     action: np.ndarray
-
-    def __post_init__(self):
-        if self.state not in (0, 1):
-            raise InputError(f"state must be 0 or 1, got {self.state!r}")
-        object.__setattr__(self, "state", int(self.state))
-        object.__setattr__(self, "action", _as_action_array(self.action, "action"))
-
-    @property
-    def dimension(self) -> int:
-        return self.action.shape[0]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -236,71 +219,11 @@ class DivergenceSpec:
         return self.weights if self.weights is not None else np.ones(self.dimension)
 
 
-@dataclass(frozen=True)
-class RewardModel:
-    """The exposed group's tolerance parameter, constrained to [0, 1].
-
-    The control group's tolerance is always the complement ``1 - theta_e``
-    and is never stored separately.
-    """
-
-    theta_e: float
-
-    def __post_init__(self):
-        t = float(self.theta_e)
-        if not np.isfinite(t) or not 0.0 <= t <= 1.0:
-            raise InputError(f"theta_e must lie in [0, 1], got {self.theta_e!r}")
-        object.__setattr__(self, "theta_e", t)
-
-    @property
-    def theta_c(self) -> float:
-        return 1.0 - self.theta_e
-
-
-def _weighted_residual(action, spec: DivergenceSpec) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(action, dtype=float))
-    if arr.ndim != 1 or arr.shape != spec.optimal.shape:
-        raise InputError(
-            f"action length {arr.shape} does not match optimal length {spec.optimal.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InputError("action must be finite")
-    return spec.effective_weights() * (arr - spec.optimal)
-
-
-def divergence(action, spec: DivergenceSpec) -> float:
-    """Weighted divergence of an action from the optimal action.
-
-    Nonnegative; zero exactly when every weighted component of ``a - a*``
-    vanishes.
-    """
-    r = _weighted_residual(action, spec)
-    if spec.norm is Norm.L2_SQUARED:
-        return float(np.dot(r, r))
-    return float(np.sum(np.abs(r)))
-
-
-def objective_reward(action, spec: DivergenceSpec) -> float:
-    """Group-free reward: the negated divergence from optimality."""
-    return -divergence(action, spec)
-
-
-def subjective_reward(model: RewardModel, obs: Observation, spec: DivergenceSpec) -> float:
-    """Divergence scaled by the group tolerance.
-
-    Exposed animals (state 1) are weighted by ``theta_e``, controls by
-    ``1 - theta_e``; higher tolerance for divergence means a smaller weight,
-    hence a reward closer to zero for the same divergence.
-    """
-    d = divergence(obs.action, spec)
-    weight = model.theta_e if obs.state == 1 else model.theta_c
-    return -d * weight
-
-
 def dataset_divergences(ds: Dataset, spec: DivergenceSpec) -> np.ndarray:
     """Per-observation divergences as a float array of shape (n,).
 
-    Vectorized equivalent of calling :func:`divergence` per observation.
+    Nonnegative; zero exactly where every weighted component of ``a - a*``
+    vanishes.
     """
     if spec.dimension != ds.dimension:
         raise InputError(

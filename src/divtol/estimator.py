@@ -47,7 +47,6 @@ __all__ = [
     "variance_objective",
     "estimate_theta",
     "reward_curves",
-    "group_divergence_contrast",
     "bootstrap_ci",
     "grid_intervals",
 ]
@@ -320,17 +319,6 @@ def reward_curves(ds: Dataset, spec: DivergenceSpec, grid) -> CurveSamples:
         mean_reward_control=mean_control,
         crossing_theta=crossing,
     )
-
-
-def group_divergence_contrast(ds: Dataset, spec: DivergenceSpec) -> float:
-    """Mean divergence of the exposed group minus that of the controls.
-
-    Positive values mean the exposed animals diverge more on average.
-    """
-    _require_both_groups(ds)
-    d = dataset_divergences(ds, spec)
-    s = ds.states
-    return float(d[s == 1].mean() - d[s == 0].mean())
 
 
 def bootstrap_ci(

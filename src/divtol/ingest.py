@@ -57,7 +57,6 @@ class StudyLayout:
 
     interval_length_s: float = 60.0
     bin_width_s: float = 5.0
-    sessions_expected: int | None = None
 
     def __post_init__(self):
         if self.interval_length_s <= 0 or self.bin_width_s <= 0:

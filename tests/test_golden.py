@@ -6,9 +6,10 @@ iid-dataset and sweep hashes from the simulation module as it was before its
 scalar sampler twin was folded into ``generate_dataset``; the bootstrap
 hashes from the replicate-at-a-time bootstrap that the block-wise one
 replaced; the CLI output hashes from the per-command JSON/CSV writers that
-one writer replaced; the events and large-count CLI hashes from the
-row-at-a-time parsers that columnar ingest replaced.  Any change to them is a numeric change and must be
-stated as one.
+one writer replaced, and they held when ``dataclasses.asdict`` replaced
+the hand-built config and policy echoes; the events and large-count CLI
+hashes from the row-at-a-time parsers that columnar ingest replaced.  Any
+change to them is a numeric change and must be stated as one.
 """
 
 import hashlib
@@ -203,13 +204,20 @@ def test_ingest_output_is_bitwise_pinned(run, fmt, tmp_path, monkeypatch, capsys
 
 def test_no_observation_objects_on_the_hot_paths(tmp_path, monkeypatch, capsys):
     built = []
-    original = core.Observation.__post_init__
+    original = core._ObservationView.__getitem__
 
-    def counting_post_init(self):
-        built.append(self.id)
-        original(self)
+    def counting_getitem(self, i):
+        obs = original(self, i)
+        built.append(i)
+        return obs
 
-    monkeypatch.setattr(core.Observation, "__post_init__", counting_post_init)
+    monkeypatch.setattr(core._ObservationView, "__getitem__", counting_getitem)
+    # positive control: the counter sees every row the view builds
+    ds = generate_dataset(PolicyConfig(), 7, 0.5, np.random.default_rng(0))
+    assert len(list(ds.observations)) == 7
+    assert built == list(range(7))
+    built.clear()
+
     run_monte_carlo(McConfig(n_per_dataset=50, num_datasets=20, seed=0), PolicyConfig())
     monkeypatch.chdir(tmp_path)
     write_bins_fixture(tmp_path)
