@@ -223,7 +223,7 @@ def dataset_divergences(ds: Dataset, spec: DivergenceSpec) -> np.ndarray:
     """Per-observation divergences as a float array of shape (n,).
 
     Nonnegative; zero exactly where every weighted component of ``a - a*``
-    vanishes.
+    vanishes.  Not finite where a divergence is too large for a float.
     """
     if spec.dimension != ds.dimension:
         raise InputError(
@@ -232,10 +232,11 @@ def dataset_divergences(ds: Dataset, spec: DivergenceSpec) -> np.ndarray:
     acts = ds.actions
     if not np.all(np.isfinite(acts)):
         raise InputError("actions must be finite")
-    resid = spec.effective_weights()[None, :] * (acts - spec.optimal[None, :])
-    if spec.norm is Norm.L2_SQUARED:
-        return np.einsum("ij,ij->i", resid, resid)
-    return np.sum(np.abs(resid), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = spec.effective_weights()[None, :] * (acts - spec.optimal[None, :])
+        if spec.norm is Norm.L2_SQUARED:
+            return np.einsum("ij,ij->i", resid, resid)
+        return np.sum(np.abs(resid), axis=1)
 
 
 @dataclass(frozen=True)

@@ -7,26 +7,24 @@ The objective compares every animal with every other animal:
 where ``R_i`` is the subjective reward of animal ``i``.  This double sum is
 algebraically equal to twice the divisor-n sample variance of the rewards,
 which is the O(n) evaluation path used everywhere performance matters; the
-literal double sum is kept as the reference path.
+literal double sum is kept as the reference path.  One function gives every
+reward: ``-D * theta`` if exposed, ``-D * (1 - theta)`` if control.
 
-Because each reward is linear in theta,
+A reward depends on an animal only through ``D`` and its group, so the
+quadratic ``Psi_n / 2`` is fixed by six group statistics: the sizes
+``n_e``, ``n_c``, the means ``m_e``, ``m_c`` of ``D`` and the within-group
+sums of squares ``W_e``, ``W_c``.  With ``p = n_e / n``, ``q = n_c / n`` and
+``A_g = W_g / n + p * q * m_g * (m_e + m_c)`` for each group g, the theta^2
+coefficient is ``A_e + A_c``, the theta coefficient ``-2 A_c``, and
 
-    R_i(theta) = u_i * theta + v_i,
-    u_i = -D_i * (2 s_i - 1),   v_i = -D_i * (1 - s_i),
+    theta_e = A_c / (A_e + A_c).
 
-the objective is an exact quadratic
-
-    Psi_n(theta) / 2 = var(u) * theta^2 + 2 * cov(u, v) * theta + var(v)
-
-(all moments with divisor n), so the minimizer over [0, 1] has a closed form.
-An exhaustive grid scan over [0, 1] is retained as a user-selectable oracle
-for the argmin.
-
-A note on clamping: for nonnegative divergences the unconstrained minimizer
--cov(u, v)/var(u) provably lies in [0, 1] (Cauchy-Schwarz bounds both
-cov(u, v) <= 0 and var(u) + cov(u, v) >= 0), so the clamp can only trigger
-through floating-point rounding at the exact boundaries.  The machinery is
-kept because results must be valid tolerances even in those corner cases.
+``A_e`` and ``A_c`` are sums and products of nonnegative numbers, so the
+computed ratio lies in [0, 1] even after rounding: no clamp is needed.  With
+no spread within the groups it is ``m_c / (m_e + m_c)``, where the
+group-mean reward curves cross.  A grid scan over [0, 1] is kept as an
+oracle.  Divergences above ``MAX_DIVERGENCE`` are refused, so every
+statistic and tolerance stays finite.
 """
 
 from __future__ import annotations
@@ -61,10 +59,15 @@ GRID_STEP_RTOL = 1e-9
 #: largest n for which :func:`pairwise_objective` builds its n x n matrix
 PAIRWISE_MAX_N = 5000
 
-#: var(u) at or below 1e-12 * max(D)^2 is treated as zero curvature.  The
-#: bound is relative, so rescaling the actions and the optimum never changes
-#: whether an objective counts as degenerate.
+#: a coefficient of theta^2 at or below 1e-12 * max(D)^2 is treated as zero
+#: curvature.  The bound is relative, so rescaling the actions and the optimum
+#: never changes whether an objective counts as degenerate.
 DEGENERACY_RTOL = 1e-12
+
+#: largest divergence the estimator accepts: squares of divergences up to
+#: 1e150, and so every group statistic, coefficient and tolerance, stay finite
+#: for fewer than 10^8 animals
+MAX_DIVERGENCE = 1e150
 
 #: largest replicate count :func:`bootstrap_ci` accepts
 BOOTSTRAP_MAX_REPLICATES = 10**6
@@ -84,8 +87,11 @@ class EstimateResult:
     """Fitted tolerance with minimizer provenance and diagnostics.
 
     ``quadratic`` carries the (var_u, cov_uv, var_v) coefficients of the
-    objective's quadratic form, useful for audits and standard-error work.
-    ``clamped`` is set when the unconstrained minimizer fell outside [0, 1].
+    objective's quadratic form ``var_u * theta^2 + 2 * cov_uv * theta + var_v``,
+    useful for audits and standard-error work.  ``clamped`` is set on the GRID
+    path when the grid's argmin sits on a boundary because the parabola's
+    vertex lies outside [0, 1]; the closed-form argmin always lies in [0, 1],
+    so on the CLOSED_FORM path it is always False.
     """
 
     theta_e: float
@@ -109,13 +115,31 @@ class CurveSamples:
     crossing_theta: float | None
 
 
-def _decompose(ds: Dataset, spec: DivergenceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (u, v, d): the linear reward coefficients and the divergences."""
-    d = dataset_divergences(ds, spec)
-    s = ds.states
-    u = -d * (2 * s - 1)
-    v = -d * (1 - s)
-    return u, v, d
+def _fit(d_e: np.ndarray, d_c: np.ndarray):
+    """Return (theta, degenerate, (var_u, cov_uv, var_v)) from group divergences.
+
+    ``d_e`` and ``d_c`` have shapes (..., n_e) and (..., n_c): 1-D for one
+    dataset, 2-D for a block of replicates, each row fitted to the same bits
+    as alone.  Both groups must be non-empty and every ``D`` finite and
+    nonnegative.  ``theta`` lies in [0, 1] on every row, but means nothing
+    where ``degenerate``.
+    """
+    n_e, n_c = d_e.shape[-1], d_c.shape[-1]
+    n = n_e + n_c
+    pq = (n_e / n) * (n_c / n)
+    # the bits of .mean(axis=-1), without its per-call overhead
+    m_e = d_e.sum(axis=-1) / n_e
+    m_c = d_c.sum(axis=-1) / n_c
+    w_e = np.square(d_e - m_e[..., None]).sum(axis=-1) / n
+    w_c = np.square(d_c - m_c[..., None]).sum(axis=-1) / n
+    pq_m = pq * (m_e + m_c)
+    a_e = w_e + pq_m * m_e
+    a_c = w_c + pq_m * m_c
+    var_u = a_e + a_c
+    top = np.maximum(d_e.max(axis=-1), d_c.max(axis=-1))
+    degenerate = var_u <= DEGENERACY_RTOL * (top * top)
+    theta = a_c / (var_u + degenerate)  # no 0/0 on an all-zero row
+    return theta, degenerate, (var_u, 0.0 - a_c, w_c + pq * m_c * m_c)
 
 
 def _require_theta(theta_e: float) -> float:
@@ -125,23 +149,40 @@ def _require_theta(theta_e: float) -> float:
     return t
 
 
-def _require_both_groups(ds: Dataset) -> None:
-    s = ds.states
-    presence = ((s.max() == 1, "exposed"), (s.min() == 0, "control"))
-    missing = [name for present, name in presence if not present]
+def _divergences(ds: Dataset, spec: DivergenceSpec) -> np.ndarray:
+    """:func:`dataset_divergences`, refused unless finite and at most ``MAX_DIVERGENCE``."""
+    d = dataset_divergences(ds, spec)
+    top = d.max()
+    if not top <= MAX_DIVERGENCE:
+        raise InputError(
+            f"divergences must be finite and at most {MAX_DIVERGENCE:g}, got {float(top)!r}; "
+            "rescale the actions and the optimum"
+        )
+    return d
+
+
+def _group_divergences(ds: Dataset, spec: DivergenceSpec):
+    """Return (d, d_e, d_c): all divergences, then the exposed and the control ones."""
+    exposed = ds.states == 1
+    n_e = np.count_nonzero(exposed)
+    groups = (("exposed", n_e == 0), ("control", n_e == exposed.size))
+    missing = [name for name, absent in groups if absent]
     if missing:
         raise EstimationError(f"missing {' and '.join(missing)} group")
+    d = _divergences(ds, spec)
+    return d, d[exposed], d[~exposed]
 
 
-def _rewards(theta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u * theta + v
+def _rewards(theta, d: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Subjective rewards: ``-D * theta`` if exposed, ``-D * (1 - theta)`` if control."""
+    return -d * np.where(states == 1, theta, 1.0 - theta)
 
 
-def _objective(theta: float, u: np.ndarray, v: np.ndarray) -> float:
-    """Twice the divisor-n variance of the rewards ``u * theta + v``."""
-    r = _rewards(theta, u, v)
-    centered = r - r.mean()
-    return float(2.0 * np.mean(centered * centered))
+def _objective(theta: float, d: np.ndarray, states: np.ndarray) -> float:
+    """Twice the divisor-n variance of the rewards."""
+    r = _rewards(theta, d, states)
+    centered = r - r.sum() / r.size  # sum / size: the bits of mean()
+    return float(2.0 * ((centered * centered).sum() / r.size))
 
 
 def pairwise_objective(theta_e: float, ds: Dataset, spec: DivergenceSpec) -> float:
@@ -155,8 +196,7 @@ def pairwise_objective(theta_e: float, ds: Dataset, spec: DivergenceSpec) -> flo
         raise InputError(
             f"pairwise_objective builds an n x n matrix; n={len(ds)} exceeds {PAIRWISE_MAX_N}"
         )
-    u, v, _ = _decompose(ds, spec)
-    r = _rewards(t, u, v)
+    r = _rewards(t, _divergences(ds, spec), ds.states)
     diff = r[:, None] - r[None, :]
     return float(np.mean(diff * diff))
 
@@ -167,29 +207,7 @@ def variance_objective(theta_e: float, ds: Dataset, spec: DivergenceSpec) -> flo
     Agrees with :func:`pairwise_objective` to floating-point accuracy.
     """
     t = _require_theta(theta_e)
-    u, v, _ = _decompose(ds, spec)
-    return _objective(t, u, v)
-
-
-def _quadratic_coefficients(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
-    """Divisor-n moments (var_u, cov_uv, var_v) of the reward decomposition."""
-    uc = u - u.mean()
-    vc = v - v.mean()
-    n = u.shape[0]
-    var_u = float(np.dot(uc, uc) / n)
-    cov_uv = float(np.dot(uc, vc) / n)
-    var_v = float(np.dot(vc, vc) / n)
-    return var_u, cov_uv, var_v
-
-
-def _check_degenerate(var_u: float, d: np.ndarray) -> None:
-    tol = DEGENERACY_RTOL * float(np.max(d, initial=0.0)) ** 2
-    if var_u <= tol:
-        raise DegenerateObjectiveError(
-            "objective has no curvature in theta (var of the reward slope "
-            f"coefficients is {var_u:.3e} <= tolerance {tol:.3e}); "
-            "this happens when every divergence is zero, so no tolerance is identified"
-        )
+    return _objective(t, _divergences(ds, spec), ds.states)
 
 
 def _parabola_vertex(x: np.ndarray, y: np.ndarray) -> float:
@@ -241,16 +259,6 @@ def _scan_grid(var_u: float, cov_uv: float, var_v: float, step: float) -> tuple[
     return theta, clamped
 
 
-def _minimize_quadratic(var_u: float, cov_uv: float) -> tuple[float, bool]:
-    """Closed-form argmin of the quadratic objective, clamped to [0, 1]."""
-    unconstrained = -cov_uv / var_u
-    if unconstrained < 0.0:
-        return 0.0, True
-    if unconstrained > 1.0:
-        return 1.0, True
-    return float(unconstrained) + 0.0, False  # normalize -0.0
-
-
 def estimate_theta(
     ds: Dataset,
     spec: DivergenceSpec,
@@ -262,26 +270,32 @@ def estimate_theta(
     CLOSED_FORM uses the quadratic's analytic argmin; GRID scans a uniform
     grid (default step 1e-6) as an independent oracle.  Raises
     :class:`EstimationError` when a group is missing and
-    :class:`DegenerateObjectiveError` when the objective has no curvature.
+    :class:`DegenerateObjectiveError` when the objective has no curvature,
+    and :class:`InputError` when a divergence exceeds ``MAX_DIVERGENCE``.
     """
-    _require_both_groups(ds)
-    u, v, d = _decompose(ds, spec)
-    var_u, cov_uv, var_v = _quadratic_coefficients(u, v)
-    _check_degenerate(var_u, d)
+    d, d_e, d_c = _group_divergences(ds, spec)
+    theta, degenerate, coefficients = _fit(d_e, d_c)
+    quadratic = tuple(map(float, coefficients))
+    if degenerate:
+        raise DegenerateObjectiveError(
+            f"objective has no curvature in theta (its theta^2 coefficient is {quadratic[0]:.3e} "
+            f"<= tolerance {DEGENERACY_RTOL * float(d.max()) ** 2:.3e}); "
+            "this happens when every divergence is zero, so no tolerance is identified"
+        )
 
     if method is Method.CLOSED_FORM:
-        theta, clamped = _minimize_quadratic(var_u, cov_uv)
+        theta, clamped = float(theta), False
     elif method is Method.GRID:
-        theta, clamped = _scan_grid(var_u, cov_uv, var_v, grid_step)
+        theta, clamped = _scan_grid(*quadratic, grid_step)
     else:
         raise InputError(f"unknown method {method!r}")
 
     return EstimateResult(
         theta_e=theta,
-        objective_at_min=_objective(theta, u, v),
+        objective_at_min=_objective(theta, d, ds.states),
         method=method,
         clamped=clamped,
-        quadratic=(var_u, cov_uv, var_v),
+        quadratic=quadratic,
     )
 
 
@@ -295,17 +309,15 @@ def reward_curves(ds: Dataset, spec: DivergenceSpec, grid) -> CurveSamples:
     crossing is reported; when every divergence is zero the curves coincide
     and the first grid value is reported.
     """
-    _require_both_groups(ds)
     thetas = np.asarray(grid, dtype=float)
     if thetas.ndim != 1 or thetas.size == 0:
         raise InputError("grid must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(thetas)) or thetas.min() < 0.0 or thetas.max() > 1.0:
         raise InputError("grid values must lie in [0, 1]")
 
-    _, _, d = _decompose(ds, spec)
-    s = ds.states
-    mean_d_exposed = float(d[s == 1].mean())
-    mean_d_control = float(d[s == 0].mean())
+    _, d_e, d_c = _group_divergences(ds, spec)
+    mean_d_exposed = float(d_e.mean())
+    mean_d_control = float(d_c.mean())
     mean_exposed = -thetas * mean_d_exposed
     mean_control = -(1.0 - thetas) * mean_d_control
 
@@ -339,8 +351,8 @@ def bootstrap_ci(
 
     Only the draws are made one replicate at a time: they fill the rows of
     an index block of at most ``BOOTSTRAP_BLOCK_ELEMENTS`` entries, and the
-    moments and argmins of a whole block are computed together, with the
-    same floating-point operations as :func:`estimate_theta`.
+    whole block is fitted at once from its rows' group statistics, each row
+    to the same bits as :func:`estimate_theta` on the resampled dataset.
 
     Note the percentile interval is not guaranteed to contain the point
     estimate.
@@ -351,14 +363,9 @@ def bootstrap_ci(
         )
     if not 0.0 < level < 1.0:
         raise InputError(f"level must lie in (0, 1), got {level!r}")
-    _require_both_groups(ds)
-
-    u, v, d = _decompose(ds, spec)
-    s = ds.states
-    exposed_idx = np.flatnonzero(s == 1)
-    control_idx = np.flatnonzero(s == 0)
-    n_e, n = exposed_idx.size, len(s)
-    n_c = n - n_e
+    _, d_e, d_c = _group_divergences(ds, spec)
+    d = np.concatenate([d_e, d_c])
+    n_e, n_c, n = d_e.size, d_c.size, d.size
 
     rows = max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
     block = np.empty((min(rows, replicates), n), dtype=np.intp)
@@ -371,9 +378,10 @@ def bootstrap_ci(
             rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
             row[:n_e] = rng.integers(0, n_e, size=n_e)
             row[n_e:] = rng.integers(0, n_c, size=n_c)
-        take[:, :n_e] = exposed_idx[take[:, :n_e]]
-        take[:, n_e:] = control_idx[take[:, n_e:]]
-        estimates.append(_block_estimates(u[take], v[take], d[take]))
+        take[:, n_e:] += n_e  # the control divergences follow the exposed ones in d
+        draws = d[take]
+        thetas, degenerate, _ = _fit(draws[:, :n_e], draws[:, n_e:])
+        estimates.append(thetas[~degenerate])
 
     estimates = np.concatenate(estimates)
     skipped = replicates - estimates.size
@@ -386,19 +394,3 @@ def bootstrap_ci(
     lo, hi = np.percentile(estimates, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return float(lo), float(hi)
 
-
-def _block_estimates(u: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Closed-form argmins of the non-degenerate rows of resampled (u, v, d).
-
-    Row by row this repeats :func:`_quadratic_coefficients`,
-    :func:`_check_degenerate` and :func:`_minimize_quadratic` bit for bit:
-    row means are the same pairwise sums, and a (1, n) @ (n, 1) matmul is the
-    same dot product.
-    """
-    n = u.shape[1]
-    uc = u - u.mean(axis=1, keepdims=True)
-    vc = v - v.mean(axis=1, keepdims=True)
-    var_u = np.matmul(uc[:, None, :], uc[:, :, None])[:, 0, 0] / n
-    cov_uv = np.matmul(uc[:, None, :], vc[:, :, None])[:, 0, 0] / n
-    ok = var_u > DEGENERACY_RTOL * np.max(d, axis=1, initial=0.0) ** 2
-    return np.clip(-cov_uv[ok] / var_u[ok], 0.0, 1.0) + 0.0  # normalize -0.0

@@ -663,30 +663,72 @@ def mutated_file(draw, valid):
     return bytes(data)
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     command=st.sampled_from(["estimate", "ingest-check"]),
     source=st.sampled_from(["bins", "events"]),
     files=st.fixed_dictionaries({name: mutated_file(v) for name, v in VALID_INPUTS.items()}),
+    optimal=st.sampled_from([0.0, 1.0, 1e100, 1e200, 1.7e308]),
+    sign=st.sampled_from([1.0, -1.0]),
 )
-def test_fuzzed_inputs_exit_cleanly(command, source, files):
-    """Any input bytes give exit 0, 1 or 2, and every failure a JSON error on stderr."""
+def test_fuzzed_inputs_exit_cleanly(command, source, files, optimal, sign):
+    """Any input bytes give exit 0, 1 or 2, and every failure a JSON error on stderr.
+
+    A run that succeeds writes strict JSON, with an estimate in [0, 1].
+    """
     with tempfile.TemporaryDirectory() as directory:
         for name, data in files.items():
             with open(os.path.join(directory, f"{name}.csv"), "wb") as fh:
                 fh.write(data)
-        optimal = "1" if source == "bins" else ",".join(["0"] * 12)
-        argv = ["--command", command, "--optimal", optimal,
+        components = [sign * optimal] + ([] if source == "bins" else [0.0] * 11)
+        out = os.path.join(directory, "r.json")
+        # one token, or argparse reads a leading "-1e+100" as an option
+        argv = ["--command", command, "--optimal=" + ",".join(map(repr, components)),
                 "--exposures", os.path.join(directory, "exposures.csv"),
-                f"--{source}", os.path.join(directory, f"{source}.csv"),
-                "--out", os.path.join(directory, "r.json")]
+                f"--{source}", os.path.join(directory, f"{source}.csv"), "--out", out]
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(argv)
+        if code == 0:
+            with open(out, encoding="utf-8") as fh:
+                written = strict_json(fh.read())
     assert code in (0, 1, 2)
     if code != 0:
         error = json.loads(stderr.getvalue().splitlines()[-1])["error"]
         assert isinstance(error["class"], str) and isinstance(error["message"], str)
+    elif command == "estimate":
+        assert 0.0 <= written["result"]["theta_e"] <= 1.0
+
+
+@pytest.mark.parametrize("optimal", ["1e100", "1e200"])
+@pytest.mark.parametrize("command", ["estimate", "curves"])
+def test_divergences_too_large_to_square_are_refused(command, optimal, tmp_path, capsys):
+    # the squared divergences are 1e200, past the estimator's bound, and inf
+    exposures = tmp_path / "exposures.csv"
+    exposures.write_text("mouse_id,exposed\nm1,1\nm2,0\n", encoding="utf-8")
+    bins = tmp_path / "bins.csv"
+    bins.write_text("mouse_id,session,b0,b1\nm1,1,3,0\nm2,1,2,1\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        ["--command", command, "--exposures", str(exposures), "--bins", str(bins),
+         "--optimal", f"{optimal},0", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    error = strict_json(stderr)["error"]
+    assert error["class"] == "InputError"
+    assert "at most 1e+150" in error["message"]
+    assert not out.exists()
 
 
 class TestResourceBounds:

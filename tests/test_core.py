@@ -15,7 +15,7 @@ from divtol import (
     validate_dataset,
     variance_objective,
 )
-from divtol.estimator import _decompose
+from divtol.estimator import _rewards
 
 SIXTY_MINUS_MIDPOINTS = 60.0 - (np.arange(12) + 0.5) * 5.0
 
@@ -39,15 +39,13 @@ def one_divergence(action, spec):
 
 
 def rewards(theta, ds, spec):
-    """The rewards the estimator minimizes over: ``u * theta + v``."""
-    u, v, _ = _decompose(ds, spec)
-    return u * theta + v
+    """The rewards the estimator minimizes over."""
+    return _rewards(theta, dataset_divergences(ds, spec), ds.states)
 
 
 def full_weight_rewards(ds, spec):
     """Each animal's reward at full weight (theta 1 if exposed, 0 if control)."""
-    u, v, _ = _decompose(ds, spec)
-    return u * ds.states + v
+    return _rewards(ds.states, dataset_divergences(ds, spec), ds.states)
 
 
 class TestDivergence:
@@ -153,7 +151,7 @@ class TestSubjectiveReward:
 
 
 class TestRewardModel:
-    """The reward law the estimator runs: ``R = u * theta + v``."""
+    """The reward law the estimator runs: ``-D * theta`` or ``-D * (1 - theta)``."""
 
     def test_theta_c_is_complement(self):
         spec = DivergenceSpec(optimal=np.array([0.0]))

@@ -1,10 +1,11 @@
 """Pairwise objective, minimizer, curves, contrast, and bootstrap."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divtol import (
@@ -18,6 +19,7 @@ from divtol import (
     Norm,
     PolicyConfig,
     bootstrap_ci,
+    dataset_divergences,
     estimate_theta,
     generate_dataset,
     pairwise_objective,
@@ -28,8 +30,9 @@ import divtol.estimator as estimator
 from divtol.estimator import (
     BOOTSTRAP_MAX_REPLICATES,
     DEFAULT_GRID_STEP,
+    DEGENERACY_RTOL,
+    MAX_DIVERGENCE,
     PAIRWISE_MAX_N,
-    _minimize_quadratic,
     _scan_grid,
     grid_intervals,
 )
@@ -179,6 +182,143 @@ def test_small_actions_are_not_degenerate():
     assert estimate_theta(small, SCALAR_AT_ZERO).theta_e == pytest.approx(theta, rel=1e-9)
 
 
+def reference_theta(ds, spec):
+    """Oracle for the closed form: ``-cov(u, v) / var(u)`` of the reward decomposition.
+
+    Each reward is ``u * theta + v`` with ``u = -D (2 s - 1)`` and
+    ``v = -D (1 - s)``, so the objective is ``var(u) theta^2 + 2 cov(u, v)
+    theta + var(v)`` (divisor-n moments).  Returns None where ``var(u)`` is
+    within the degeneracy tolerance, and clamps the vertex to [0, 1].
+    """
+    d = dataset_divergences(ds, spec)
+    s = ds.states
+    u = -d * (2 * s - 1)
+    v = -d * (1 - s)
+    uc = u - u.mean()
+    vc = v - v.mean()
+    var_u = float(np.dot(uc, uc) / d.size)
+    cov_uv = float(np.dot(uc, vc) / d.size)
+    if var_u <= DEGENERACY_RTOL * float(np.max(d)) ** 2:
+        return None
+    return min(max(-cov_uv / var_u, 0.0), 1.0)
+
+
+@st.composite
+def fitting_cases(draw):
+    """Two-group datasets in d <= 12 under either norm, some with mice at the optimum."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 400))
+    d = draw(st.integers(1, 12))
+    states = np.zeros(n, dtype=int)
+    states[: draw(st.integers(1, n - 1))] = 1
+    rng.shuffle(states)
+    actions = rng.gamma(draw(st.sampled_from([0.3, 2.0])), 2.0, size=(n, d))
+    optimal = rng.normal(size=d)
+    at_optimum = draw(st.sampled_from(["none", "some", "exposed", "control", "all"]))
+    mask = {
+        "none": np.zeros(n, dtype=bool),
+        "some": rng.random(n) < 0.5,
+        "exposed": states == 1,
+        "control": states == 0,
+        "all": np.ones(n, dtype=bool),
+    }[at_optimum]
+    actions[mask] = optimal
+    spec = DivergenceSpec(optimal=optimal, norm=draw(st.sampled_from(list(Norm))))
+    return Dataset.from_arrays(actions=actions, states=states), spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fitting_cases())
+def test_closed_form_agrees_with_the_reward_decomposition(case):
+    ds, spec = case
+    expected = reference_theta(ds, spec)
+    if expected is None:
+        with pytest.raises(DegenerateObjectiveError):
+            estimate_theta(ds, spec)
+        return
+    result = estimate_theta(ds, spec)
+    assert abs(result.theta_e - expected) <= 4e-15 * expected
+    assert result.objective_at_min == variance_objective(result.theta_e, ds, spec)
+
+
+@st.composite
+def group_divergences(draw):
+    """Nonnegative divergences of one group: 1-20 values in [1e-150, 1e150] or zero.
+
+    Some groups are all zero, some have no spread (one value repeated).
+    """
+    size = draw(st.integers(1, 20))
+    value = st.just(0.0) | st.floats(1e-150, 1e150)
+    kind = draw(st.sampled_from(["mixed", "constant", "zero"]))
+    if kind == "zero":
+        return [0.0] * size
+    if kind == "constant":
+        return [draw(value)] * size
+    return draw(st.lists(value, min_size=size, max_size=size))
+
+
+def divergence_dataset(d_e, d_c, scale=0):
+    """Dataset whose L1 divergences from 0 are exactly ``2**scale * D``."""
+    d = np.ldexp(np.r_[d_e, d_c], scale)
+    states = np.r_[np.ones(len(d_e), dtype=int), np.zeros(len(d_c), dtype=int)]
+    return Dataset.from_arrays(actions=d[:, None], states=states)
+
+
+L1_AT_ZERO = DivergenceSpec(optimal=[0.0], norm=Norm.L1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(d_e=group_divergences(), d_c=group_divergences(), data=st.data())
+def test_closed_form_needs_no_clamp(d_e, d_c, data):
+    # A_e and A_c are nonnegative, so A_c / (A_e + A_c) lies in [0, 1] as computed
+    ds = divergence_dataset(d_e, d_c)
+    if not any(d_e + d_c):
+        with pytest.raises(DegenerateObjectiveError):
+            estimate_theta(ds, L1_AT_ZERO)
+        return
+    result = estimate_theta(ds, L1_AT_ZERO)
+    theta = result.theta_e
+    assert 0.0 <= theta <= 1.0
+    assert result.clamped is False
+
+    # power-of-two scaling is exact while every value stays in [1e-150, 1e150]
+    top = max(d_e + d_c)
+    least = min(x for x in d_e + d_c if x > 0.0)
+    hi = min(100, math.floor(math.log2(MAX_DIVERGENCE / top)))
+    lo = max(-100, math.ceil(math.log2(1e-150 / least)))
+    hi -= math.ldexp(top, hi) > MAX_DIVERGENCE
+    lo += math.ldexp(least, lo) < 1e-150
+    assume(lo <= hi)
+    k = data.draw(st.integers(lo, hi), label="k")
+    assert estimate_theta(divergence_dataset(d_e, d_c, k), L1_AT_ZERO).theta_e == theta
+
+    if len(set(d_e)) == 1 and len(set(d_c)) == 1:
+        # no within-group spread: the estimate is the reward curves' crossing
+        crossing = reward_curves(ds, L1_AT_ZERO, [0.0, 1.0]).crossing_theta
+        assert abs(theta - crossing) <= 2 * np.spacing(crossing)
+
+
+class TestMaxDivergence:
+    @pytest.mark.parametrize("top", [2 * MAX_DIVERGENCE, 1e200, 1.7e308])
+    def test_divergences_beyond_the_bound_are_refused(self, top):
+        ds = divergence_dataset([1.0, top], [2.0])
+        with pytest.raises(InputError, match="at most 1e\\+150"):
+            estimate_theta(ds, L1_AT_ZERO)
+        with pytest.raises(InputError, match="at most 1e\\+150"):
+            reward_curves(ds, L1_AT_ZERO, [0.0, 1.0])
+        with pytest.raises(InputError, match="at most 1e\\+150"):
+            bootstrap_ci(ds, L1_AT_ZERO, replicates=100, seed=0)
+        with pytest.raises(InputError, match="at most 1e\\+150"):
+            variance_objective(0.5, ds, L1_AT_ZERO)
+
+    def test_the_bound_itself_is_accepted(self):
+        ds = divergence_dataset([MAX_DIVERGENCE, MAX_DIVERGENCE], [0.5 * MAX_DIVERGENCE])
+        result = estimate_theta(ds, L1_AT_ZERO)
+        assert result.theta_e == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert all(np.isfinite(result.quadratic)) and np.isfinite(result.objective_at_min)
+        assert 0.0 <= min(bootstrap_ci(ds, L1_AT_ZERO, replicates=100, seed=0)) <= 1.0
+
+
 class TestEstimateTheta:
     def test_two_mouse_solution_is_exact(self):
         result = estimate_theta(two_mouse_dataset(), SCALAR_AT_ONE)
@@ -263,10 +403,7 @@ class TestEstimateTheta:
 
     def test_clamp_branches_on_the_quadratic_minimizer(self):
         # datasets cannot push the vertex outside [0, 1] (divergences are
-        # nonnegative), so the clamp branches are pinned down directly
-        assert _minimize_quadratic(1.0, 0.5) == (0.0, True)
-        assert _minimize_quadratic(1.0, -1.5) == (1.0, True)
-        assert _minimize_quadratic(1.0, -0.5) == (0.5, False)
+        # nonnegative), so the grid's clamp branches are pinned down directly
         assert _scan_grid(1.0, 0.5, 1.0, 1e-4) == (0.0, True)
         assert _scan_grid(1.0, -1.5, 1.0, 1e-4) == (1.0, True)
 

@@ -8,8 +8,12 @@ hashes from the replicate-at-a-time bootstrap that the block-wise one
 replaced; the CLI output hashes from the per-command JSON/CSV writers that
 one writer replaced, and they held when ``dataclasses.asdict`` replaced
 the hand-built config and policy echoes; the events and large-count CLI
-hashes from the row-at-a-time parsers that columnar ingest replaced.  Any
-change to them is a numeric change and must be stated as one.
+hashes from the row-at-a-time parsers that columnar ingest replaced.  Every
+hash except the iid-dataset and ingest-check ones was re-recorded when the
+fit moved from the per-animal reward decomposition to six group statistics,
+a stated last-bit change (thetas within 2e-15 relative, Monte-Carlo
+fractions and curve samples unchanged).  Any change to them is a numeric
+change and must be stated as one.
 """
 
 import hashlib
@@ -30,14 +34,14 @@ from divtol import (
 )
 from divtol.cli import main
 
-MC_SHA256 = "72fea2ff557d819b77af04bd96ea20dc1663ff49d6dbae649853a2f09a1488f5"
-ESTIMATE_OUT_SHA256 = "801d34592eb259f542ce714e8542b6a63e6dc4bd00c4fd8cda7e491d9e0a3643"
+MC_SHA256 = "7b6b692350f41b2dcda70763757a6954173a55a279bd9ecd0d4a764981b6d524"
+ESTIMATE_OUT_SHA256 = "21a30b8ae0c9c0f627544b90e7311868ec9c60ad3f566cf9c7e66cd077718937"
 IID_DATASET_SHA256 = "a5e3a205e921c8409bcfeb17dc900f704b65caa9ef72f812de1681fc4f379780"
-SWEEP_SHA256 = "13e1312b57ddf5b7b75c8bad98f5f44cbaf1dda271411a89087917bee51ea4fc"
+SWEEP_SHA256 = "2e2db1a47f764744439821205c86284a7618915fa604eec4f871e77edca07dea"
 # B=2500 at n=200 spans many resampling blocks and ends in a partial one
 BOOTSTRAP_SHA256 = {
-    Norm.L2_SQUARED: "313b02079cefb005cf9dd0655396dba00dce254f9992d754e4a1f77621a58724",
-    Norm.L1: "5a523755e489ad39c0ec20e71e0f517c28ad5a6fee5ba61cd8177d33236f0546",
+    Norm.L2_SQUARED: "625fcd9944d3f2268be86d0fa1483a928f779f62406f102be2dba9364876f600",
+    Norm.L1: "aa9d16f63d23959ecd2a0160256e7a8c4a2bfb9f740c3f0180fa12d0ab365ad1",
 }
 
 OPTIMAL_12 = ",".join(["1"] + ["0"] * 11)
@@ -56,17 +60,17 @@ CLI_RUNS = {
 }
 CLI_OUT_SHA256 = {
     ("estimate", "csv"):
-        "4d6957334d32e7803eadabf6438a141890355cffcb39ba2526db4770f5649277",
+        "0fda53cad06dccfede50774b00739063ee7000a7af51fba0f1e0aab65bf49390",
     ("curves", "json"):
-        "338f5f1e7c35ff462fd5332d8c4cb867b5db675f55fc6f887ee61c7b56c025aa",
+        "00ba26f1a004059eba1656b7ff151a829f68fe3375d9935b9bf67452f28f5c66",
     ("curves", "csv"):
-        "828977364f5d4530e0f4fd0a121185178c98e14d415ff4cbd31dd67defaf5445",
+        "77ce1bf91503106f5cab5978c6bda4b4db1044dc726c976c2420909ac285b13b",
     ("simulate-mc", "json"):
-        "9a763424629389f202e42881e80c3b06207d3af4623226484ef4cd1e6a741ce7",
+        "e989bd9193ddbe038601fa58028fd50245bbaac2bc73dbcfc42ae300a744a629",
     ("simulate-mc", "csv"):
-        "348d6b41dbd3ea7e89d2db294474487f0819e90aa75a45e8e566fc373ca7326c",
+        "c25ba3113e1e8837b8acc337807f08b8d0af17ae7066653129f9ad0d19de7d46",
     ("consistency", "csv"):
-        "4eff4d9c73d4eaa7049861aeae7cccf2906bd11de2f3c490d26c197ec64bbe5d",
+        "e658ab85f57bfc7b1f3a834eb2da68deeef5772c14e5cc6a3e3506434af99790",
     ("ingest-check", "csv"):
         "b19b43fb24991c16fe1531f091612ad5e19c085676d478adb980dfd6d9792d16",
 }
@@ -87,15 +91,15 @@ INGEST_RUNS = {
 }
 INGEST_OUT_SHA256 = {
     ("estimate-events-l1", "json"):
-        "51ef59c0de218d1491b137c567bf4301a97c802799d1fd0782ba8955d7c16170",
+        "ef5e5005eb8f767ff0fcd94a71808d077cd783e05445e0d8baaa5bb3f7a890e7",
     ("estimate-events-l1", "csv"):
-        "00938a11758dcee2bb1387ea95d15526599d5e13a5d94f37c8043f118ae741b5",
+        "d1fb40ef71edb272b604be5f53bfcf255ec89220085e9c2ca6c50321bb528c02",
     ("curves-events", "json"):
-        "cdec936ec542a01967128cf495c6a4a52df5ff8b5d9209299b7589c3efa91ce9",
+        "5cfb3408ce276f396fb6d63e3ecf73f67a89b3bde1697460d2a1d358561c6841",
     ("estimate-big-counts-d12", "json"):
-        "939910f0ff47fce72bb3f2fa38e7080d838c470d6ecaf9a71eca7fa4dc8b2159",
+        "ad9c175ff8269ec8f388f250ed65f58222dd38e92f273ae8645580be18606f9a",
     ("estimate-big-counts-d1", "json"):
-        "b67b0a7acfcd177beabec4c6d6747bfeec8624d1401e940867cdba3bcccb4eb9",
+        "a43d1f1b869fb4d0156ef62c8d0f67790aab980d7b3d57eca45429129f31b83a",
 }
 
 
