@@ -17,9 +17,9 @@ carry identical values.
 
 Exit codes: 0 success, 1 validation or data error (including inputs that
 are not UTF-8, and an ``ingest-check`` that finds violations), 2
-configuration error (including an ``--out`` that cannot be written, which
-is checked before any work).  A failed run removes an ``--out`` that it
-created and left empty.  Failures emit a machine-readable
+configuration error (including a flag argparse rejects, and an ``--out``
+that cannot be written, which is checked before any work).  A failed run
+removes an ``--out`` that it created and left empty.  Failures emit a machine-readable
 ``{"error": {"class", "message"}}`` object on stderr.
 """
 
@@ -31,6 +31,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -101,8 +102,18 @@ class RunConfig:
     format: str
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors, not exits."""
+
+    def error(self, message: str) -> NoReturn:
+        if message.endswith("expected one argument"):
+            # argparse reads a value such as -1e100 as an option
+            message += "; a value that starts with '-' must follow '=', as in --optimal=-1e100"
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="divtol",
         description="Estimate a group's tolerance for divergence from optimality "
         "in fixed-interval experiments.",
@@ -448,10 +459,8 @@ def _emit_error(exc: Exception) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
+        cfg = _resolve_config(build_parser().parse_args(argv))
         created = not os.path.exists(cfg.out)
         _open_out(cfg.out, "a").close()  # fail before the work, not after it
         try:

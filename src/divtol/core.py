@@ -8,9 +8,11 @@ from a configured optimal action ``a*``:
 
 with optional nonnegative per-component weights ``w`` (all ones by default).
 :func:`dataset_divergences` computes it for every animal of a
-:class:`Dataset` at once.  The rewards that scale it by a group tolerance
-(``-D * theta_e`` for exposed animals, ``-D * (1 - theta_e)`` for controls)
-are formed in :mod:`divtol.estimator`.
+:class:`Dataset` at once, through :func:`action_divergences`, which takes any
+(n, d) action array (the simulation passes its blocks of replicates).  The
+rewards that scale it by a group tolerance (``-D * theta_e`` for exposed
+animals, ``-D * (1 - theta_e)`` for controls) are formed in
+:mod:`divtol.estimator`.
 
 All values here are immutable after construction and the functions are pure,
 so they are safe to share across concurrent workers.
@@ -33,6 +35,7 @@ __all__ = [
     "Dataset",
     "DivergenceSpec",
     "ValidationReport",
+    "action_divergences",
     "dataset_divergences",
     "validate_dataset",
 ]
@@ -225,15 +228,19 @@ def dataset_divergences(ds: Dataset, spec: DivergenceSpec) -> np.ndarray:
     Nonnegative; zero exactly where every weighted component of ``a - a*``
     vanishes.  Not finite where a divergence is too large for a float.
     """
-    if spec.dimension != ds.dimension:
+    return action_divergences(ds.actions, spec)
+
+
+def action_divergences(actions: np.ndarray, spec: DivergenceSpec) -> np.ndarray:
+    """:func:`dataset_divergences` of an (n, d) action array: one divergence per row."""
+    if spec.dimension != actions.shape[1]:
         raise InputError(
-            f"spec dimension {spec.dimension} does not match dataset dimension {ds.dimension}"
+            f"spec dimension {spec.dimension} does not match dataset dimension {actions.shape[1]}"
         )
-    acts = ds.actions
-    if not np.all(np.isfinite(acts)):
+    if not np.all(np.isfinite(actions)):
         raise InputError("actions must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = spec.effective_weights()[None, :] * (acts - spec.optimal[None, :])
+        resid = spec.effective_weights()[None, :] * (actions - spec.optimal[None, :])
         if spec.norm is Norm.L2_SQUARED:
             return np.einsum("ij,ij->i", resid, resid)
         return np.sum(np.abs(resid), axis=1)

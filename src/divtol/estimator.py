@@ -72,8 +72,9 @@ MAX_DIVERGENCE = 1e150
 #: largest replicate count :func:`bootstrap_ci` accepts
 BOOTSTRAP_MAX_REPLICATES = 10**6
 
-#: :func:`bootstrap_ci` resamples max(1, this // n) replicates per block, so
-#: its working memory stays bounded at any n
+#: :func:`bootstrap_ci` resamples, and the simulation study loops draw,
+#: max(1, this // n) replicates per block, so working memory stays bounded
+#: at any n
 BOOTSTRAP_BLOCK_ELEMENTS = 16384
 
 
@@ -149,16 +150,26 @@ def _require_theta(theta_e: float) -> float:
     return t
 
 
-def _divergences(ds: Dataset, spec: DivergenceSpec) -> np.ndarray:
-    """:func:`dataset_divergences`, refused unless finite and at most ``MAX_DIVERGENCE``."""
-    d = dataset_divergences(ds, spec)
-    top = d.max()
-    if not top <= MAX_DIVERGENCE:
+def _bounded(d: np.ndarray) -> np.ndarray:
+    """``d``, refused unless every divergence is finite and at most ``MAX_DIVERGENCE``.
+
+    ``d`` holds one dataset's divergences, or one row per replicate; the
+    error names the largest divergence of the first row refused.
+    """
+    tops = d.max(axis=-1)
+    ok = tops <= MAX_DIVERGENCE
+    if not ok.all():
+        top = np.ravel(tops)[~np.ravel(ok)][0]
         raise InputError(
             f"divergences must be finite and at most {MAX_DIVERGENCE:g}, got {float(top)!r}; "
             "rescale the actions and the optimum"
         )
     return d
+
+
+def _divergences(ds: Dataset, spec: DivergenceSpec) -> np.ndarray:
+    """:func:`dataset_divergences`, refused by :func:`_bounded`."""
+    return _bounded(dataset_divergences(ds, spec))
 
 
 def _group_divergences(ds: Dataset, spec: DivergenceSpec):

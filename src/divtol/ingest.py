@@ -24,6 +24,7 @@ rather than imputing zero-count sessions.
 from __future__ import annotations
 
 import csv
+import gc
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -136,6 +137,11 @@ class Events:
 
 def _read_rows(path) -> tuple[list[list[str]], np.ndarray]:
     """The file's non-empty csv rows and their 1-based record numbers."""
+    # csv.reader builds one list per row; they hold no cycles, and the
+    # collection passes their allocations set off slow a large read by
+    # about a fifth
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
@@ -143,6 +149,9 @@ def _read_rows(path) -> tuple[list[list[str]], np.ndarray]:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"cannot parse {path}: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
     lines = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows))) + 1
     if lines.shape[0] < len(rows):
         rows = list(filter(None, rows))

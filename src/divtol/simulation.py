@@ -32,9 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, DivergenceSpec
-from .errors import ConfigurationError, DegenerateObjectiveError, EstimationError, InputError, StudyError
-from .estimator import Method, estimate_theta, variance_objective
+from .core import Dataset, DivergenceSpec, action_divergences
+from .errors import ConfigurationError, EstimationError, InputError, StudyError
+from .estimator import (
+    BOOTSTRAP_BLOCK_ELEMENTS,
+    _bounded,
+    _fit,
+    estimate_theta,
+    variance_objective,
+)
 
 __all__ = [
     "PolicyConfig",
@@ -246,9 +252,16 @@ def generate_dataset(
         raise InputError(f"n must be >= 2, got {n}")
     if not 0.0 <= p_exposed <= 1.0:
         raise InputError(f"p_exposed must lie in [0, 1], got {p_exposed!r}")
-    states, _ = _draw_mixed_states(n, p_exposed, rng)
-    actions = _sample_actions(states, cfg, rng)
+    states, actions = _iid_row(cfg, n, p_exposed, rng)
     return Dataset.from_arrays(actions=actions[:, None], states=states)
+
+
+def _iid_row(
+    cfg: PolicyConfig, n: int, p_exposed: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The states and scalar actions that :func:`generate_dataset` draws."""
+    states, _ = _draw_mixed_states(n, p_exposed, rng)
+    return states, _sample_actions(states, cfg, rng)
 
 
 def draw_policy(cfg: PolicyConfig, rng: np.random.Generator) -> RealizedPolicy:
@@ -268,10 +281,17 @@ def generate_study_dataset(
     """n scalar observations from one realized policy (shapes shared within the dataset)."""
     if n < 2:
         raise InputError(f"n must be >= 2, got {n}")
+    states, actions = _study_row(policy, n, p_exposed, rng)
+    return Dataset.from_arrays(actions=actions[:, None], states=states)
+
+
+def _study_row(
+    policy: RealizedPolicy, n: int, p_exposed: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The states and scalar actions that :func:`generate_study_dataset` draws."""
     states, _ = _draw_mixed_states(n, p_exposed, rng)
     alphas = np.where(states == 1, policy.alpha_exposed, policy.alpha_control)
-    actions = np.maximum(rng.gamma(alphas, 1.0 / policy.rate), _SMALLEST_ACTION)
-    return Dataset.from_arrays(actions=actions[:, None], states=states)
+    return states, np.maximum(rng.gamma(alphas, 1.0 / policy.rate), _SMALLEST_ACTION)
 
 
 def fit_anova(ds: Dataset) -> AnovaFit:
@@ -301,6 +321,58 @@ def fit_anova(ds: Dataset) -> AnovaFit:
     return AnovaFit(b0=b0, b1=b1, sigma_sq=sigma_sq)
 
 
+def _fit_rows(
+    states: np.ndarray, actions: np.ndarray, spec: DivergenceSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit a (rows, n) block of replicates: (theta, degenerate, b1), one entry per row.
+
+    Each row gets the bits that :func:`estimate_theta` and :func:`fit_anova`
+    give on that replicate's dataset.  The divergences come from
+    :func:`action_divergences` and are refused as the estimator refuses
+    them.  A stable sort puts each row's exposed animals first, each group
+    in the dataset's order, and rows with the same number of exposed
+    animals are fitted together.  Every row must hold both groups.
+    """
+    rows, n = actions.shape
+    d = _bounded(action_divergences(actions.reshape(-1, 1), spec).reshape(rows, n))
+    order = np.argsort(states == 0, axis=1, kind="stable")
+    d = np.take_along_axis(d, order, axis=1)
+    a = np.take_along_axis(actions, order, axis=1)
+    n_e = np.count_nonzero(states, axis=1)
+    theta, b1 = np.empty(rows), np.empty(rows)
+    degenerate = np.empty(rows, dtype=bool)
+    for k in np.unique(n_e).tolist():
+        group = n_e == k
+        d_k, a_k = d[group], a[group]
+        theta[group], degenerate[group], _ = _fit(d_k[:, :k], d_k[:, k:])
+        # the bits of fit_anova's difference of group means
+        b1[group] = a_k[:, :k].sum(axis=1) / k - a_k[:, k:].sum(axis=1) / (n - k)
+    return theta, degenerate, b1
+
+
+def _fit_replicates(
+    draw_row, count: int, n: int, spec: DivergenceSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit ``count`` replicates of n animals: (theta, degenerate, b1), one entry each.
+
+    ``draw_row(i)`` returns replicate i's states and actions.  Only the draws
+    are made one replicate at a time, in order: they fill the rows of a
+    block of at most ``BOOTSTRAP_BLOCK_ELEMENTS`` entries (one row if n is
+    larger), and :func:`_fit_rows` fits each block at once.
+    """
+    rows = max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
+    states = np.empty((min(rows, count), n), dtype=int)
+    actions = np.empty(states.shape)
+    fits = []
+    for start in range(0, count, rows):
+        take = min(rows, count - start)
+        for i in range(take):
+            states[i], actions[i] = draw_row(start + i)
+        fits.append(_fit_rows(states[:take], actions[:take], spec))
+    theta, degenerate, b1 = map(np.concatenate, zip(*fits))
+    return theta, degenerate, b1
+
+
 def run_monte_carlo(cfg: McConfig, policy: PolicyConfig) -> McResult:
     """The simulation study: tolerance estimate vs ANOVA slope over replicates.
 
@@ -308,34 +380,27 @@ def run_monte_carlo(cfg: McConfig, policy: PolicyConfig) -> McResult:
     the tolerance with optimal action ``cfg.optimal_action`` under the
     squared L2 divergence, and fits the two-group ANOVA.  Replicates with a
     degenerate objective are counted and skipped; the fractions are taken
-    over the surviving replicates.
+    over the surviving replicates.  The replicates are fitted a block at a
+    time, each to the same bits as :func:`estimate_theta` and
+    :func:`fit_anova` on its own :func:`generate_study_dataset` draw.
     """
     spec = DivergenceSpec(optimal=np.array([cfg.optimal_action]))
-    root = np.random.SeedSequence(cfg.seed)
-    thetas: list[float] = []
-    b1s: list[float] = []
-    degenerate = 0
-    for child in root.spawn(cfg.num_datasets):
-        rng = np.random.default_rng(child)
-        realized = draw_policy(policy, rng)
-        ds = generate_study_dataset(realized, cfg.n_per_dataset, cfg.p_exposed, rng)
-        try:
-            result = estimate_theta(ds, spec, method=Method.CLOSED_FORM)
-        except DegenerateObjectiveError:
-            degenerate += 1
-            continue
-        thetas.append(result.theta_e)
-        b1s.append(fit_anova(ds).b1)
-    if not thetas:
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.num_datasets)
+
+    def draw_row(i):
+        rng = np.random.default_rng(children[i])
+        return _study_row(draw_policy(policy, rng), cfg.n_per_dataset, cfg.p_exposed, rng)
+
+    theta, degenerate, b1 = _fit_replicates(draw_row, cfg.num_datasets, cfg.n_per_dataset, spec)
+    theta, b1 = theta[~degenerate], b1[~degenerate]
+    if not theta.size:
         raise StudyError("every replicate produced a degenerate objective")
-    theta_arr = np.array(thetas)
-    b1_arr = np.array(b1s)
     return McResult(
-        frac_theta_below_half=float(np.mean(theta_arr < 0.5)),
-        frac_b1_above_zero=float(np.mean(b1_arr > 0.0)),
-        theta_estimates=tuple(thetas),
-        b1_estimates=tuple(b1s),
-        degenerate_count=degenerate,
+        frac_theta_below_half=float(np.mean(theta < 0.5)),
+        frac_b1_above_zero=float(np.mean(b1 > 0.0)),
+        theta_estimates=tuple(theta.tolist()),
+        b1_estimates=tuple(b1.tolist()),
+        degenerate_count=int(np.count_nonzero(degenerate)),
     )
 
 
@@ -362,13 +427,17 @@ def consistency_sweep(
     if replicates < 2:
         raise InputError("replicates must be >= 2")
     spec = DivergenceSpec(optimal=np.array([optimal_action]))
+    if ns and ns[0] < 2:
+        raise InputError(f"n must be >= 2, got {ns[0]}")
     rows = []
     for n in ns:
-        estimates = np.empty(replicates)
-        for j in range(replicates):
-            rng = _row_rng(seed, n, j)
-            ds = generate_dataset(policy, n, 0.5, rng)
-            estimates[j] = estimate_theta(ds, spec).theta_e
+        estimates, degenerate, _ = _fit_replicates(
+            lambda j: _iid_row(policy, n, 0.5, _row_rng(seed, n, j)), replicates, n, spec
+        )
+        if degenerate.any():
+            # refit the first degenerate replicate alone: it raises the estimator's error
+            j = int(np.argmax(degenerate))
+            estimate_theta(generate_dataset(policy, n, 0.5, _row_rng(seed, n, j)), spec)
         rows.append(
             SweepRow(n=n, mean_theta=float(estimates.mean()), sd_theta=float(estimates.std(ddof=1)))
         )

@@ -731,6 +731,61 @@ def test_divergences_too_large_to_square_are_refused(command, optimal, tmp_path,
     assert not out.exists()
 
 
+class TestUsageErrors:
+    """Flags argparse rejects exit 2 with one JSON error, like every other failure."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--command", "simulate-mc", "--optimal", "-1e100"], "--optimal=-1e100"),
+            (["--command", "simulate"], "argument --command: invalid choice: 'simulate'"),
+            (["--command", "simulate-mc", "--seed", "1.5"], "argument --seed: invalid int value"),
+        ],
+        ids=["negative-exponent", "unknown-command", "bad-seed"],
+    )
+    def test_rejected_flags_are_json_configuration_errors(self, args, message, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code, stdout, stderr = run(args + ["--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1
+        error = strict_json(stderr)["error"]
+        assert error["class"] == "ConfigurationError"
+        assert message in error["message"]
+        assert not out.exists()
+
+    def test_attached_negative_optimum_is_accepted(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code, _, _ = run(
+            ["--command", "simulate-mc", "--optimal=-1e10", "--datasets", "2", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["optimal"] == [-1e10]
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "usage: divtol" in capsys.readouterr().out
+
+
+def test_simulated_divergences_too_large_to_square_are_refused(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        ["--command", "simulate-mc", "--optimal", "1e100", "--datasets", "5", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert strict_json(stderr) == {"error": {
+        "class": "InputError",
+        "message": "divergences must be finite and at most 1e+150, got 1e+200; "
+        "rescale the actions and the optimum",
+    }}
+    assert not out.exists()
+
+
 class TestResourceBounds:
     """Flags that size an allocation are refused above their limit, before any work."""
 

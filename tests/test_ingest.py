@@ -1,6 +1,7 @@
 """File parsing, event binning, session averaging, and dataset assembly."""
 
 import csv
+import gc
 import math
 from dataclasses import dataclass
 
@@ -739,3 +740,22 @@ def test_columnar_events_parser_matches_the_row_loop(tmp_path_factory, case):
     binned = outcome(row_bin_events, expected[1], layout)
     assert_same_sessions(binned, outcome(bin_events, events, layout), layout)
     assert_same_sessions(binned, outcome(bin_events, expected[1], layout), layout)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_reading_leaves_the_collector_as_it_was(enabled, tmp_path):
+    good = tmp_path / "bins.csv"
+    good.write_text("mouse_id,session,b0\nm1,1,3\n", encoding="utf-8")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"mouse_id,session,b0\n\xff\n")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(parse_binned_counts(str(good))) == 1
+        assert gc.isenabled() is enabled
+        for path in (bad, tmp_path / "missing.csv"):
+            with pytest.raises(ParseError):
+                parse_binned_counts(str(path))
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

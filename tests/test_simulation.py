@@ -7,6 +7,7 @@ from scipy import integrate, stats
 import divtol.simulation as simulation
 from divtol import (
     Dataset,
+    DegenerateObjectiveError,
     DivergenceSpec,
     EstimationError,
     InputError,
@@ -18,10 +19,12 @@ from divtol import (
     estimate_theta,
     fit_anova,
     generate_dataset,
+    generate_study_dataset,
     objective_convergence_probe,
     run_monte_carlo,
 )
 from divtol.errors import ConfigurationError
+from divtol.estimator import BOOTSTRAP_BLOCK_ELEMENTS
 
 
 def truncated_shape_mean(mu, sd, mult, rate=1.0):
@@ -162,6 +165,133 @@ class TestFitAnova:
             fit_anova(ds)
 
 
+def per_replicate_monte_carlo(cfg, policy):
+    """Oracle: one dataset, estimate_theta and fit_anova per replicate, in spawn order."""
+    spec = DivergenceSpec(optimal=np.array([cfg.optimal_action]))
+    thetas, b1s, degenerate = [], [], 0
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.num_datasets):
+        rng = np.random.default_rng(child)
+        realized = draw_policy(policy, rng)
+        ds = generate_study_dataset(realized, cfg.n_per_dataset, cfg.p_exposed, rng)
+        try:
+            thetas.append(estimate_theta(ds, spec).theta_e)
+        except DegenerateObjectiveError:
+            degenerate += 1
+            continue
+        b1s.append(fit_anova(ds).b1)
+    return thetas, b1s, degenerate
+
+
+def per_replicate_sweep(policy, ns, replicates, seed, optimal_action):
+    """Oracle: one iid dataset and one estimate_theta call per replicate."""
+    spec = DivergenceSpec(optimal=np.array([optimal_action]))
+    rows = []
+    for n in ns:
+        datasets = (
+            generate_dataset(policy, n, 0.5, simulation._row_rng(seed, n, j))
+            for j in range(replicates)
+        )
+        estimates = np.array([estimate_theta(ds, spec).theta_e for ds in datasets])
+        rows.append((n, float(estimates.mean()), float(estimates.std(ddof=1))))
+    return rows
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+def block_rows(n):
+    return max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
+
+
+class TestBlockFit:
+    """The block-fitted study loops give the per-replicate path's bits."""
+
+    @pytest.mark.parametrize("n, datasets", [(2, 300), (3, 700), (50, 700), (1000, 40), (20000, 3)])
+    def test_monte_carlo_matches_the_per_replicate_path(self, n, datasets):
+        # the last block is partial, or every block is one row
+        assert block_rows(n) == 1 or datasets % block_rows(n)
+        cfg = McConfig(n_per_dataset=n, num_datasets=datasets, seed=n)
+        result = run_monte_carlo(cfg, PolicyConfig())
+        thetas, b1s, degenerate = per_replicate_monte_carlo(cfg, PolicyConfig())
+        assert bits(result.theta_estimates) == bits(thetas)
+        assert bits(result.b1_estimates) == bits(b1s)
+        assert result.degenerate_count == degenerate == 0
+
+    @pytest.mark.parametrize("optimal", [0.0, 1.5, -3.0])
+    @pytest.mark.parametrize("p_exposed", [0.1, 0.5, 0.9])
+    def test_monte_carlo_matches_across_designs(self, p_exposed, optimal):
+        cfg = McConfig(
+            n_per_dataset=50, num_datasets=400, p_exposed=p_exposed, seed=7, optimal_action=optimal
+        )
+        result = run_monte_carlo(cfg, PolicyConfig())
+        thetas, b1s, _ = per_replicate_monte_carlo(cfg, PolicyConfig())
+        assert bits(result.theta_estimates) == bits(thetas)
+        assert bits(result.b1_estimates) == bits(b1s)
+        assert result.frac_theta_below_half == float(np.mean(np.array(thetas) < 0.5))
+        assert result.frac_b1_above_zero == float(np.mean(np.array(b1s) > 0.0))
+
+    def test_degenerate_rows_are_skipped_in_place(self, monkeypatch):
+        # some replicates put every animal at the optimum; both paths draw
+        # through the same row helper, so they see the same replicates
+        draw = simulation._study_row
+
+        def sometimes_optimal(policy, n, p_exposed, rng):
+            states, actions = draw(policy, n, p_exposed, rng)
+            return states, np.full(n, 1.5) if rng.random() < 0.3 else actions
+
+        monkeypatch.setattr(simulation, "_study_row", sometimes_optimal)
+        cfg = McConfig(n_per_dataset=50, num_datasets=700, seed=3, optimal_action=1.5)
+        result = run_monte_carlo(cfg, PolicyConfig())
+        thetas, b1s, degenerate = per_replicate_monte_carlo(cfg, PolicyConfig())
+        assert degenerate > 100
+        assert result.degenerate_count == degenerate
+        assert bits(result.theta_estimates) == bits(thetas)
+        assert bits(result.b1_estimates) == bits(b1s)
+
+    @pytest.mark.parametrize("optimal", [0.0, 1.5, -3.0])
+    def test_sweep_matches_the_per_replicate_path(self, optimal):
+        ns, replicates = [2, 3, 50, 800], 50
+        assert all(replicates % block_rows(n) for n in ns[2:])
+        rows = consistency_sweep(PolicyConfig(), ns, replicates, seed=5, optimal_action=optimal)
+        oracle = per_replicate_sweep(PolicyConfig(), ns, replicates, 5, optimal)
+        assert [(r.n, r.mean_theta, r.sd_theta) for r in rows] == oracle
+
+    def test_first_refused_replicate_names_its_divergence(self, monkeypatch):
+        # a few replicates get actions too large to square, each its own maximum
+        draw = simulation._study_row
+
+        def sometimes_huge(policy, n, p_exposed, rng):
+            states, actions = draw(policy, n, p_exposed, rng)
+            return states, actions * 1e80 if rng.random() < 0.05 else actions
+
+        monkeypatch.setattr(simulation, "_study_row", sometimes_huge)
+        cfg = McConfig(n_per_dataset=50, num_datasets=400, seed=0)
+        with pytest.raises(InputError) as block:
+            run_monte_carlo(cfg, PolicyConfig())
+        with pytest.raises(InputError) as alone:
+            per_replicate_monte_carlo(cfg, PolicyConfig())
+        assert str(block.value) == str(alone.value)
+        assert "at most 1e+150, got " in str(block.value)
+
+    def test_degenerate_sweep_replicate_raises_the_estimator_error(self, monkeypatch):
+        def all_optimal(cfg, n, p_exposed, rng):
+            states = np.r_[np.ones(n // 2, dtype=int), np.zeros(n - n // 2, dtype=int)]
+            return states, np.zeros(n)
+
+        monkeypatch.setattr(simulation, "_iid_row", all_optimal)
+        with pytest.raises(DegenerateObjectiveError, match="no curvature"):
+            consistency_sweep(PolicyConfig(), [10], 5, seed=1)
+
+    def test_sweep_rejects_a_single_animal_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulation, "_iid_row", no_draw)
+        with pytest.raises(InputError, match="n must be >= 2, got 1"):
+            consistency_sweep(PolicyConfig(), [1, 10], 5, seed=1)
+
+
 class TestMonteCarlo:
     def test_single_replicate_is_deterministic(self):
         cfg = McConfig(num_datasets=1, seed=33)
@@ -198,9 +328,9 @@ class TestMonteCarlo:
     def test_all_degenerate_replicates_raise_study_error(self, monkeypatch):
         def all_optimal(policy, n, p_exposed, rng):
             states = np.r_[np.ones(n // 2, dtype=int), np.zeros(n - n // 2, dtype=int)]
-            return Dataset.from_arrays(actions=np.zeros((n, 1)), states=states)
+            return states, np.zeros(n)
 
-        monkeypatch.setattr(simulation, "generate_study_dataset", all_optimal)
+        monkeypatch.setattr(simulation, "_study_row", all_optimal)
         with pytest.raises(StudyError):
             run_monte_carlo(McConfig(num_datasets=5, seed=1), PolicyConfig())
 
