@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -241,6 +242,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_dataset(cfg: RunConfig):
+    """Return the dataset, its layout and the exposure ids that have no actions."""
     if not os.path.exists(cfg.exposures):
         raise LinkageError(f"exposures file not found: {cfg.exposures}")
     exposures = parse_exposures(cfg.exposures)
@@ -250,7 +252,8 @@ def _load_dataset(cfg: RunConfig):
         sessions = bin_events(parse_events(cfg.events), StudyLayout())
     layout = sessions.layout
     actions = average_sessions(sessions, layout)
-    return assemble_dataset(exposures, actions, layout), layout
+    ds, unmatched = assemble_dataset(exposures, actions, layout)
+    return ds, layout, unmatched
 
 
 def _build_spec(cfg: RunConfig, layout: StudyLayout) -> DivergenceSpec:
@@ -326,14 +329,17 @@ def _flatten(obj: dict, prefix: str = "") -> list[tuple[str, object]]:
         if isinstance(value, dict):
             items.extend(_flatten(value, prefix=f"{name}."))
         elif isinstance(value, (list, tuple)):
-            items.append((name, ",".join(_fmt_value(v) for v in value)))
+            # one CSV record, so an id holding a comma stays one field
+            record = io.StringIO()
+            csv.writer(record, lineterminator="").writerow(map(_fmt_value, value))
+            items.append((name, record.getvalue()))
         else:
             items.append((name, value))
     return items
 
 
 def cmd_estimate(cfg: RunConfig) -> None:
-    ds, layout = _load_dataset(cfg)
+    ds, layout, unmatched = _load_dataset(cfg)
     spec = _build_spec(cfg, layout)
     method = Method.CLOSED_FORM if cfg.method == "closed-form" else Method.GRID
     result = estimate_theta(ds, spec, method=method, grid_step=cfg.grid_step)
@@ -350,12 +356,12 @@ def cmd_estimate(cfg: RunConfig) -> None:
         "quadratic": {"var_u": var_u, "cov_uv": cov_uv, "var_v": var_v},
         "bootstrap": interval,
     }
-    _write(cfg, {"result": result_echo})
+    _write(cfg, {"result": result_echo, "unmatched_exposure_ids": unmatched})
     print(f"theta_e = {result.theta_e!r} ({_interpretation(result.theta_e)})")
 
 
 def cmd_curves(cfg: RunConfig) -> None:
-    ds, layout = _load_dataset(cfg)
+    ds, layout, unmatched = _load_dataset(cfg)
     spec = _build_spec(cfg, layout)
     grid = np.linspace(0.0, 1.0, grid_intervals(cfg.grid_step) + 1)
     curves = reward_curves(ds, spec, grid)
@@ -373,7 +379,11 @@ def cmd_curves(cfg: RunConfig) -> None:
         "mean_reward_control": curves.mean_reward_control,
     }
     rows = list(zip(*(c.tolist() for c in columns.values())))
-    _write(cfg, {"metadata": metadata}, ("samples", list(columns), rows))
+    _write(
+        cfg,
+        {"metadata": metadata, "unmatched_exposure_ids": unmatched},
+        ("samples", list(columns), rows),
+    )
     print(f"crossing_theta = {curves.crossing_theta!r}, theta_e = {theta_hat!r}")
 
 
@@ -424,10 +434,9 @@ def cmd_consistency(cfg: RunConfig) -> None:
 
 def cmd_ingest_check(cfg: RunConfig) -> None:
     violations: list[str] = []
-    n = None
-    dimension = None
+    n = dimension = unmatched = None
     try:
-        ds, _ = _load_dataset(cfg)
+        ds, _, unmatched = _load_dataset(cfg)
     except DivtolError as exc:
         violations.append(f"{type(exc).__name__}: {exc}")
     else:
@@ -436,7 +445,7 @@ def cmd_ingest_check(cfg: RunConfig) -> None:
         violations.extend(validate_dataset(ds).violations)
     _write(
         cfg,
-        {"n": n, "dimension": dimension},
+        {"n": n, "dimension": dimension, "unmatched_exposure_ids": unmatched},
         ("violations", ["violation"], [[v] for v in violations]),
     )
     if violations:

@@ -4,11 +4,10 @@ The objective compares every animal with every other animal:
 
     Psi_n(theta) = (1/n^2) * sum_i sum_j (R_i(theta) - R_j(theta))^2
 
-where ``R_i`` is the subjective reward of animal ``i``.  This double sum is
-algebraically equal to twice the divisor-n sample variance of the rewards,
-which is the O(n) evaluation path used everywhere performance matters; the
-literal double sum is kept as the reference path.  One function gives every
-reward: ``-D * theta`` if exposed, ``-D * (1 - theta)`` if control.
+where ``R_i`` is the subjective reward of animal ``i``: ``-D * theta`` if
+exposed, ``-D * (1 - theta)`` if control.  This double sum is algebraically
+equal to twice the divisor-n sample variance of the rewards; the literal
+double sum is kept as the reference path.
 
 A reward depends on an animal only through ``D`` and its group, so the
 quadratic ``Psi_n / 2`` is fixed by six group statistics: the sizes
@@ -22,8 +21,13 @@ coefficient is ``A_e + A_c``, the theta coefficient ``-2 A_c``, and
 ``A_e`` and ``A_c`` are sums and products of nonnegative numbers, so the
 computed ratio lies in [0, 1] even after rounding: no clamp is needed.  With
 no spread within the groups it is ``m_c / (m_e + m_c)``, where the
-group-mean reward curves cross.  A grid scan over [0, 1] is kept as an
-oracle.  Divergences above ``MAX_DIVERGENCE`` are refused, so every
+group-mean reward curves cross.  The objective itself is
+
+    Psi_n(theta) = 2 * ((theta^2 W_e + (1 - theta)^2 W_c) / n + p q g^2),
+    g = theta m_e - (1 - theta) m_c,
+
+a sum of nonnegative terms, evaluated in O(n).  A grid scan over [0, 1] is
+kept as an oracle.  Divergences above ``MAX_DIVERGENCE`` are refused, so every
 statistic and tolerance stays finite.
 """
 
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -76,6 +81,9 @@ BOOTSTRAP_MAX_REPLICATES = 10**6
 #: max(1, this // n) replicates per block, so working memory stays bounded
 #: at any n
 BOOTSTRAP_BLOCK_ELEMENTS = 16384
+
+#: replicates that share one pair of :func:`bootstrap_ci` random streams
+BOOTSTRAP_CHUNK = 64
 
 
 class Method(Enum):
@@ -189,11 +197,39 @@ def _rewards(theta, d: np.ndarray, states: np.ndarray) -> np.ndarray:
     return -d * np.where(states == 1, theta, 1.0 - theta)
 
 
-def _objective(theta: float, d: np.ndarray, states: np.ndarray) -> float:
-    """Twice the divisor-n variance of the rewards."""
-    r = _rewards(theta, d, states)
-    centered = r - r.sum() / r.size  # sum / size: the bits of mean()
-    return float(2.0 * ((centered * centered).sum() / r.size))
+def _moments(d: np.ndarray) -> tuple[Fraction, float]:
+    """The mean of non-empty ``d`` and the sum of squared deviations from it.
+
+    The rounded mean is corrected by the mean of the deviations from it,
+    which are exact wherever the values lie within a factor 2 of the mean,
+    so the mean returned carries more than float precision.
+    """
+    m = d.sum() / d.size
+    dev = d - m
+    r = dev.sum() / d.size  # what rounding lost of the mean
+    return Fraction(m) + Fraction(r), np.square(dev - r).sum()
+
+
+def _group_objective(theta: float, d_e: np.ndarray, d_c: np.ndarray) -> float:
+    """Psi_n(theta) from the group moments; either group may be empty.
+
+    When the divergences share a large common part, ``g`` near the minimum
+    is far smaller than the rounding error of ``theta * m_e``, yet ``p q g^2``
+    can still matter beside the within-group terms.  So ``g`` is taken in
+    exact arithmetic from means that carry more than float precision, and
+    each ``W_g`` is centred on such a mean.
+    """
+    n_e, n_c = d_e.size, d_c.size
+    n = n_e + n_c
+    t = Fraction(theta)
+    within, gap = 0.0, Fraction(0)
+    for d, weight in ((d_e, t), (d_c, t - 1)):
+        if d.size:
+            mean, ss = _moments(d)
+            within += float(weight) ** 2 * ss
+            gap += weight * mean
+    pq = (n_e / n) * (n_c / n)
+    return float(2.0 * (within / n + pq * float(gap) ** 2))
 
 
 def pairwise_objective(theta_e: float, ds: Dataset, spec: DivergenceSpec) -> float:
@@ -213,12 +249,16 @@ def pairwise_objective(theta_e: float, ds: Dataset, spec: DivergenceSpec) -> flo
 
 
 def variance_objective(theta_e: float, ds: Dataset, spec: DivergenceSpec) -> float:
-    """Twice the divisor-n sample variance of the rewards (O(n) path).
+    """Twice the divisor-n sample variance of the rewards, from the group moments.
 
-    Agrees with :func:`pairwise_objective` to floating-point accuracy.
+    O(n), and within a few float roundings of the exact value of
+    :func:`pairwise_objective` even when the divergences share a large
+    common part.  A missing group contributes nothing.
     """
     t = _require_theta(theta_e)
-    return _objective(t, _divergences(ds, spec), ds.states)
+    d = _divergences(ds, spec)
+    exposed = ds.states == 1
+    return _group_objective(t, d[exposed], d[~exposed])
 
 
 def _parabola_vertex(x: np.ndarray, y: np.ndarray) -> float:
@@ -303,7 +343,7 @@ def estimate_theta(
 
     return EstimateResult(
         theta_e=theta,
-        objective_at_min=_objective(theta, d, ds.states),
+        objective_at_min=_group_objective(theta, d_e, d_c),
         method=method,
         clamped=clamped,
         quadratic=quadratic,
@@ -354,16 +394,23 @@ def bootstrap_ci(
     """Stratified percentile bootstrap interval for the fitted tolerance.
 
     Observations are resampled with replacement within each exposure group,
-    so both groups survive every replicate.  Replicate k draws from a
-    substream derived deterministically from (seed, k), making the interval
-    reproducible and safe to parallelize.  Replicates whose objective is
-    degenerate are skipped; if more than half are skipped an
+    so both groups survive every replicate.  Replicates come in chunks of
+    ``BOOTSTRAP_CHUNK``: replicate k is row ``k % BOOTSTRAP_CHUNK`` of chunk
+    ``c = k // BOOTSTRAP_CHUNK``.  Chunk c draws its exposed indices from
+    ``default_rng(SeedSequence([seed, c, 0]))`` and its control indices from
+    ``default_rng(SeedSequence([seed, c, 1]))``, each stream filling the
+    chunk's rows with ``integers(0, m, (rows, m))`` for a group of m
+    animals.  The interval is reproducible, and chunks are independent, so
+    the work is safe to parallelize at chunk grain.  Replicates whose
+    objective is degenerate are skipped; if more than half are skipped an
     :class:`InferenceError` is raised.
 
-    Only the draws are made one replicate at a time: they fill the rows of
-    an index block of at most ``BOOTSTRAP_BLOCK_ELEMENTS`` entries, and the
-    whole block is fitted at once from its rows' group statistics, each row
-    to the same bits as :func:`estimate_theta` on the resampled dataset.
+    A chunk is drawn and fitted in row blocks of at most
+    ``BOOTSTRAP_BLOCK_ELEMENTS`` indices, so working memory stays bounded at
+    any n.  Consecutive ``integers`` calls on one stream give the same values
+    as one call over all their rows, so the block size never changes the
+    interval.  Each row is fitted from its group statistics to the same bits
+    as :func:`estimate_theta` on the resampled dataset.
 
     Note the percentile interval is not guaranteed to contain the point
     estimate.
@@ -375,24 +422,21 @@ def bootstrap_ci(
     if not 0.0 < level < 1.0:
         raise InputError(f"level must lie in (0, 1), got {level!r}")
     _, d_e, d_c = _group_divergences(ds, spec)
-    d = np.concatenate([d_e, d_c])
-    n_e, n_c, n = d_e.size, d_c.size, d.size
+    n_e, n_c = d_e.size, d_c.size
 
-    rows = max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
-    block = np.empty((min(rows, replicates), n), dtype=np.intp)
+    rows = max(1, BOOTSTRAP_BLOCK_ELEMENTS // (n_e + n_c))
     estimates = []
-    for start in range(0, replicates, rows):
-        take = block[: min(rows, replicates - start)]
-        # exposed draws first; idx[integers(0, m, m)] consumes the stream
-        # exactly as rng.choice(idx, m, replace=True) does
-        for k, row in enumerate(take, start):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-            row[:n_e] = rng.integers(0, n_e, size=n_e)
-            row[n_e:] = rng.integers(0, n_c, size=n_c)
-        take[:, n_e:] += n_e  # the control divergences follow the exposed ones in d
-        draws = d[take]
-        thetas, degenerate, _ = _fit(draws[:, :n_e], draws[:, n_e:])
-        estimates.append(thetas[~degenerate])
+    for chunk, first in enumerate(range(0, replicates, BOOTSTRAP_CHUNK)):
+        size = min(BOOTSTRAP_CHUNK, replicates - first)
+        exposed, control = (
+            np.random.default_rng(np.random.SeedSequence([seed, chunk, group])) for group in (0, 1)
+        )
+        for start in range(0, size, rows):
+            take = min(rows, size - start)
+            draws_e = d_e[exposed.integers(0, n_e, (take, n_e))]
+            draws_c = d_c[control.integers(0, n_c, (take, n_c))]
+            thetas, degenerate, _ = _fit(draws_e, draws_c)
+            estimates.append(thetas[~degenerate])
 
     estimates = np.concatenate(estimates)
     skipped = replicates - estimates.size

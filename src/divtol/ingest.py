@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import gc
-import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -459,12 +458,12 @@ def assemble_dataset(
     exposures: dict[str, int],
     actions: dict[str, np.ndarray],
     layout: StudyLayout,
-) -> Dataset:
+) -> tuple[Dataset, list[str]]:
     """Join actions with exposure states into an estimable dataset.
 
-    Every action must have an exposure entry; exposure entries without an
-    action are excluded from the dataset but reported through the logger
-    rather than dropped silently.
+    Every action must have an exposure entry.  Exposure entries without an
+    action are excluded from the dataset and returned, sorted, beside it, so
+    the caller can report them.
     """
     missing = sorted(set(actions) - set(exposures))
     if missing:
@@ -472,11 +471,6 @@ def assemble_dataset(
             f"actions without exposure entries: {', '.join(repr(m) for m in missing)}"
         )
     unmatched = sorted(set(exposures) - set(actions))
-    if unmatched:
-        logging.getLogger(__name__).warning(
-            "exposure entries without actions (excluded from dataset): %s",
-            ", ".join(unmatched),
-        )
     ids = sorted(actions)
     ds = Dataset.from_arrays(
         actions=[actions[m] for m in ids], states=[exposures[m] for m in ids], ids=ids
@@ -485,4 +479,4 @@ def assemble_dataset(
         raise InputError(
             f"actions have {ds.dimension} components, layout declares {layout.n_bins} bins"
         )
-    return ds
+    return ds, unmatched

@@ -27,7 +27,6 @@ Two sampling designs are exposed, and the distinction matters:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +58,6 @@ __all__ = [
     "consistency_sweep",
     "objective_convergence_probe",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: consecutive rejected shape draws before giving up (unreachable at defaults)
 MAX_REJECTIONS = 10**6
@@ -232,11 +229,6 @@ def _draw_mixed_states(
             )
         states = (rng.random(n) < p_exposed).astype(int)
         regenerations += 1
-    if regenerations:
-        logger.info(
-            "regenerated the exposure assignment %d time(s) to obtain both groups",
-            regenerations,
-        )
     return states, regenerations
 
 

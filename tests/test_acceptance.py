@@ -230,7 +230,7 @@ def test_criterion_7_binned_pipeline_end_to_end(tmp_path, capsys):
     # divergence above every control one
     layout = StudyLayout()
     actions = average_sessions(parse_binned_counts(bins_path, layout), layout)
-    ds = assemble_dataset(parse_exposures(exposures_path), actions, layout)
+    ds, _ = assemble_dataset(parse_exposures(exposures_path), actions, layout)
     spec = DivergenceSpec(
         optimal=np.r_[1.0, np.zeros(11)],
         weights=60.0 - layout.midpoints,

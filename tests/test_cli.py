@@ -502,9 +502,11 @@ PARITY_RUNS = {
 
 
 def as_csv_text(value):
-    """A JSON value spelled as the CSV output spells it: lists comma-joined, strings bare."""
+    """A JSON value spelled as the CSV output spells it: lists as one CSV record, strings bare."""
     if isinstance(value, list):
-        return ",".join(as_csv_text(v) for v in value)
+        record = io.StringIO()
+        csv.writer(record, lineterminator="").writerow([as_csv_text(v) for v in value])
+        return record.getvalue()
     return value if isinstance(value, str) else json.dumps(value)
 
 
@@ -547,6 +549,19 @@ class TestOutput:
         assert rows
         for j, column in enumerate(columns):
             assert [row[j] for row in rows] == [as_csv_text(v) for v in table[column]]
+
+    def test_ids_holding_commas_stay_one_field_in_csv(self, two_mouse_files, tmp_path, capsys):
+        _, bins = two_mouse_files
+        exposures = tmp_path / "commas.csv"
+        exposures.write_text('mouse_id,exposed\nm1,1\nm2,0\n"x,y",1\nz,0\n', encoding="utf-8")
+        base = ["--command", "estimate", "--exposures", str(exposures), "--bins", bins,
+                "--optimal", "1"]
+        json_out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
+        assert run(base + ["--out", str(json_out)], capsys)[0] == 0
+        assert run(base + ["--out", str(csv_out), "--format", "csv"], capsys)[0] == 0
+        assert json.loads(json_out.read_text())["unmatched_exposure_ids"] == ["x,y", "z"]
+        scalars, _, _ = parse_csv_output(csv_out)
+        assert next(csv.reader([scalars["unmatched_exposure_ids"]])) == ["x,y", "z"]
 
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_out_is_a_configuration_error(
@@ -702,7 +717,7 @@ def test_fuzzed_inputs_exit_cleanly(command, source, files, optimal, sign):
                 written = strict_json(fh.read())
     assert code in (0, 1, 2)
     if code != 0:
-        error = json.loads(stderr.getvalue().splitlines()[-1])["error"]
+        error = json.loads(stderr.getvalue())["error"]  # stderr is one JSON object
         assert isinstance(error["class"], str) and isinstance(error["message"], str)
     elif command == "estimate":
         assert 0.0 <= written["result"]["theta_e"] <= 1.0
@@ -839,3 +854,28 @@ def test_runs_as_a_module(two_mouse_files, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["result"]["theta_e"] == pytest.approx(0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["estimate", "curves"])
+def test_unmatched_exposure_ids_go_to_out_not_stderr(command, tmp_path):
+    # m3 is exposed but has no bins; --optimal 1,2 fails after assembly
+    exposures = tmp_path / "exposures.csv"
+    exposures.write_text("mouse_id,exposed\nm1,1\nm2,0\nm3,1\n", encoding="utf-8")
+    bins = tmp_path / "bins.csv"
+    bins.write_text("mouse_id,session,b0\nm1,1,3\nm2,1,2\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(divtol.__file__)))
+
+    def run_module(optimal, out):
+        return subprocess.run(
+            [sys.executable, "-m", "divtol.cli", "--command", command, "--exposures", str(exposures),
+             "--bins", str(bins), "--optimal", optimal, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    failed = run_module("1,2", tmp_path / "bad.json")
+    assert failed.returncode == 1
+    assert json.loads(failed.stderr)["error"]["class"] == "InputError"  # one JSON object, nothing else
+    out = tmp_path / "r.json"
+    done = run_module("1", out)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(out.read_text())["unmatched_exposure_ids"] == ["m3"]

@@ -346,14 +346,17 @@ def test_group_symmetry_of_subjective_reward(theta, ds):
 @settings(max_examples=100, deadline=None)
 @given(ds=_labelled_actions(), data=st.data())
 def test_half_tolerance_treats_groups_identically(ds, data):
-    # at theta 0.5 the objective does not depend on the state labels
+    # at theta 0.5 the objective does not depend on the state labels; the
+    # group sums it is computed from do, so only to rounding
     spec = DivergenceSpec(optimal=np.array([1.0]))
     n = len(ds)
     relabelled = Dataset.from_arrays(
         actions=ds.actions, states=data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
     )
     np.testing.assert_array_equal(rewards(0.5, ds, spec), -0.5 * dataset_divergences(ds, spec))
-    assert variance_objective(0.5, ds, spec) == variance_objective(0.5, relabelled, spec)
+    assert variance_objective(0.5, ds, spec) == pytest.approx(
+        variance_objective(0.5, relabelled, spec), rel=1e-13, abs=0.0
+    )
 
 
 @settings(max_examples=100, deadline=None)

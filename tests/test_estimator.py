@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -298,6 +299,42 @@ def test_closed_form_needs_no_clamp(d_e, d_c, data):
         assert abs(theta - crossing) <= 2 * np.spacing(crossing)
 
 
+def exact_objective(theta, d, states):
+    """Psi_n(theta) in exact rational arithmetic on the float divergences and theta."""
+    t = Fraction(theta)
+    rewards = [-Fraction(x) * (t if s else 1 - t) for x, s in zip(d.tolist(), states.tolist())]
+    mean = sum(rewards) / len(rewards)
+    return 2 * sum((r - mean) ** 2 for r in rewards) / len(rewards)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shift=st.integers(0, 140),
+    spread=st.integers(0, 17),
+    n_e=st.integers(1, 30),
+    n_c=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(0.0, 1.0),
+)
+def test_objective_is_exact_to_1e_12_on_shifted_divergences(shift, spread, n_e, n_c, seed, theta):
+    # divergences 10^shift + up to 10^(shift - spread): a large common part
+    # that the objective at the minimum must not lose digits to
+    rng = np.random.default_rng(seed)
+    base = 10.0**shift
+    ds = divergence_dataset(*np.split(base + base * 10.0**-spread * rng.random(n_e + n_c), [n_e]))
+    values = [(theta, variance_objective(theta, ds, L1_AT_ZERO))]
+    try:
+        fitted = estimate_theta(ds, L1_AT_ZERO)
+    except DegenerateObjectiveError:
+        pass
+    else:
+        values.append((fitted.theta_e, fitted.objective_at_min))
+    d = dataset_divergences(ds, L1_AT_ZERO)
+    for t, value in values:
+        exact = exact_objective(t, d, ds.states)
+        assert abs(Fraction(value) - exact) <= 1e-12 * exact
+
+
 class TestMaxDivergence:
     @pytest.mark.parametrize("top", [2 * MAX_DIVERGENCE, 1e200, 1.7e308])
     def test_divergences_beyond_the_bound_are_refused(self, top):
@@ -564,21 +601,26 @@ class TestGroupDivergenceContrast:
             curve_contrast(ds, SCALAR_AT_ONE)
 
 
-def naive_bootstrap(ds, spec, replicates, seed, level):
-    """Dataset-rebuilding reference implementation of the stratified bootstrap.
+def chunk_stream_bootstrap(ds, spec, replicates, seed, level):
+    """Per-replicate, dataset-rebuilding reference for the stratified bootstrap.
 
-    Returns None where :func:`bootstrap_ci` raises because more than half of
-    the replicates were degenerate.
+    Replicate k is row k % 64 of chunk k // 64, whose exposed and control
+    indices come from the streams ``SeedSequence([seed, chunk, 0])`` and
+    ``[seed, chunk, 1]``.  Rows are drawn one at a time, and each resampled
+    dataset is rebuilt and fitted with :func:`estimate_theta`.  Returns None
+    where :func:`bootstrap_ci` raises because more than half of the
+    replicates were degenerate.
     """
     states = ds.states
-    exposed_idx = np.flatnonzero(states == 1)
-    control_idx = np.flatnonzero(states == 0)
+    groups = (np.flatnonzero(states == 1), np.flatnonzero(states == 0))
     estimates = []
     for k in range(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        take_e = rng.choice(exposed_idx, size=exposed_idx.size, replace=True)
-        take_c = rng.choice(control_idx, size=control_idx.size, replace=True)
-        take = np.concatenate([take_e, take_c])
+        chunk, row = divmod(k, 64)
+        if row == 0:
+            streams = [np.random.default_rng(np.random.SeedSequence([seed, chunk, g])) for g in (0, 1)]
+        take = np.concatenate(
+            [idx[rng.integers(0, idx.size, idx.size)] for idx, rng in zip(groups, streams)]
+        )
         resampled = Dataset.from_arrays(actions=ds.actions[take], states=states[take])
         try:
             estimates.append(estimate_theta(resampled, spec).theta_e)
@@ -596,7 +638,8 @@ def resampling_cases(draw):
     """Datasets of 2-200 animals in d <= 3, some drawn from a few repeated mice.
 
     With repeated mice at the optimum, replicates that draw only those are
-    degenerate; n up to 200 spans several resampling blocks for the larger B.
+    degenerate; n up to 200 spans several resampling blocks per chunk, and B
+    is often not a multiple of the chunk size.
     """
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(2, 200))
@@ -612,7 +655,7 @@ def resampling_cases(draw):
         actions = rng.gamma(2.0, 2.0, size=(n, d))
     norm = draw(st.sampled_from(list(Norm)))
     spec = DivergenceSpec(optimal=np.zeros(d), norm=norm)
-    replicates = draw(st.integers(100, 700))
+    replicates = draw(st.integers(100, 1000) | st.sampled_from([128, 129, 191, 192]))
     return Dataset.from_arrays(actions=actions, states=states), spec, replicates, seed
 
 
@@ -624,7 +667,22 @@ def test_bootstrap_equals_the_per_replicate_reference_exactly(case, level):
         fast = bootstrap_ci(ds, spec, replicates=replicates, seed=seed, level=level)
     except InferenceError:
         fast = None
-    assert fast == naive_bootstrap(ds, spec, replicates, seed, level)
+    assert fast == chunk_stream_bootstrap(ds, spec, replicates, seed, level)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bound=st.integers(1, 300) | st.integers(2**31 - 5, 2**31 + 5) | st.integers(1, 2**31 + 5),
+    width=st.integers(1, 40),
+    pieces=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+    seed=st.integers(0, 2**63),
+)
+def test_row_pieces_of_one_stream_are_one_draw(bound, width, pieces, seed):
+    # bootstrap_ci draws a chunk's rows in blocks and relies on this
+    whole = np.random.default_rng(seed).integers(0, bound, (sum(pieces), width))
+    rng = np.random.default_rng(seed)
+    split = np.concatenate([rng.integers(0, bound, (rows, width)) for rows in pieces])
+    np.testing.assert_array_equal(split, whole)
 
 
 class TestBootstrap:
@@ -648,16 +706,17 @@ class TestBootstrap:
         rng = np.random.default_rng(16)
         ds = random_two_group_dataset(rng, n=12)
         fast = bootstrap_ci(ds, SCALAR_AT_ZERO, replicates=200, seed=9, level=0.9)
-        slow = naive_bootstrap(ds, SCALAR_AT_ZERO, replicates=200, seed=9, level=0.9)
+        slow = chunk_stream_bootstrap(ds, SCALAR_AT_ZERO, replicates=200, seed=9, level=0.9)
         assert fast == slow
 
-    @pytest.mark.parametrize("elements", [1, 97, 40 * 333])
+    @pytest.mark.parametrize("elements", [1, 7, 40, 97, 200, 40 * 333, 16384])
     def test_block_size_does_not_change_the_interval(self, elements, monkeypatch):
-        # blocks of 1, 2 and 333 replicates at n=40; 1000 is a multiple of none of 333
+        # row blocks of 1, 1, 1, 2, 5, 333 and 409 replicates at n=40, against
+        # the reference's rows drawn one at a time; 1000 = 15 * 64 + 40
         rng = np.random.default_rng(17)
         ds = random_two_group_dataset(rng, n=40, d=2)
         spec = DivergenceSpec(optimal=np.zeros(2), norm=Norm.L1)
-        expected = bootstrap_ci(ds, spec, replicates=1000, seed=3, level=0.9)
+        expected = chunk_stream_bootstrap(ds, spec, replicates=1000, seed=3, level=0.9)
         monkeypatch.setattr(estimator, "BOOTSTRAP_BLOCK_ELEMENTS", elements)
         assert bootstrap_ci(ds, spec, replicates=1000, seed=3, level=0.9) == expected
 

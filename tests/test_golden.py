@@ -12,11 +12,19 @@ hashes from the row-at-a-time parsers that columnar ingest replaced.  Every
 hash except the iid-dataset and ingest-check ones was re-recorded when the
 fit moved from the per-animal reward decomposition to six group statistics,
 a stated last-bit change (thetas within 2e-15 relative, Monte-Carlo
-fractions and curve samples unchanged).  Any change to them is a numeric
+fractions and curve samples unchanged).  Three later changes moved pins
+again, with thetas, Monte-Carlo and sweep hashes unchanged: the bootstrap
+hashes and intervals moved to chunked substreams (a new stream contract),
+every ``objective_at_min`` moved to the exact-mean group form (last bits,
+and about 1e-6 relative on the big-count fixtures, whose old values were
+that far off), and the ``estimate``, ``curves`` and ``ingest-check``
+outputs gained ``unmatched_exposure_ids``.  Any change to them is a numeric
 change and must be stated as one.
 """
 
 import hashlib
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -27,21 +35,27 @@ from divtol import (
     McConfig,
     Norm,
     PolicyConfig,
+    assemble_dataset,
+    average_sessions,
     bootstrap_ci,
     consistency_sweep,
+    dataset_divergences,
+    estimate_theta,
     generate_dataset,
+    parse_binned_counts,
+    parse_exposures,
     run_monte_carlo,
 )
 from divtol.cli import main
 
 MC_SHA256 = "7b6b692350f41b2dcda70763757a6954173a55a279bd9ecd0d4a764981b6d524"
-ESTIMATE_OUT_SHA256 = "21a30b8ae0c9c0f627544b90e7311868ec9c60ad3f566cf9c7e66cd077718937"
+ESTIMATE_OUT_SHA256 = "1f3376f953d006056d577c4c9502c0319174a10f457fc6b818cf8d4f223c38ee"
 IID_DATASET_SHA256 = "a5e3a205e921c8409bcfeb17dc900f704b65caa9ef72f812de1681fc4f379780"
 SWEEP_SHA256 = "2e2db1a47f764744439821205c86284a7618915fa604eec4f871e77edca07dea"
 # B=2500 at n=200 spans many resampling blocks and ends in a partial one
 BOOTSTRAP_SHA256 = {
-    Norm.L2_SQUARED: "625fcd9944d3f2268be86d0fa1483a928f779f62406f102be2dba9364876f600",
-    Norm.L1: "aa9d16f63d23959ecd2a0160256e7a8c4a2bfb9f740c3f0180fa12d0ab365ad1",
+    Norm.L2_SQUARED: "96c833dd5719a4eae2eb1df8164598da1fc69de85e8262dde57ac75f28765247",
+    Norm.L1: "5fef9f78f68a02592b7d11174832c96e3cd6234e8957ed33b51e0db921fb221f",
 }
 
 OPTIMAL_12 = ",".join(["1"] + ["0"] * 11)
@@ -60,11 +74,11 @@ CLI_RUNS = {
 }
 CLI_OUT_SHA256 = {
     ("estimate", "csv"):
-        "0fda53cad06dccfede50774b00739063ee7000a7af51fba0f1e0aab65bf49390",
+        "4688275e6c018b03b453d89cb449f3c0654bd7fd66461f68e6b0379fcebf5204",
     ("curves", "json"):
-        "00ba26f1a004059eba1656b7ff151a829f68fe3375d9935b9bf67452f28f5c66",
+        "93c105ad299dc51c52c5104f2a553cf6aa08dffc5594c05943732be9e83cac16",
     ("curves", "csv"):
-        "77ce1bf91503106f5cab5978c6bda4b4db1044dc726c976c2420909ac285b13b",
+        "33383c78ee4d0bf34f3d60892695c5c032f5fa12cbd9438b4a14ddd34ac37a4e",
     ("simulate-mc", "json"):
         "e989bd9193ddbe038601fa58028fd50245bbaac2bc73dbcfc42ae300a744a629",
     ("simulate-mc", "csv"):
@@ -72,7 +86,7 @@ CLI_OUT_SHA256 = {
     ("consistency", "csv"):
         "e658ab85f57bfc7b1f3a834eb2da68deeef5772c14e5cc6a3e3506434af99790",
     ("ingest-check", "csv"):
-        "b19b43fb24991c16fe1531f091612ad5e19c085676d478adb980dfd6d9792d16",
+        "dd6a27633f77ad980771d3106b2cc63f4b59a2d0e7ae5e6dacb120a243a87de3",
 }
 
 # events input under L1, and bins whose mice have 1 to 4 (d=12) or 1 to 20
@@ -91,15 +105,15 @@ INGEST_RUNS = {
 }
 INGEST_OUT_SHA256 = {
     ("estimate-events-l1", "json"):
-        "ef5e5005eb8f767ff0fcd94a71808d077cd783e05445e0d8baaa5bb3f7a890e7",
+        "0b91ebce59a779662cf157155144518e757a678a110389911ebce997709a7a2a",
     ("estimate-events-l1", "csv"):
-        "d1fb40ef71edb272b604be5f53bfcf255ec89220085e9c2ca6c50321bb528c02",
+        "1ed045f09b814d85f8e4e2a8c8cba44ba60221c016a725934c1d55233edcd188",
     ("curves-events", "json"):
-        "5cfb3408ce276f396fb6d63e3ecf73f67a89b3bde1697460d2a1d358561c6841",
+        "468a2209ce75ed2596327f306ebbb7016ea879a225fce0ffe419072672a7a161",
     ("estimate-big-counts-d12", "json"):
-        "ad9c175ff8269ec8f388f250ed65f58222dd38e92f273ae8645580be18606f9a",
+        "45aff175b0ba5157bed67a2256df2af8d50ecdca2b171057e07592d9324334e3",
     ("estimate-big-counts-d1", "json"):
-        "a43d1f1b869fb4d0156ef62c8d0f67790aab980d7b3d57eca45429129f31b83a",
+        "289aecbae5ab83c9b4eb45fcdd6a4e5557dcb1b00a97d11e669591a8b0ff2f81",
 }
 
 
@@ -204,6 +218,23 @@ def test_ingest_output_is_bitwise_pinned(run, fmt, tmp_path, monkeypatch, capsys
     write_ingest_fixtures(tmp_path)
     assert main(INGEST_RUNS[run] + ["--format", fmt, "--out", f"out.{fmt}"]) == 0
     assert sha256((tmp_path / f"out.{fmt}").read_bytes()) == INGEST_OUT_SHA256[run, fmt]
+
+
+@pytest.mark.parametrize("bins, optimal", [("big1.csv", "1"), ("big12.csv", OPTIMAL_12)])
+def test_objective_at_min_of_big_counts_is_exact_to_1e_12(bins, optimal, tmp_path):
+    # divergences near 2**106 that differ from each other near 2**67
+    write_ingest_fixtures(tmp_path)
+    sessions = parse_binned_counts(str(tmp_path / bins))
+    actions = average_sessions(sessions, sessions.layout)
+    ds, _ = assemble_dataset(parse_exposures(str(tmp_path / "exposures.csv")), actions, sessions.layout)
+    spec = DivergenceSpec(optimal=[float(x) for x in optimal.split(",")])
+    result = estimate_theta(ds, spec)
+    # the literal pairwise double sum, in exact arithmetic
+    t = Fraction(result.theta_e)
+    rewards = [-Fraction(d) * (t if s else 1 - t)
+               for d, s in zip(dataset_divergences(ds, spec).tolist(), ds.states.tolist())]
+    exact = sum((a - b) ** 2 for a, b in product(rewards, repeat=2)) / len(rewards) ** 2
+    assert abs(Fraction(result.objective_at_min) - exact) <= 1e-12 * exact
 
 
 def test_no_observation_objects_on_the_hot_paths(tmp_path, monkeypatch, capsys):

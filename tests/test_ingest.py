@@ -181,7 +181,7 @@ def test_byte_order_mark_is_ignored(tmp_path):
         e = write(directory / "e.csv", prefix + exposures)
         b = write(directory / "b.csv", prefix + bins)
         actions = average_sessions(parse_binned_counts(b, LAYOUT), LAYOUT)
-        datasets.append(assemble_dataset(parse_exposures(e), actions, LAYOUT))
+        datasets.append(assemble_dataset(parse_exposures(e), actions, LAYOUT)[0])
     plain, bommed = datasets
     assert (tmp_path / "bom1" / "e.csv").read_bytes().startswith(b"\xef\xbb\xbf")
     assert plain.ids == bommed.ids
@@ -289,7 +289,8 @@ class TestAverageSessions:
 class TestAssembleDataset:
     def test_two_mouse_assembly(self):
         actions = {"m1": np.ones(12), "m2": np.zeros(12)}
-        ds = assemble_dataset({"m1": 1, "m2": 0}, actions, LAYOUT)
+        ds, unmatched = assemble_dataset({"m1": 1, "m2": 0}, actions, LAYOUT)
+        assert unmatched == []
         assert len(ds) == 2
         assert ds.dimension == 12
         assert validate_dataset(ds).ok
@@ -299,12 +300,12 @@ class TestAssembleDataset:
             assemble_dataset({"m1": 1}, {"m1": np.ones(12), "mX": np.ones(12)}, LAYOUT)
         assert "mX" in str(err.value)
 
-    def test_exposure_without_action_is_reported_not_dropped(self, caplog):
+    def test_exposure_without_action_is_reported_not_dropped(self):
         actions = {"m1": np.ones(12), "m2": np.zeros(12)}
-        with caplog.at_level("WARNING", logger="divtol.ingest"):
-            ds = assemble_dataset({"m1": 1, "m2": 0, "m3": 1}, actions, LAYOUT)
-        assert len(ds) == 2
-        assert any("m3" in rec.getMessage() for rec in caplog.records)
+        exposures = {"m9": 0, "m1": 1, "m2": 0, "m3": 1}
+        ds, unmatched = assemble_dataset(exposures, actions, LAYOUT)
+        assert ds.ids == ("m1", "m2")
+        assert unmatched == ["m3", "m9"]
 
 
 class TestRoundTrip:
@@ -341,7 +342,8 @@ class TestRoundTrip:
         )
         parsed_exposures = parse_exposures(exposures_path)
         actions = average_sessions(parse_binned_counts(bins_path, LAYOUT), LAYOUT)
-        ds = assemble_dataset(parsed_exposures, actions, LAYOUT)
+        ds, unmatched = assemble_dataset(parsed_exposures, actions, LAYOUT)
+        assert unmatched == []
         assert len(ds) == 48
         assert sorted(set(ds.states)) == [0, 1]
         assert validate_dataset(ds).ok

@@ -95,12 +95,13 @@ class TestGenerateDataset:
         ds = generate_dataset(PolicyConfig(), 100_000, 0.5, rng)
         assert abs(ds.states.mean() - 0.5) < 0.01
 
-    def test_regenerated_assignment_is_reported(self, caplog):
+    def test_regenerated_assignment_is_reported(self):
         # seed 1's first two-mouse draw is single-group, forcing a redraw
-        with caplog.at_level("INFO", logger="divtol.simulation"):
-            ds = generate_dataset(PolicyConfig(), 2, 0.5, np.random.default_rng(1))
-        assert sorted(o.state for o in ds.observations) == [0, 1]
-        assert any("regenerated the exposure assignment" in r.getMessage() for r in caplog.records)
+        states, regenerations = simulation._draw_mixed_states(2, 0.5, np.random.default_rng(1))
+        assert regenerations >= 1
+        assert sorted(states) == [0, 1]
+        ds = generate_dataset(PolicyConfig(), 2, 0.5, np.random.default_rng(1))
+        np.testing.assert_array_equal(ds.states, states)
 
     def test_degenerate_assignment_probability_is_honored(self):
         # p exactly 0 or 1 is an intentional single-group design
