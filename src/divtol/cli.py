@@ -287,6 +287,11 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
+#: a line break inside a ``# key=value`` line is written as its backslash
+#: escape, so an id or a path holding one cannot end the line early
+_LINE_BREAK_ESCAPES = str.maketrans({"\r": "\\r", "\n": "\\n"})
+
+
 def _open_out(path: str, mode: str):
     try:
         return open(path, mode, newline="", encoding="utf-8")
@@ -313,7 +318,7 @@ def _write(cfg: RunConfig, scalars: dict, table: tuple[str, list[str], list] | N
             fh.write("\n")
         else:
             for name, value in _flatten(payload):
-                fh.write(f"# {name}={_fmt_value(value)}\n")
+                fh.write(f"# {name}={_fmt_value(value).translate(_LINE_BREAK_ESCAPES)}\n")
             if table is not None:
                 _, columns, rows = table
                 writer = csv.writer(fh, lineterminator="\n")

@@ -563,6 +563,24 @@ class TestOutput:
         scalars, _, _ = parse_csv_output(csv_out)
         assert next(csv.reader([scalars["unmatched_exposure_ids"]])) == ["x,y", "z"]
 
+    def test_ids_holding_line_breaks_stay_on_one_comment_line(
+        self, two_mouse_files, tmp_path, capsys
+    ):
+        _, bins = two_mouse_files
+        exposures = tmp_path / "breaks.csv"
+        exposures.write_text('mouse_id,exposed\nm1,1\nm2,0\n"x\ny",1\n"z\rw",0\n', encoding="utf-8")
+        out = tmp_path / "r.csv"
+        args = ["--command", "curves", "--exposures", str(exposures), "--bins", bins,
+                "--optimal", "1", "--out", str(out), "--format", "csv"]
+        assert run(args, capsys)[0] == 0
+        lines = out.read_bytes().split(b"\n")
+        header = lines.index(b"theta,mean_reward_exposed,mean_reward_control")
+        assert all(line.startswith(b"# ") for line in lines[:header])
+        assert b"\r" not in b"".join(lines[:header])
+        scalars, _, rows = parse_csv_output(out)
+        assert next(csv.reader([scalars["unmatched_exposure_ids"]])) == ["x\\ny", "z\\rw"]
+        assert rows
+
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_out_is_a_configuration_error(
         self, where, two_mouse_files, tmp_path, capsys
