@@ -25,13 +25,13 @@ removes an ``--out`` that it created and left empty.  Failures emit a machine-re
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from argparse import ArgumentParser, Namespace
+from dataclasses import asdict
 from typing import NoReturn
 
 import numpy as np
@@ -65,9 +65,7 @@ from .ingest import (
 )
 from .simulation import McConfig, PolicyConfig, consistency_sweep, run_monte_carlo
 
-__all__ = ["RunConfig", "build_parser", "main", "entrypoint"]
-
-COMMANDS = ("estimate", "curves", "simulate-mc", "consistency", "ingest-check")
+__all__ = ["build_parser", "main", "entrypoint"]
 
 CURVES_DEFAULT_GRID_STEP = 0.005  # 201 grid points
 
@@ -77,33 +75,7 @@ MAX_N = 10**7
 MAX_DATASETS = 10**6
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective configuration of one CLI run (defaults resolved per command).
-
-    Every output echoes all of its fields except ``out``.
-    """
-
-    command: str
-    exposures: str | None
-    bins: str | None
-    events: str | None
-    optimal: tuple[float, ...] | None
-    norm: str
-    weights: str
-    method: str
-    grid_step: float
-    bootstrap: int | None
-    level: float
-    seed: int
-    n: tuple[int, ...]
-    datasets: int
-    p_exposed: float
-    out: str
-    format: str
-
-
-class _Parser(argparse.ArgumentParser):
+class _Parser(ArgumentParser):
     """An argument parser whose usage errors are configuration errors, not exits."""
 
     def error(self, message: str) -> NoReturn:
@@ -113,13 +85,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> ArgumentParser:
     p = _Parser(
         prog="divtol",
         description="Estimate a group's tolerance for divergence from optimality "
         "in fixed-interval experiments.",
     )
-    p.add_argument("--command", required=True, choices=COMMANDS)
+    p.add_argument("--command", required=True, choices=tuple(_DISPATCH))
     p.add_argument("--exposures", help="exposures CSV (mouse_id,exposed)")
     p.add_argument("--bins", help="binned counts CSV (mouse_id,session,b0,...)")
     p.add_argument("--events", help="raw press events CSV (mouse_id,session,press_time_s)")
@@ -149,25 +121,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_optimal(raw: str | None) -> tuple[float, ...] | None:
-    if raw is None:
-        return None
+def _parse_list(raw: str, convert, flag: str) -> tuple:
+    """The comma-separated values of ``--flag``, each passed through ``convert``."""
     try:
-        return tuple(float(part) for part in raw.split(","))
+        return tuple(convert(part) for part in raw.split(","))
     except ValueError as exc:
-        raise ConfigurationError(f"cannot parse --optimal {raw!r}: {exc}") from exc
+        raise ConfigurationError(f"cannot parse --{flag} {raw!r}: {exc}") from exc
 
 
-def _parse_n_list(raw: str | None, default: tuple[int, ...]) -> tuple[int, ...]:
-    if raw is None:
-        return default
-    try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError as exc:
-        raise ConfigurationError(f"cannot parse --n {raw!r}: {exc}") from exc
+def _resolve_config(args: Namespace) -> Namespace:
+    """Check the parsed flags and resolve the per-command defaults onto ``args``.
 
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    The returned namespace is the run's configuration: every output echoes
+    all of it except ``out``.
+    """
     command = args.command
     if args.out is None:
         raise ConfigurationError("--out is required")
@@ -186,62 +153,50 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if (args.bins is None) == (args.events is None):
             raise ConfigurationError(f"exactly one of --bins/--events is required for {command}")
 
-    optimal = _parse_optimal(args.optimal)
-    if command in ("estimate", "curves") and optimal is None:
+    if args.optimal is not None:
+        args.optimal = _parse_list(args.optimal, float, "optimal")
+    if command in ("estimate", "curves") and args.optimal is None:
         raise ConfigurationError(f"--optimal is required for {command}")
     if command in ("simulate-mc", "consistency"):
-        if optimal is None:
-            optimal = (0.0,)
-        if len(optimal) != 1:
+        if args.optimal is None:
+            args.optimal = (0.0,)
+        if len(args.optimal) != 1:
             raise ConfigurationError(f"--optimal must be scalar for {command}")
 
     max_step = 1.0 if command == "curves" else 0.5
-    grid_step = args.grid_step
-    if grid_step is None:
-        grid_step = CURVES_DEFAULT_GRID_STEP if command == "curves" else DEFAULT_GRID_STEP
-    elif not DEFAULT_GRID_STEP <= grid_step <= max_step:
+    if args.grid_step is None:
+        args.grid_step = CURVES_DEFAULT_GRID_STEP if command == "curves" else DEFAULT_GRID_STEP
+    elif not DEFAULT_GRID_STEP <= args.grid_step <= max_step:
         raise ConfigurationError(f"--grid-step must lie in [{DEFAULT_GRID_STEP}, {max_step}]")
     else:
         try:
-            grid_intervals(grid_step)
+            grid_intervals(args.grid_step)
         except InputError:
-            raise ConfigurationError(f"--grid-step must divide 1, got {grid_step!r}") from None
+            raise ConfigurationError(f"--grid-step must divide 1, got {args.grid_step!r}") from None
 
-    if command == "consistency":
-        ns = _parse_n_list(args.n, default=(50, 200, 800))
-        datasets = args.datasets if args.datasets is not None else 200
+    sweep = command == "consistency"
+    if args.n is None:
+        args.n = (50, 200, 800) if sweep else (50,)
     else:
-        ns = _parse_n_list(args.n, default=(50,))
-        if len(ns) != 1:
-            raise ConfigurationError(f"--n must be a single integer for {command}")
-        datasets = args.datasets if args.datasets is not None else 2000
-    if not all(2 <= n <= MAX_N for n in ns):
+        args.n = _parse_list(args.n, int, "n")
+    if args.datasets is None:
+        args.datasets = 200 if sweep else 2000
+    if not sweep and len(args.n) != 1:
+        raise ConfigurationError(f"--n must be a single integer for {command}")
+    if not all(2 <= n <= MAX_N for n in args.n):
         raise ConfigurationError(f"--n values must lie in [2, {MAX_N}]")
-    if not 1 <= datasets <= MAX_DATASETS:
-        raise ConfigurationError(f"--datasets must lie in [1, {MAX_DATASETS}]")
-
-    return RunConfig(
-        command=command,
-        exposures=args.exposures,
-        bins=args.bins,
-        events=args.events,
-        optimal=optimal,
-        norm=args.norm,
-        weights=args.weights,
-        method=args.method,
-        grid_step=grid_step,
-        bootstrap=args.bootstrap,
-        level=args.level,
-        seed=args.seed,
-        n=ns,
-        datasets=datasets,
-        p_exposed=args.p_exposed,
-        out=args.out,
-        format=args.format,
-    )
+    min_datasets = 2 if sweep else 1
+    if not min_datasets <= args.datasets <= MAX_DATASETS:
+        raise ConfigurationError(f"--datasets must lie in [{min_datasets}, {MAX_DATASETS}]")
+    if sweep:
+        if list(args.n) != sorted(args.n):
+            raise ConfigurationError("--n must be non-decreasing for consistency")
+        if args.p_exposed != 0.5:
+            raise ConfigurationError("--p-exposed must be 0.5 for consistency, its fixed rate")
+    return args
 
 
-def _load_dataset(cfg: RunConfig):
+def _load_dataset(cfg: Namespace):
     """Return the dataset, its layout and the exposure ids that have no actions."""
     if not os.path.exists(cfg.exposures):
         raise LinkageError(f"exposures file not found: {cfg.exposures}")
@@ -256,7 +211,7 @@ def _load_dataset(cfg: RunConfig):
     return ds, layout, unmatched
 
 
-def _build_spec(cfg: RunConfig, layout: StudyLayout) -> DivergenceSpec:
+def _build_spec(cfg: Namespace, layout: StudyLayout) -> DivergenceSpec:
     optimal = np.array(cfg.optimal, dtype=float)
     if optimal.shape[0] != layout.n_bins:
         raise InputError(
@@ -299,15 +254,14 @@ def _open_out(path: str, mode: str):
         raise ConfigurationError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
-def _write(cfg: RunConfig, scalars: dict, table: tuple[str, list[str], list] | None = None) -> None:
+def _write(cfg: Namespace, scalars: dict, table: tuple[str, list[str], list] | None = None) -> None:
     """Write the config echo, ``scalars`` and an optional table to ``--out``.
 
     ``table`` is ``(key, columns, rows)``.  JSON nests it under ``key`` as one
     list per column; CSV writes the flattened scalars as ``# key=value`` lines,
     then the table's header and rows.
     """
-    config = asdict(cfg)
-    del config["out"]
+    config = {key: value for key, value in vars(cfg).items() if key != "out"}
     payload = {"config": config, **scalars}
     with _open_out(cfg.out, "w") as fh:
         if cfg.format == "json":
@@ -343,7 +297,7 @@ def _flatten(obj: dict, prefix: str = "") -> list[tuple[str, object]]:
     return items
 
 
-def cmd_estimate(cfg: RunConfig) -> None:
+def cmd_estimate(cfg: Namespace) -> None:
     ds, layout, unmatched = _load_dataset(cfg)
     spec = _build_spec(cfg, layout)
     method = Method.CLOSED_FORM if cfg.method == "closed-form" else Method.GRID
@@ -365,7 +319,7 @@ def cmd_estimate(cfg: RunConfig) -> None:
     print(f"theta_e = {result.theta_e!r} ({_interpretation(result.theta_e)})")
 
 
-def cmd_curves(cfg: RunConfig) -> None:
+def cmd_curves(cfg: Namespace) -> None:
     ds, layout, unmatched = _load_dataset(cfg)
     spec = _build_spec(cfg, layout)
     grid = np.linspace(0.0, 1.0, grid_intervals(cfg.grid_step) + 1)
@@ -392,7 +346,7 @@ def cmd_curves(cfg: RunConfig) -> None:
     print(f"crossing_theta = {curves.crossing_theta!r}, theta_e = {theta_hat!r}")
 
 
-def cmd_simulate_mc(cfg: RunConfig) -> None:
+def cmd_simulate_mc(cfg: Namespace) -> None:
     mc = McConfig(
         n_per_dataset=cfg.n[0],
         num_datasets=cfg.datasets,
@@ -420,7 +374,7 @@ def cmd_simulate_mc(cfg: RunConfig) -> None:
     )
 
 
-def cmd_consistency(cfg: RunConfig) -> None:
+def cmd_consistency(cfg: Namespace) -> None:
     policy = PolicyConfig()
     rows = consistency_sweep(
         policy,
@@ -437,7 +391,7 @@ def cmd_consistency(cfg: RunConfig) -> None:
     print("; ".join(f"n={r.n}: sd={r.sd_theta:.5f}" for r in rows))
 
 
-def cmd_ingest_check(cfg: RunConfig) -> None:
+def cmd_ingest_check(cfg: Namespace) -> None:
     violations: list[str] = []
     n = dimension = unmatched = None
     try:

@@ -40,7 +40,13 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Dataset, DivergenceSpec, dataset_divergences
-from .errors import DegenerateObjectiveError, EstimationError, InferenceError, InputError
+from .errors import (
+    DegenerateObjectiveError,
+    DivtolError,
+    EstimationError,
+    InferenceError,
+    InputError,
+)
 
 __all__ = [
     "Method",
@@ -156,6 +162,12 @@ def _require_theta(theta_e: float) -> float:
     if not np.isfinite(t) or not 0.0 <= t <= 1.0:
         raise InputError(f"theta_e must lie in [0, 1], got {theta_e!r}")
     return t
+
+
+def _require_seed(seed, error: type[DivtolError] = InputError) -> None:
+    """Refuse a seed that ``SeedSequence`` would refuse, or take as a request for entropy."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise error(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _bounded(d: np.ndarray) -> np.ndarray:
@@ -427,6 +439,7 @@ def bootstrap_ci(
         )
     if not 0.0 < level < 1.0:
         raise InputError(f"level must lie in (0, 1), got {level!r}")
+    _require_seed(seed)
     _, d_e, d_c = _group_divergences(ds, spec)
     n_e, n_c = d_e.size, d_c.size
 

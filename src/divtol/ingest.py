@@ -24,7 +24,6 @@ rather than imputing zero-count sessions.
 from __future__ import annotations
 
 import csv
-import gc
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -136,11 +135,6 @@ class Events:
 
 def _read_rows(path) -> tuple[list[list[str]], np.ndarray]:
     """The file's non-empty csv rows and their 1-based record numbers."""
-    # csv.reader builds one list per row; they hold no cycles, and the
-    # collection passes their allocations set off slow a large read by
-    # about a fifth
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
@@ -148,9 +142,6 @@ def _read_rows(path) -> tuple[list[list[str]], np.ndarray]:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"cannot parse {path}: {exc}") from exc
-    finally:
-        if enabled:
-            gc.enable()
     lines = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows))) + 1
     if lines.shape[0] < len(rows):
         rows = list(filter(None, rows))

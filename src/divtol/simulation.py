@@ -37,6 +37,7 @@ from .estimator import (
     BOOTSTRAP_BLOCK_ELEMENTS,
     _bounded,
     _fit,
+    _require_seed,
     estimate_theta,
     variance_objective,
 )
@@ -134,6 +135,7 @@ class McConfig:
             raise ConfigurationError("num_datasets must be >= 1")
         if not 0.0 < self.p_exposed < 1.0:
             raise ConfigurationError("p_exposed must lie in (0, 1)")
+        _require_seed(self.seed, ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -418,6 +420,7 @@ def consistency_sweep(
         raise InputError("ns must be non-decreasing")
     if replicates < 2:
         raise InputError("replicates must be >= 2")
+    _require_seed(seed)
     spec = DivergenceSpec(optimal=np.array([optimal_action]))
     if ns and ns[0] < 2:
         raise InputError(f"n must be >= 2, got {ns[0]}")
@@ -459,6 +462,7 @@ def objective_convergence_probe(
         raise InputError("ns must be non-decreasing")
     if any(n < 2 for n in ns):
         raise InputError("every n must be >= 2")
+    _require_seed(seed)
 
     spec = DivergenceSpec(optimal=np.array([optimal_action]))
     oracle_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))

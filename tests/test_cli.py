@@ -820,7 +820,10 @@ def test_simulated_divergences_too_large_to_square_are_refused(tmp_path, capsys)
 
 
 class TestResourceBounds:
-    """Flags that size an allocation are refused above their limit, before any work."""
+    """Flags outside their range are refused before any work.
+
+    The range of a flag that sizes an allocation ends at its limit.
+    """
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -839,8 +842,12 @@ class TestResourceBounds:
             ["--command", "simulate-mc", "--datasets", str(MAX_DATASETS + 1)],
             ["--command", "consistency", "--n", f"50,{MAX_N + 1}"],
             ["--command", "consistency", "--datasets", str(MAX_DATASETS + 1)],
+            ["--command", "consistency", "--datasets", "1"],
+            ["--command", "consistency", "--n", "200,50"],
+            ["--command", "consistency", "--p-exposed", "0.1"],
         ],
-        ids=["bootstrap", "mc-n", "mc-datasets", "consistency-n", "consistency-datasets"],
+        ids=["bootstrap", "mc-n", "mc-datasets", "consistency-n", "consistency-datasets",
+             "consistency-one-dataset", "consistency-decreasing-n", "consistency-p-exposed"],
     )
     def test_one_past_the_limit_is_a_configuration_error(self, args, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -859,6 +866,9 @@ class TestResourceBounds:
         for command in ("simulate-mc", "consistency"):
             cfg = resolve("--command", command, "--n", str(MAX_N), "--datasets", str(MAX_DATASETS))
             assert (cfg.n, cfg.datasets) == ((MAX_N,), MAX_DATASETS)
+        sweep = resolve("--command", "consistency", "--n", "50,50", "--datasets", "2",
+                        "--p-exposed", "0.5")
+        assert (sweep.n, sweep.datasets, sweep.p_exposed) == ((50, 50), 2, 0.5)
 
 
 def test_runs_as_a_module(two_mouse_files, tmp_path):

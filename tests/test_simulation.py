@@ -14,6 +14,7 @@ from divtol import (
     McConfig,
     PolicyConfig,
     StudyError,
+    bootstrap_ci,
     consistency_sweep,
     draw_policy,
     estimate_theta,
@@ -407,3 +408,24 @@ def test_estimates_concentrate_below_half_under_default_policy():
     ds = generate_dataset(PolicyConfig(), 5_000, 0.5, rng)
     spec = DivergenceSpec(optimal=np.array([0.0]))
     assert estimate_theta(ds, spec).theta_e < 0.5
+
+
+SEEDED_CALLS = {
+    "bootstrap_ci": lambda seed: bootstrap_ci(
+        generate_dataset(PolicyConfig(), 20, 0.5, np.random.default_rng(0)),
+        DivergenceSpec(optimal=np.array([0.0])), replicates=100, seed=seed,
+    ),
+    "McConfig": lambda seed: McConfig(seed=seed),
+    "consistency_sweep": lambda seed: consistency_sweep(PolicyConfig(), [10], 2, seed=seed),
+    "objective_convergence_probe": lambda seed: objective_convergence_probe(
+        PolicyConfig(), [10], 2, theta_fixed=0.3, seed=seed, oracle_n=100
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None], ids=["negative", "fractional", "none"])
+@pytest.mark.parametrize("call", SEEDED_CALLS)
+def test_a_seed_numpy_cannot_take_is_a_divtol_error(call, seed):
+    error = ConfigurationError if call == "McConfig" else InputError
+    with pytest.raises(error, match="seed must be a nonnegative integer"):
+        SEEDED_CALLS[call](seed)
