@@ -74,6 +74,18 @@ CURVES_DEFAULT_GRID_STEP = 0.005  # 201 grid points
 MAX_N = 10**7
 MAX_DATASETS = 10**6
 
+#: the flags each command reads besides --command, --out and --format; any
+#: other flag must keep its default (estimate reads --seed and --level for
+#: --bootstrap, and --grid-step for --method grid)
+_READS = {
+    "estimate": {"exposures", "bins", "events", "optimal", "norm", "weights", "method",
+                 "grid_step", "bootstrap", "level", "seed"},
+    "curves": {"exposures", "bins", "events", "optimal", "norm", "weights", "grid_step"},
+    "simulate-mc": {"optimal", "seed", "n", "datasets", "p_exposed"},
+    "consistency": {"optimal", "seed", "n", "datasets"},
+    "ingest-check": {"exposures", "bins", "events"},
+}
+
 
 class _Parser(ArgumentParser):
     """An argument parser whose usage errors are configuration errors, not exits."""
@@ -129,13 +141,20 @@ def _parse_list(raw: str, convert, flag: str) -> tuple:
         raise ConfigurationError(f"cannot parse --{flag} {raw!r}: {exc}") from exc
 
 
-def _resolve_config(args: Namespace) -> Namespace:
-    """Check the parsed flags and resolve the per-command defaults onto ``args``.
+def _resolve_config(args: Namespace, parser: ArgumentParser) -> Namespace:
+    """Check the flags ``parser`` parsed and resolve the per-command defaults onto ``args``.
 
     The returned namespace is the run's configuration: every output echoes
-    all of it except ``out``.
+    all of it except ``out``.  A flag the command does not read must keep
+    its default; that is checked after every flag's value.
     """
     command = args.command
+    unread = [
+        f"--{name.replace('_', '-')}"
+        for name, value in vars(args).items()
+        if name not in _READS[command] | {"command", "out", "format"}
+        and value != parser.get_default(name)
+    ]
     if args.out is None:
         raise ConfigurationError("--out is required")
     if args.seed < 0:
@@ -191,8 +210,8 @@ def _resolve_config(args: Namespace) -> Namespace:
     if sweep:
         if list(args.n) != sorted(args.n):
             raise ConfigurationError("--n must be non-decreasing for consistency")
-        if args.p_exposed != 0.5:
-            raise ConfigurationError("--p-exposed must be 0.5 for consistency, its fixed rate")
+    if unread:
+        raise ConfigurationError(f"--command {command} does not read {', '.join(unread)}")
     return args
 
 
@@ -428,7 +447,8 @@ def _emit_error(exc: Exception) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = _resolve_config(build_parser().parse_args(argv))
+        parser = build_parser()
+        cfg = _resolve_config(parser.parse_args(argv), parser)
         created = not os.path.exists(cfg.out)
         _open_out(cfg.out, "a").close()  # fail before the work, not after it
         try:

@@ -7,12 +7,19 @@ order mark, LF or CRLF):
 * binned counts:  header ``mouse_id,session,b0,...,b{d-1}``, one row per session
 * press events:   header ``mouse_id,session,press_time_s``, one row per press
 
-Each file is read once with :mod:`csv`.  The binned-counts and events bodies
-are then held as columns, with no object per row: mouse ids become integer
-codes in first-seen order, every numeric field goes through ``int`` (or
-``float`` for press times) into one array, and the checks run on whole
-columns.  An error names the first fault that a row-by-row reader would
-meet, with its line number.
+For binned counts and events a fast reader comes first: it reads the
+file's text once, splits it into lines, takes each line's first comma
+field as the mouse id and converts the numeric columns with one
+``np.loadtxt`` call.  It declines any file on which it could disagree with
+:mod:`csv` (a quote, a character outside ASCII, an empty line, a row of the
+wrong width, a field ``loadtxt`` refuses, ...).  The csv path then reads
+that file again, and it is the one that finds and names faults.  The
+exposures file is read once, with csv alone.  Either way a field is an
+integer when ``int()`` accepts it (a press time when ``float()`` does), and
+the body is held as columns, with no object per row: mouse ids become
+integer codes in first-seen order, and the checks run on whole columns.
+An error names the first fault that a row-by-row reader would meet, with
+its line number.
 
 Raw events are binned on an idealized fixed-interval clock: a press at time
 t lands in bin ``floor((t mod interval_length) / bin_width)``.  Per-mouse
@@ -24,9 +31,9 @@ rather than imputing zero-count sessions.
 from __future__ import annotations
 
 import csv
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -158,35 +165,6 @@ def _in_int64(value: int) -> bool:
     return _INT64.min <= value <= _INT64.max
 
 
-def _body(rows, lines, width: int, error: type[ParseError]):
-    """Rows after the header, their line numbers, and the first row of the wrong width.
-
-    Returns ``(body, lines, end, fault)``: ``end`` is the index of that row
-    (``len(body)`` when every row fits) and ``fault`` its error, or None.
-    """
-    body, lines = rows[1:], lines[1:]
-    end = _first(np.fromiter(map(len, body), np.intp, len(body)) != width)
-    fault = None
-    if end < len(body):
-        message = f"expected {width} columns, got {len(body[end])}"
-        fault = error(message, line_number=int(lines[end]))
-    return body, lines, end, fault
-
-
-def _first_row_error(body, lines, end: int, fault, row_error):
-    """Scan rows before ``end`` for the first one ``row_error`` rejects.
-
-    Only runs when a whole-column conversion failed, to find the row a
-    row-by-row reader would stop at.  Returns ``(end, fault)`` moved back
-    to that row, or unchanged.
-    """
-    for i in range(end):
-        error = row_error(body[i], int(lines[i]))
-        if error is not None:
-            return i, error
-    return end, fault
-
-
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
     """True where a run of equal keys begins, for rows sorted by ``keys``."""
     starts = np.ones(keys[0].shape[0], dtype=bool)
@@ -203,6 +181,110 @@ def _codes(ids) -> tuple[tuple[str, ...], np.ndarray]:
     unique = tuple(dict.fromkeys(ids))
     index = {m: i for i, m in enumerate(unique)}
     return unique, np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
+
+
+#: ASCII characters on which the fast reader and the csv path could
+#: disagree: the quote, NUL (which csv refuses before Python 3.11), the line
+#: breaks \v and \f that only ``str.splitlines`` honours, and \x1c-\x1f,
+#: which ``str.splitlines`` breaks at (\x1c-\x1e) and ``loadtxt`` strips as
+#: whitespace where ``int()`` and ``float()`` do not
+_DECLINE = '"\x00\x0b\x0c\x1c\x1d\x1e\x1f'
+#: the array type of a column that ``int`` or ``float`` converts
+_DTYPE = {int: np.int64, float: np.float64}
+
+
+def _loadtxt_table(path, numeric):
+    """:func:`_table`'s result from one read and one ``np.loadtxt`` call, or None.
+
+    Declines (returns None, so that the csv path runs) wherever the two
+    could disagree: a file that cannot be read or decoded, a character
+    outside ASCII or in ``_DECLINE``, an empty line, a line as long as
+    csv's field limit, a header alone, a row wider or narrower than the
+    header, or a field that ``loadtxt`` refuses or warns about.  On ASCII,
+    ``loadtxt`` then takes no spelling that ``int()`` or ``float()``
+    refuses, and refuses some that they take (``1_0``, values past int64).
+    Outside ASCII lie the line breaks only ``str.splitlines`` honours,
+    digits and spaces that only Python reads, and characters on which
+    numpy's integer parser can crash (numpy 2.4.6 on U+E60DD).
+    """
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    lines = text.splitlines()
+    if (
+        len(lines) < 2
+        or not all(lines)
+        or not text.isascii()
+        or any(c in text for c in _DECLINE)
+        or max(map(len, lines)) >= csv.field_size_limit()
+    ):
+        return None
+    types = numeric([c.strip() for c in lines[0].split(",")])
+    # loadtxt refuses a row narrower than the header, so an equal comma
+    # total leaves no row wider
+    if text.count(",") != len(types) * len(lines):
+        return None
+    dtype = np.dtype([(f"c{j}", _DTYPE[t]) for j, t in enumerate(types)])
+    body = lines[1:]
+    try:
+        with warnings.catch_warnings():
+            # older numpy parses "1.0" as the integer 1 and only warns
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                body, dtype, comments=None, delimiter=",", usecols=range(1, len(types) + 1), ndmin=1
+            )
+    except (ValueError, Warning):
+        return None
+    ids = [line.partition(",")[0].strip() for line in body]
+    return ids, [table[name].copy() for name in dtype.names], np.arange(2, len(lines) + 1), None
+
+
+def _table(path, numeric, width_error: type[ParseError], row_error):
+    """Read a data file into mouse ids and numeric columns, up to its first faulty row.
+
+    ``numeric(header)`` checks the header's stripped fields (none for an
+    empty file) and returns the type, ``int`` or ``float``, of each column
+    after the id.  Returns ``(ids, columns, lines, fault)``: the stripped
+    ids, one int64 or float64 array per numeric column and the line
+    numbers of the rows before the first faulty one, and that row's error
+    (None when every row converts).  A row of the wrong width is a
+    ``width_error``; ``row_error(row, line)`` names the fault of a row
+    whose fields do not convert.
+
+    :func:`_loadtxt_table` reads most files; the csv path reads the rest
+    and is the one that finds and names faults.
+    """
+    fast = _loadtxt_table(path, numeric)
+    if fast is not None:
+        return fast
+    rows, lines = _read_rows(path)
+    types = numeric([c.strip() for c in rows[0]] if rows else [])
+    body, lines = rows[1:], lines[1:]
+    width = len(types) + 1
+    end = _first(np.fromiter(map(len, body), np.intp, len(body)) != width)
+    fault = None
+    if end < len(body):
+        fault = width_error(
+            f"expected {width} columns, got {len(body[end])}", line_number=int(lines[end])
+        )
+
+    def columns(n):
+        fields = list(zip(*body[:n]))[1:] or [()] * len(types)
+        return [np.fromiter(map(t, f), _DTYPE[t], n) for t, f in zip(types, fields)]
+
+    try:
+        converted = columns(end)
+    except (ValueError, OverflowError):
+        # a row-by-row reader stops at the first row that does not convert
+        end, fault = next(
+            (i, error)
+            for i in range(end)
+            if (error := row_error(body[i], int(lines[i]))) is not None
+        )
+        converted = columns(end)
+    return [row[0].strip() for row in body[:end]], converted, lines[:end], fault
 
 
 def parse_exposures(path) -> dict[str, int]:
@@ -245,13 +327,6 @@ def _bins_row_error(row: list[str], line: int) -> DivtolError | None:
     return None
 
 
-def _bins_columns(body: list[list[str]], width: int) -> tuple[list[str], np.ndarray]:
-    """Stripped mouse ids, and sessions and counts as one int64 array of shape (width - 1, rows)."""
-    ids, *fields = list(zip(*body)) or [()] * width
-    values = np.fromiter(map(int, chain.from_iterable(fields)), np.int64, len(body) * (width - 1))
-    return list(map(str.strip, ids)), values.reshape(width - 1, len(body))
-
-
 def _check_sessions(sessions: Sessions) -> None:
     """Raise the first row with a negative count, a session below 1 or a repeated key.
 
@@ -291,35 +366,32 @@ def parse_binned_counts(path, layout: StudyLayout | None = None) -> Sessions:
     nonnegative integer counts, all within int64, and each
     (mouse_id, session) pair at most once; a repeat names both lines.
     """
-    rows, lines = _read_rows(path)
-    header = [c.strip() for c in rows[0]] if rows else []
-    if layout is None:
-        if len(header) < 3:
-            raise InputError(f"cannot infer bin count from header of {path}")
-        layout = StudyLayout(interval_length_s=60.0, bin_width_s=60.0 / (len(header) - 2))
-    elif not rows:
-        raise SchemaError("empty file", line_number=1)
-    d = layout.n_bins
-    expected_header = ["mouse_id", "session"] + [f"b{j}" for j in range(d)]
-    if header != expected_header:
-        raise SchemaError(
-            f"expected header '{','.join(expected_header)}', got '{','.join(header)}'",
-            line_number=1,
-        )
-    body, lines, end, fault = _body(rows, lines, d + 2, SchemaError)
-    try:
-        ids, values = _bins_columns(body[:end], d + 2)
-    except (ValueError, OverflowError):
-        end, fault = _first_row_error(body, lines, end, fault, _bins_row_error)
-        ids, values = _bins_columns(body[:end], d + 2)
+
+    def numeric(header: list[str]) -> list[type]:
+        nonlocal layout
+        if layout is None:
+            if len(header) < 3:
+                raise InputError(f"cannot infer bin count from header of {path}")
+            layout = StudyLayout(interval_length_s=60.0, bin_width_s=60.0 / (len(header) - 2))
+        elif not header:
+            raise SchemaError("empty file", line_number=1)
+        expected_header = ["mouse_id", "session"] + [f"b{j}" for j in range(layout.n_bins)]
+        if header != expected_header:
+            raise SchemaError(
+                f"expected header '{','.join(expected_header)}', got '{','.join(header)}'",
+                line_number=1,
+            )
+        return [int] * (layout.n_bins + 1)
+
+    ids, (session, *counts), lines, fault = _table(path, numeric, SchemaError, _bins_row_error)
     mouse_ids, codes = _codes(ids)
     sessions = Sessions(
         layout=layout,
         mouse_ids=mouse_ids,
         codes=codes,
-        session=values[0].copy(),
-        counts=np.ascontiguousarray(values[1:].T),
-        line_numbers=lines[:end],
+        session=session,
+        counts=np.column_stack(counts),
+        line_numbers=lines,
     )
     _check_sessions(sessions)
     if fault is not None:
@@ -340,19 +412,16 @@ def _events_row_error(row: list[str], line: int) -> DivtolError | None:
 
 def parse_events(path) -> Events:
     """Read raw press events: one (mouse_id, session, press_time_s) per row."""
-    rows, lines = _read_rows(path)
-    if not rows or [c.strip() for c in rows[0]] != ["mouse_id", "session", "press_time_s"]:
-        raise SchemaError("expected header 'mouse_id,session,press_time_s'", line_number=1)
-    body, lines, end, fault = _body(rows, lines, 3, ParseError)
-    ids, sessions, times = list(zip(*body[:end])) or [(), (), ()]
-    try:
-        session = np.fromiter(map(int, sessions), np.int64, end)
-        time = np.fromiter(map(float, times), np.float64, end)
-    except (ValueError, OverflowError):
-        end, fault = _first_row_error(body, lines, end, fault, _events_row_error)
+
+    def numeric(header: list[str]) -> list[type]:
+        if header != ["mouse_id", "session", "press_time_s"]:
+            raise SchemaError("expected header 'mouse_id,session,press_time_s'", line_number=1)
+        return [int, float]
+
+    ids, (session, time), lines, fault = _table(path, numeric, ParseError, _events_row_error)
     if fault is not None:
         raise fault
-    mouse_ids, codes = _codes(list(map(str.strip, ids)))
+    mouse_ids, codes = _codes(ids)
     return Events(mouse_ids, codes, session, time, lines)
 
 

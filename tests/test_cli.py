@@ -723,10 +723,11 @@ def test_fuzzed_inputs_exit_cleanly(command, source, files, optimal, sign):
                 fh.write(data)
         components = [sign * optimal] + ([] if source == "bins" else [0.0] * 11)
         out = os.path.join(directory, "r.json")
-        # one token, or argparse reads a leading "-1e+100" as an option
-        argv = ["--command", command, "--optimal=" + ",".join(map(repr, components)),
-                "--exposures", os.path.join(directory, "exposures.csv"),
+        argv = ["--command", command, "--exposures", os.path.join(directory, "exposures.csv"),
                 f"--{source}", os.path.join(directory, f"{source}.csv"), "--out", out]
+        if command == "estimate":  # ingest-check does not read --optimal
+            # one token, or argparse reads a leading "-1e+100" as an option
+            argv.append("--optimal=" + ",".join(map(repr, components)))
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(argv)
@@ -819,8 +820,36 @@ def test_simulated_divergences_too_large_to_square_are_refused(tmp_path, capsys)
     assert not out.exists()
 
 
+#: flags each command leaves unread, a value for each other than its
+#: default, and a run of each command that resolves
+UNREAD_FLAGS = {
+    "estimate": ["--n", "--datasets", "--p-exposed"],
+    "curves": ["--method", "--bootstrap", "--level", "--seed", "--n", "--datasets", "--p-exposed"],
+    "simulate-mc": ["--exposures", "--bins", "--events", "--norm", "--weights", "--method",
+                    "--grid-step", "--bootstrap", "--level"],
+    "consistency": ["--exposures", "--bins", "--events", "--norm", "--weights", "--method",
+                    "--grid-step", "--bootstrap", "--level", "--p-exposed"],
+    "ingest-check": ["--optimal", "--norm", "--weights", "--method", "--grid-step", "--bootstrap",
+                     "--level", "--seed", "--n", "--datasets", "--p-exposed"],
+}
+NON_DEFAULT = {
+    "--exposures": "e.csv", "--bins": "b.csv", "--events": "v.csv", "--optimal": "1",
+    "--norm": "l1", "--weights": "sixty-minus-midpoint", "--method": "grid", "--grid-step": "0.25",
+    "--bootstrap": "100", "--level": "0.9", "--seed": "3", "--n": "20", "--datasets": "5",
+    "--p-exposed": "0.3",
+}
+FILE_RUN = ["--exposures", "e.csv", "--bins", "b.csv"]
+RESOLVING_RUNS = {
+    "estimate": FILE_RUN + ["--optimal", "1"],
+    "curves": FILE_RUN + ["--optimal", "1"],
+    "simulate-mc": [],
+    "consistency": [],
+    "ingest-check": FILE_RUN,
+}
+
+
 class TestResourceBounds:
-    """Flags outside their range are refused before any work.
+    """Flags outside their range, or that the command does not read, are refused before any work.
 
     The range of a flag that sizes an allocation ends at its limit.
     """
@@ -856,9 +885,27 @@ class TestResourceBounds:
         assert json.loads(stderr)["error"]["class"] == "ConfigurationError"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag", [(c, f) for c, flags in UNREAD_FLAGS.items() for f in flags]
+    )
+    def test_a_flag_the_command_does_not_read_is_a_configuration_error(
+        self, command, flag, tmp_path, capsys
+    ):
+        base = ["--command", command, *RESOLVING_RUNS[command], "--out", str(tmp_path / "r.json")]
+        parser = build_parser()
+        cli._resolve_config(parser.parse_args(base), parser)
+        code, _, stderr = run(base + [flag, NON_DEFAULT[flag]], capsys)
+        assert code == 2
+        assert json.loads(stderr)["error"] == {
+            "class": "ConfigurationError",
+            "message": f"--command {command} does not read {flag}",
+        }
+        assert not (tmp_path / "r.json").exists()
+
     def test_the_limits_themselves_resolve(self):
         def resolve(*args):
-            return cli._resolve_config(build_parser().parse_args([*args, "--out", "r.json"]))
+            parser = build_parser()
+            return cli._resolve_config(parser.parse_args([*args, "--out", "r.json"]), parser)
 
         estimate = resolve("--command", "estimate", "--exposures", "e.csv", "--bins", "b.csv",
                            "--optimal", "1", "--bootstrap", str(BOOTSTRAP_MAX_REPLICATES))

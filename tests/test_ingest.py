@@ -4,12 +4,14 @@ import csv
 import gc
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divtol import ingest
 from divtol import (
     BinnedSession,
     DataError,
@@ -607,7 +609,7 @@ def row_average_sessions(
 
 IDS = ["m1", "m2", "m3", "m1\x00", "m 1", "m  1", " m2 "]
 INT_LIKE = [" 7", "+3", "1_0", "٣", "007"]
-NOT_INT = ["x", "1.5", "", "1e3", "--1", "0x10", "½"]
+NOT_INT = ["x", "1.5", "", "1e3", "--1", "0x10", "½", "2#x", "#"]
 
 
 def field(rnd, usual, faults, rate):
@@ -669,7 +671,7 @@ def events_files(draw):
     d = draw(st.sampled_from([1, 7, 12]))
     edges = [repr(float(np.nextafter(60.0 / d * k, 0.0))) for k in range(1, d + 1)]
     time_faults = ["nan", "inf", "-inf", "-1", "-0.0", "1e400", "1.7976931348623157e308",
-                   "60", "x", "", "1_0.5", " 2.5"] + edges
+                   "60", "x", "", "1_0.5", " 2.5", "٣.5", "2#x", "#"] + edges
     session_faults = ["0", "-2"] + INT_LIKE + NOT_INT
     rate = draw(st.sampled_from([10, 40, 400]))
 
@@ -742,6 +744,124 @@ def test_columnar_events_parser_matches_the_row_loop(tmp_path_factory, case):
     binned = outcome(row_bin_events, expected[1], layout)
     assert_same_sessions(binned, outcome(bin_events, events, layout), layout)
     assert_same_sessions(binned, outcome(bin_events, expected[1], layout), layout)
+
+
+# ---------------------------------------------------------------------------
+# The loadtxt fast reader against the csv path it stands in for.
+
+#: fields on which ``np.loadtxt`` and ``int()``/``float()`` could disagree
+FIELD_HAZARDS = [
+    "1_0", "٣", "1_0.5", "٣.5", "2#x", "#", "1.0", "1e3", "0x10", "x", "", str(2**63),
+    str(-(2**63) - 1), "-0", "+3", " 7 ", "\x1f7", "7\u2003", "-nan", "nan", "inf", "1e400",
+    "4.9e-325", "m1\x00",
+]
+#: line breaks that ``str.splitlines`` honours and ``csv`` does not
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+#: characters put inside a field
+CHAR_HAZARDS = ['"', "\x00", "\ufeff", "\x1f", "\u2003", "\t", " ", ",", "#"] + SPLITLINES_ONLY
+#: one field past csv's default field limit
+LONG_FIELD = "1" * 131_073
+
+
+@st.composite
+def reader_texts(draw):
+    """A plain bins or events file with up to three of the fast reader's hazards.
+
+    Returns ``(events, text)``.  A hazard replaces a field, lands inside
+    one, quotes one, ends a row with a break only ``str.splitlines``
+    honours, makes a row blank or whitespace, changes a row's width or
+    overflows csv's field limit.  Lines end in LF, CRLF, a lone CR or a
+    mix, and the file may start with a byte order mark.
+    """
+    rnd = draw(st.randoms(use_true_random=True))
+    events = rnd.random() < 0.5
+    if events:
+        header = ["mouse_id", "session", "press_time_s"]
+    else:
+        header = ["mouse_id", "session"] + [f"b{j}" for j in range(rnd.randint(1, 3))]
+
+    def usual(j):
+        if j == 0:
+            return rnd.choice(["m1", "m2", " m2 ", "m 1"])
+        if j == 1:
+            return str(rnd.randint(1, 10**4))
+        return repr(rnd.uniform(0.0, 1800.0)) if events else str(rnd.randint(0, 9))
+
+    rows = [header] + [[usual(j) for j in range(len(header))] for _ in range(rnd.randint(0, 30))]
+    end = rnd.choice(["\n", "\r\n", "\r", None])
+    ends = [end or rnd.choice(["\n", "\r\n", "\r"]) for _ in rows]
+    for _ in range(rnd.choice([0, 1, 1, 1, 2, 3])):
+        i = rnd.randrange(len(rows))
+        row = rows[i]
+        j = rnd.randrange(1, len(row)) if len(row) > 1 and rnd.random() < 0.75 else 0
+        kind = rnd.randrange(9)
+        if kind == 0:
+            row[j] = rnd.choice(FIELD_HAZARDS)
+        elif kind == 1:
+            row[j] += rnd.choice(CHAR_HAZARDS)
+        elif kind == 2:
+            row[j] = rnd.choice(CHAR_HAZARDS) + row[j]
+        elif kind == 3:
+            row[j] = '"' + row[j] + rnd.choice(["", ",", "\n", '""']) + '"'
+        elif kind == 4:
+            ends[i] = rnd.choice(SPLITLINES_ONLY)
+        elif kind == 5:
+            rows.insert(i, [rnd.choice(["", "", " ", "\t", "\u2003"])])
+            ends.insert(i, ends[i])
+        elif kind == 6:
+            row.pop()
+        elif kind == 7:
+            row.append("1")
+        else:
+            row[j] += LONG_FIELD
+    text = "".join(",".join(row) + e for row, e in zip(rows, ends))
+    if rnd.random() < 0.2:
+        text = text.rstrip("\r\n")
+    if rnd.random() < 0.2:
+        text = "\ufeff" + text
+    return events, text
+
+
+def column_bits(parsed):
+    """Every field of parsed Sessions or Events, arrays as (dtype, shape, bytes)."""
+    names = ["codes", "session", "time" if isinstance(parsed, Events) else "counts", "line_numbers"]
+    arrays = [getattr(parsed, name) for name in names]
+    return parsed.mouse_ids, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=400, deadline=None)
+@given(reader_texts())
+def test_the_fast_reader_declines_or_matches_the_csv_path(tmp_path_factory, case):
+    events, text = case
+    path = tmp_path_factory.mktemp("reader") / "f.csv"
+    path.write_bytes(text.encode("utf-8"))
+    parse = parse_events if events else parse_binned_counts
+    with mock.patch.object(ingest, "_loadtxt_table", return_value=None):
+        expected = outcome(parse, path)
+    got = outcome(parse, path)
+    assert got[0] == expected[0], (expected, got)
+    if expected[0] == "error":
+        assert got[1] == expected[1]
+    else:
+        assert column_bits(got[1]) == column_bits(expected[1])
+
+
+def test_plain_files_take_the_fast_path(monkeypatch, tmp_path):
+    # a fast reader that always declined would pass every other test
+    bins = write(tmp_path / "b.csv", "mouse_id,session,b0,b1\r\nm1,1,3,0\r\nm2,2,1,4\r\n")
+    events = write(tmp_path / "e.csv", "\ufeffmouse_id,session,press_time_s\nm1,1,2.5\nm2,1,61\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the csv path ran")
+
+    monkeypatch.setattr(ingest.csv, "reader", refuse)
+    sessions = parse_binned_counts(bins)
+    assert sessions.mouse_ids == ("m1", "m2")
+    np.testing.assert_array_equal(sessions.counts, [[3, 0], [1, 4]])
+    np.testing.assert_array_equal(sessions.line_numbers, [2, 3])
+    parsed = parse_events(events)
+    np.testing.assert_array_equal(parsed.time, [2.5, 61.0])
+    np.testing.assert_array_equal(parsed.session, [1, 1])
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
