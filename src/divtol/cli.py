@@ -325,13 +325,11 @@ def cmd_estimate(cfg: Namespace) -> None:
     if cfg.bootstrap is not None:
         lo, hi = bootstrap_ci(ds, spec, replicates=cfg.bootstrap, seed=cfg.seed, level=cfg.level)
         interval = {"lo": lo, "hi": hi, "replicates": cfg.bootstrap, "level": cfg.level}
-    var_u, cov_uv, var_v = result.quadratic
     result_echo = {
         "theta_e": result.theta_e,
         "objective_at_min": result.objective_at_min,
         "method": result.method.name,
-        "clamped": result.clamped,
-        "quadratic": {"var_u": var_u, "cov_uv": cov_uv, "var_v": var_v},
+        "quadratic": dict(zip(("var_u", "cov_uv", "var_v"), result.quadratic)),
         "bootstrap": interval,
     }
     _write(cfg, {"result": result_echo, "unmatched_exposure_ids": unmatched})

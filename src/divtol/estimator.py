@@ -101,18 +101,14 @@ class Method(Enum):
 class EstimateResult:
     """Fitted tolerance with minimizer provenance and diagnostics.
 
-    ``quadratic`` carries the (var_u, cov_uv, var_v) coefficients of the
-    objective's quadratic form ``var_u * theta^2 + 2 * cov_uv * theta + var_v``,
-    useful for audits and standard-error work.  ``clamped`` is set on the GRID
-    path when the grid's argmin sits on a boundary because the parabola's
-    vertex lies outside [0, 1]; the closed-form argmin always lies in [0, 1],
-    so on the CLOSED_FORM path it is always False.
+    ``quadratic`` carries the coefficients ``(A_e + A_c, -A_c, W_c / n + p q m_c^2)``
+    of ``Psi_n / 2 = (A_e + A_c) theta^2 - 2 A_c theta + W_c / n + p q m_c^2``
+    (see the module docstring), useful for audits and standard-error work.
     """
 
     theta_e: float
     objective_at_min: float
     method: Method
-    clamped: bool
     quadratic: tuple[float, float, float]
 
 
@@ -131,7 +127,7 @@ class CurveSamples:
 
 
 def _fit(d_e: np.ndarray, d_c: np.ndarray):
-    """Return (theta, degenerate, (var_u, cov_uv, var_v)) from group divergences.
+    """Return (theta, degenerate, :attr:`EstimateResult.quadratic`) from group divergences.
 
     ``d_e`` and ``d_c`` have shapes (..., n_e) and (..., n_c): 1-D for one
     dataset, 2-D for a block of replicates, each row fitted to the same bits
@@ -150,11 +146,11 @@ def _fit(d_e: np.ndarray, d_c: np.ndarray):
     pq_m = pq * (m_e + m_c)
     a_e = w_e + pq_m * m_e
     a_c = w_c + pq_m * m_c
-    var_u = a_e + a_c
+    curvature = a_e + a_c
     top = np.maximum(d_e.max(axis=-1), d_c.max(axis=-1))
-    degenerate = var_u <= DEGENERACY_RTOL * (top * top)
-    theta = a_c / (var_u + degenerate)  # no 0/0 on an all-zero row
-    return theta, degenerate, (var_u, 0.0 - a_c, w_c + pq * m_c * m_c)
+    degenerate = curvature <= DEGENERACY_RTOL * (top * top)
+    theta = a_c / (curvature + degenerate)  # no 0/0 on an all-zero row
+    return theta, degenerate, (curvature, 0.0 - a_c, w_c + pq * m_c * m_c)
 
 
 def _require_theta(theta_e: float) -> float:
@@ -279,15 +275,6 @@ def variance_objective(theta_e: float, ds: Dataset, spec: DivergenceSpec) -> flo
     return _group_objective(t, d[exposed], d[~exposed])
 
 
-def _parabola_vertex(x: np.ndarray, y: np.ndarray) -> float:
-    """Vertex abscissa of the parabola through three equally spaced samples."""
-    h = x[1] - x[0]
-    denom = 2.0 * (y[0] - 2.0 * y[1] + y[2])
-    if denom == 0.0:
-        return float(x[1])
-    return float(x[0] + h * (3.0 * y[0] - 4.0 * y[1] + y[2]) / denom)
-
-
 def grid_intervals(step: float) -> int:
     """Number of intervals of a uniform grid on [0, 1] with the given step.
 
@@ -301,31 +288,17 @@ def grid_intervals(step: float) -> int:
     return int(whole)
 
 
-def _scan_grid(var_u: float, cov_uv: float, var_v: float, step: float) -> tuple[float, bool]:
+def _scan_grid(curvature: float, half_slope: float, constant: float, step: float) -> float:
     """Exhaustive argmin of the quadratic objective over a uniform grid on [0, 1].
 
-    A boundary argmin is flagged as clamped only when the parabola refit
-    through the sampled objective has its vertex strictly outside [0, 1], so
-    the flag means the same thing as on the closed-form path.
+    The arguments are :attr:`EstimateResult.quadratic`: the objective is
+    ``2 * (curvature * theta^2 + 2 * half_slope * theta + constant)``.
     """
     if not DEFAULT_GRID_STEP <= step <= 0.5:
         raise InputError(f"grid step must lie in [{DEFAULT_GRID_STEP}, 0.5], got {step!r}")
     grid = np.linspace(0.0, 1.0, grid_intervals(step) + 1)
-
-    def psi_at(t):
-        return 2.0 * (var_u * t * t + 2.0 * cov_uv * t + var_v)
-
-    psi = psi_at(grid)
-    k = int(np.argmin(psi))
-    theta = float(grid[k]) + 0.0  # normalize -0.0
-    clamped = False
-    if k in (0, len(grid) - 1):
-        # refit the parabola through well-separated samples; adjacent grid
-        # values differ by O(step^2) and would cancel catastrophically
-        anchors = np.array([0.0, 0.5, 1.0])
-        vertex = _parabola_vertex(anchors, psi_at(anchors))
-        clamped = vertex < 0.0 if k == 0 else vertex > 1.0
-    return theta, clamped
+    psi = 2.0 * (curvature * grid * grid + 2.0 * half_slope * grid + constant)
+    return float(grid[np.argmin(psi)]) + 0.0  # normalize -0.0
 
 
 def estimate_theta(
@@ -353,9 +326,9 @@ def estimate_theta(
         )
 
     if method is Method.CLOSED_FORM:
-        theta, clamped = float(theta), False
+        theta = float(theta)
     elif method is Method.GRID:
-        theta, clamped = _scan_grid(*quadratic, grid_step)
+        theta = _scan_grid(*quadratic, grid_step)
     else:
         raise InputError(f"unknown method {method!r}")
 
@@ -363,7 +336,6 @@ def estimate_theta(
         theta_e=theta,
         objective_at_min=_group_objective(theta, d_e, d_c),
         method=method,
-        clamped=clamped,
         quadratic=quadratic,
     )
 

@@ -7,19 +7,19 @@ order mark, LF or CRLF):
 * binned counts:  header ``mouse_id,session,b0,...,b{d-1}``, one row per session
 * press events:   header ``mouse_id,session,press_time_s``, one row per press
 
-For binned counts and events a fast reader comes first: it reads the
-file's text once, splits it into lines, takes each line's first comma
-field as the mouse id and converts the numeric columns with one
+Every file is read and decoded once.  For binned counts and events a fast
+reader comes first: it splits the text into lines, takes each line's first
+comma field as the mouse id and converts the numeric columns with one
 ``np.loadtxt`` call.  It declines any file on which it could disagree with
-:mod:`csv` (a quote, a character outside ASCII, an empty line, a row of the
-wrong width, a field ``loadtxt`` refuses, ...).  The csv path then reads
-that file again, and it is the one that finds and names faults.  The
-exposures file is read once, with csv alone.  Either way a field is an
-integer when ``int()`` accepts it (a press time when ``float()`` does), and
-the body is held as columns, with no object per row: mouse ids become
-integer codes in first-seen order, and the checks run on whole columns.
-An error names the first fault that a row-by-row reader would meet, with
-its line number.
+:mod:`csv` (a quote, a character outside ASCII, an empty line before the
+last row, a row of the wrong width, a field ``loadtxt`` refuses, ...).  The
+csv path then parses the same text, and it is the one that finds and
+names faults.  The exposures file is parsed with csv alone.  Either way a
+field is an integer when ``int()`` accepts it (a press time when
+``float()`` does), and the body is held as columns, with no object per
+row: mouse ids become integer codes in first-seen order, and the checks
+run on whole columns.  An error names the first fault that a row-by-row
+reader would meet, with its line number.
 
 Raw events are binned on an idealized fixed-interval clock: a press at time
 t lands in bin ``floor((t mod interval_length) / bin_width)``.  Per-mouse
@@ -31,6 +31,7 @@ rather than imputing zero-count sessions.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -140,14 +141,24 @@ class Events:
         return self.codes.shape[0]
 
 
-def _read_rows(path) -> tuple[list[list[str]], np.ndarray]:
-    """The file's non-empty csv rows and their 1-based record numbers."""
+def _read_text(path) -> str:
+    """The file's text, decoded once; a byte that is not UTF-8 is named at its offset."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
+
+
+def _read_rows(path, text: str) -> tuple[list[list[str]], np.ndarray]:
+    """The non-empty csv rows of the file's ``text`` and their 1-based record numbers."""
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
         raise ParseError(f"cannot parse {path}: {exc}") from exc
     lines = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows))) + 1
     if lines.shape[0] < len(rows):
@@ -193,26 +204,22 @@ _DECLINE = '"\x00\x0b\x0c\x1c\x1d\x1e\x1f'
 _DTYPE = {int: np.int64, float: np.float64}
 
 
-def _loadtxt_table(path, numeric):
-    """:func:`_table`'s result from one read and one ``np.loadtxt`` call, or None.
+def _loadtxt_table(text: str, numeric):
+    """:func:`_table`'s result for a file's ``text`` from one ``np.loadtxt`` call, or None.
 
-    Declines (returns None, so that the csv path runs) wherever the two
-    could disagree: a file that cannot be read or decoded, a character
-    outside ASCII or in ``_DECLINE``, an empty line, a line as long as
-    csv's field limit, a header alone, a row wider or narrower than the
-    header, or a field that ``loadtxt`` refuses or warns about.  On ASCII,
-    ``loadtxt`` then takes no spelling that ``int()`` or ``float()``
-    refuses, and refuses some that they take (``1_0``, values past int64).
+    Trailing empty lines carry no row and are dropped first.  Declines
+    (returns None, so that the csv path runs) wherever the two could
+    disagree: a character outside ASCII or in ``_DECLINE``, an empty line
+    before the last row, a line as long as csv's field limit, a header
+    alone, a row wider or narrower than the header, or a field that
+    ``loadtxt`` refuses or warns about.  On ASCII, ``loadtxt`` then takes
+    no spelling that ``int()`` or ``float()`` refuses, and refuses some
+    that they take (``1_0``, values past int64).
     Outside ASCII lie the line breaks only ``str.splitlines`` honours,
     digits and spaces that only Python reads, and characters on which
     numpy's integer parser can crash (numpy 2.4.6 on U+E60DD).
     """
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError):
-        return None
-    lines = text.splitlines()
+    lines = text.rstrip("\r\n").splitlines()
     if (
         len(lines) < 2
         or not all(lines)
@@ -253,13 +260,15 @@ def _table(path, numeric, width_error: type[ParseError], row_error):
     ``width_error``; ``row_error(row, line)`` names the fault of a row
     whose fields do not convert.
 
-    :func:`_loadtxt_table` reads most files; the csv path reads the rest
-    and is the one that finds and names faults.
+    The file is read and decoded once.  :func:`_loadtxt_table` parses most
+    files; the csv path parses the rest and is the one that finds and names
+    faults.
     """
-    fast = _loadtxt_table(path, numeric)
+    text = _read_text(path)
+    fast = _loadtxt_table(text, numeric)
     if fast is not None:
         return fast
-    rows, lines = _read_rows(path)
+    rows, lines = _read_rows(path, text)
     types = numeric([c.strip() for c in rows[0]] if rows else [])
     body, lines = rows[1:], lines[1:]
     width = len(types) + 1
@@ -292,7 +301,7 @@ def parse_exposures(path) -> dict[str, int]:
 
     Consistent duplicate rows are tolerated; conflicting ones are rejected.
     """
-    rows, lines = _read_rows(path)
+    rows, lines = _read_rows(path, _read_text(path))
     if not rows or [c.strip() for c in rows[0]] != ["mouse_id", "exposed"]:
         raise SchemaError("expected header 'mouse_id,exposed'", line_number=1)
     exposures: dict[str, int] = {}

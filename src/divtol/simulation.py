@@ -37,7 +37,9 @@ from .estimator import (
     BOOTSTRAP_BLOCK_ELEMENTS,
     _bounded,
     _fit,
+    _group_objective,
     _require_seed,
+    _require_theta,
     estimate_theta,
     variance_objective,
 )
@@ -316,19 +318,17 @@ def fit_anova(ds: Dataset) -> AnovaFit:
 
 
 def _fit_rows(
-    states: np.ndarray, actions: np.ndarray, spec: DivergenceSpec
+    states: np.ndarray, actions: np.ndarray, d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit a (rows, n) block of replicates: (theta, degenerate, b1), one entry per row.
 
     Each row gets the bits that :func:`estimate_theta` and :func:`fit_anova`
-    give on that replicate's dataset.  The divergences come from
-    :func:`action_divergences` and are refused as the estimator refuses
-    them.  A stable sort puts each row's exposed animals first, each group
-    in the dataset's order, and rows with the same number of exposed
-    animals are fitted together.  Every row must hold both groups.
+    give on that replicate's dataset.  A stable sort puts each row's exposed
+    animals first, each group in the dataset's order, and rows with the
+    same number of exposed animals are fitted together.  Every row must hold
+    both groups.
     """
     rows, n = actions.shape
-    d = _bounded(action_divergences(actions.reshape(-1, 1), spec).reshape(rows, n))
     order = np.argsort(states == 0, axis=1, kind="stable")
     d = np.take_along_axis(d, order, axis=1)
     a = np.take_along_axis(actions, order, axis=1)
@@ -345,14 +345,16 @@ def _fit_rows(
 
 
 def _fit_replicates(
-    draw_row, count: int, n: int, spec: DivergenceSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fit ``count`` replicates of n animals: (theta, degenerate, b1), one entry each.
+    draw_row, count: int, n: int, spec: DivergenceSpec, fit_block
+) -> tuple[np.ndarray, ...]:
+    """Fit ``count`` replicates of n animals, one entry each per array ``fit_block`` returns.
 
     ``draw_row(i)`` returns replicate i's states and actions.  Only the draws
     are made one replicate at a time, in order: they fill the rows of a
     block of at most ``BOOTSTRAP_BLOCK_ELEMENTS`` entries (one row if n is
-    larger), and :func:`_fit_rows` fits each block at once.
+    larger), and ``fit_block(states, actions, d)`` fits each block at once.
+    The divergences ``d`` come from :func:`action_divergences` and are
+    refused as the estimator refuses them.
     """
     rows = max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
     states = np.empty((min(rows, count), n), dtype=int)
@@ -362,9 +364,9 @@ def _fit_replicates(
         take = min(rows, count - start)
         for i in range(take):
             states[i], actions[i] = draw_row(start + i)
-        fits.append(_fit_rows(states[:take], actions[:take], spec))
-    theta, degenerate, b1 = map(np.concatenate, zip(*fits))
-    return theta, degenerate, b1
+        d = _bounded(action_divergences(actions[:take].reshape(-1, 1), spec).reshape(take, n))
+        fits.append(fit_block(states[:take], actions[:take], d))
+    return tuple(map(np.concatenate, zip(*fits)))
 
 
 def run_monte_carlo(cfg: McConfig, policy: PolicyConfig) -> McResult:
@@ -385,7 +387,9 @@ def run_monte_carlo(cfg: McConfig, policy: PolicyConfig) -> McResult:
         rng = np.random.default_rng(children[i])
         return _study_row(draw_policy(policy, rng), cfg.n_per_dataset, cfg.p_exposed, rng)
 
-    theta, degenerate, b1 = _fit_replicates(draw_row, cfg.num_datasets, cfg.n_per_dataset, spec)
+    theta, degenerate, b1 = _fit_replicates(
+        draw_row, cfg.num_datasets, cfg.n_per_dataset, spec, _fit_rows
+    )
     theta, b1 = theta[~degenerate], b1[~degenerate]
     if not theta.size:
         raise StudyError("every replicate produced a degenerate objective")
@@ -403,6 +407,29 @@ def _row_rng(seed: int, n: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, n, replicate]))
 
 
+def _iid_study(
+    policy: PolicyConfig, ns: list[int], replicates: int, seed: int, spec: DivergenceSpec, fit_block
+) -> list[tuple[np.ndarray, ...]]:
+    """:func:`_fit_replicates` for each n, on :func:`generate_dataset`'s draws.
+
+    Replicate j of size n is drawn from ``_row_rng(seed, n, j)``.  The
+    arguments are checked before anything is drawn.
+    """
+    if list(ns) != sorted(ns):
+        raise InputError("ns must be non-decreasing")
+    if replicates < 2:
+        raise InputError("replicates must be >= 2")
+    if ns and ns[0] < 2:
+        raise InputError(f"n must be >= 2, got {ns[0]}")
+    _require_seed(seed)
+    return [
+        _fit_replicates(
+            lambda j: _iid_row(policy, n, 0.5, _row_rng(seed, n, j)), replicates, n, spec, fit_block
+        )
+        for n in ns
+    ]
+
+
 def consistency_sweep(
     policy: PolicyConfig,
     ns: list[int],
@@ -416,19 +443,10 @@ def consistency_sweep(
     the mean and sample standard deviation of the estimates; a shrinking sd
     is the empirical signature of consistency.
     """
-    if list(ns) != sorted(ns):
-        raise InputError("ns must be non-decreasing")
-    if replicates < 2:
-        raise InputError("replicates must be >= 2")
-    _require_seed(seed)
     spec = DivergenceSpec(optimal=np.array([optimal_action]))
-    if ns and ns[0] < 2:
-        raise InputError(f"n must be >= 2, got {ns[0]}")
+    fits = _iid_study(policy, ns, replicates, seed, spec, _fit_rows)
     rows = []
-    for n in ns:
-        estimates, degenerate, _ = _fit_replicates(
-            lambda j: _iid_row(policy, n, 0.5, _row_rng(seed, n, j)), replicates, n, spec
-        )
+    for n, (estimates, degenerate, _) in zip(ns, fits):
         if degenerate.any():
             # refit the first degenerate replicate alone: it raises the estimator's error
             j = int(np.argmax(degenerate))
@@ -455,33 +473,25 @@ def objective_convergence_probe(
     objective and the mean and sd of ``sqrt(n) * (Psi_n - Psi_hat_0)``, where
     ``Psi_hat_0`` comes from a single size-``oracle_n`` replicate.  A stable
     sd across sample sizes is consistent with an O_P(1) centered fluctuation.
+    Each replicate's objective has the bits of :func:`variance_objective` on
+    its dataset, taken from the group moments of a block of replicates.
     """
-    if not 0.0 <= theta_fixed <= 1.0:
-        raise InputError(f"theta_fixed must lie in [0, 1], got {theta_fixed!r}")
-    if list(ns) != sorted(ns):
-        raise InputError("ns must be non-decreasing")
-    if any(n < 2 for n in ns):
-        raise InputError("every n must be >= 2")
-    _require_seed(seed)
-
+    theta = _require_theta(theta_fixed)
     spec = DivergenceSpec(optimal=np.array([optimal_action]))
+
+    def objectives(states, actions, d):
+        exposed = states == 1
+        return (np.array([_group_objective(theta, r[e], r[~e]) for r, e in zip(d, exposed)]),)
+
+    fits = _iid_study(policy, ns, replicates, seed, spec, objectives)
     oracle_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     oracle = generate_dataset(policy, oracle_n, 0.5, oracle_rng)
-    psi_hat_0 = variance_objective(theta_fixed, oracle, spec)
+    psi_hat_0 = variance_objective(theta, oracle, spec)
 
     rows = []
-    for n in ns:
-        psis = np.empty(replicates)
-        for j in range(replicates):
-            ds = generate_dataset(policy, n, 0.5, _row_rng(seed, n, j))
-            psis[j] = variance_objective(theta_fixed, ds, spec)
+    for n, (psis,) in zip(ns, fits):
         scaled = np.sqrt(n) * (psis - psi_hat_0)
         rows.append(
-            ProbeRow(
-                n=n,
-                mean_psi=float(psis.mean()),
-                mean_scaled=float(scaled.mean()),
-                sd_scaled=float(scaled.std(ddof=1)),
-            )
+            ProbeRow(n, float(psis.mean()), float(scaled.mean()), float(scaled.std(ddof=1)))
         )
     return ProbeResult(psi_hat_0=psi_hat_0, rows=tuple(rows))

@@ -64,7 +64,6 @@ class TestEstimate:
         payload = json.loads(out.read_text())
         assert payload["result"]["theta_e"] == pytest.approx(0.2, abs=1e-12)
         assert payload["result"]["method"] == "CLOSED_FORM"
-        assert payload["result"]["clamped"] is False
         assert payload["result"]["bootstrap"] is None
         assert payload["config"]["seed"] == 0
         assert "tolerates divergence from optimality more" in stdout

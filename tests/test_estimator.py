@@ -280,7 +280,6 @@ def test_closed_form_needs_no_clamp(d_e, d_c, data):
     result = estimate_theta(ds, L1_AT_ZERO)
     theta = result.theta_e
     assert 0.0 <= theta <= 1.0
-    assert result.clamped is False
 
     # power-of-two scaling is exact while every value stays in [1e-150, 1e150]
     top = max(d_e + d_c)
@@ -361,7 +360,6 @@ class TestEstimateTheta:
         result = estimate_theta(two_mouse_dataset(), SCALAR_AT_ONE)
         assert result.theta_e == pytest.approx(0.2, abs=1e-15)
         assert result.method is Method.CLOSED_FORM
-        assert not result.clamped
         assert result.quadratic == pytest.approx((6.25, -1.25, 0.25))
 
     def test_equal_divergences_give_half(self):
@@ -428,21 +426,6 @@ class TestEstimateTheta:
         grid = estimate_theta(ds, SCALAR_AT_ZERO, method=Method.GRID)
         assert closed.theta_e == 0.0
         assert grid.theta_e == 0.0
-
-    def test_clamped_flag_implies_boundary(self):
-        # the flag may only appear together with a boundary estimate
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            ds = random_two_group_dataset(rng)
-            result = estimate_theta(ds, SCALAR_AT_ZERO)
-            if result.clamped:
-                assert result.theta_e in (0.0, 1.0)
-
-    def test_clamp_branches_on_the_quadratic_minimizer(self):
-        # datasets cannot push the vertex outside [0, 1] (divergences are
-        # nonnegative), so the grid's clamp branches are pinned down directly
-        assert _scan_grid(1.0, 0.5, 1.0, 1e-4) == (0.0, True)
-        assert _scan_grid(1.0, -1.5, 1.0, 1e-4) == (1.0, True)
 
     def test_grid_step_below_the_default_rejected(self):
         with pytest.raises(InputError):

@@ -18,8 +18,12 @@ hashes and intervals moved to chunked substreams (a new stream contract),
 every ``objective_at_min`` moved to the exact-mean group form (last bits,
 and about 1e-6 relative on the big-count fixtures, whose old values were
 that far off), and the ``estimate``, ``curves`` and ``ingest-check``
-outputs gained ``unmatched_exposure_ids``.  Any change to them is a numeric
-change and must be stated as one.
+outputs gained ``unmatched_exposure_ids``.  The six ``estimate`` output
+hashes were re-recorded once more when the always-false ``clamped`` key was
+removed, which was the only change to those files.  The convergence-probe
+hash was recorded from the probe that built one dataset per replicate,
+before it moved to the block path.  Any change to them is a numeric change
+and must be stated as one.
 """
 
 import hashlib
@@ -42,6 +46,7 @@ from divtol import (
     dataset_divergences,
     estimate_theta,
     generate_dataset,
+    objective_convergence_probe,
     parse_binned_counts,
     parse_exposures,
     run_monte_carlo,
@@ -49,9 +54,10 @@ from divtol import (
 from divtol.cli import main
 
 MC_SHA256 = "7b6b692350f41b2dcda70763757a6954173a55a279bd9ecd0d4a764981b6d524"
-ESTIMATE_OUT_SHA256 = "1f3376f953d006056d577c4c9502c0319174a10f457fc6b818cf8d4f223c38ee"
+ESTIMATE_OUT_SHA256 = "e387ad5569d79c524efb082ddaf541de30156d7e6f5c5161d45750d96d9e4d2b"
 IID_DATASET_SHA256 = "a5e3a205e921c8409bcfeb17dc900f704b65caa9ef72f812de1681fc4f379780"
 SWEEP_SHA256 = "2e2db1a47f764744439821205c86284a7618915fa604eec4f871e77edca07dea"
+PROBE_SHA256 = "5d9cf7bc61cc65643dd989322f6f7e00bde1c19e41ed0a90ee061bc9f090a125"
 # B=2500 at n=200 spans many resampling blocks and ends in a partial one
 BOOTSTRAP_SHA256 = {
     Norm.L2_SQUARED: "96c833dd5719a4eae2eb1df8164598da1fc69de85e8262dde57ac75f28765247",
@@ -74,7 +80,7 @@ CLI_RUNS = {
 }
 CLI_OUT_SHA256 = {
     ("estimate", "csv"):
-        "4688275e6c018b03b453d89cb449f3c0654bd7fd66461f68e6b0379fcebf5204",
+        "351f098e1991d5a47bf346411f9ec8438ed75f5429769340ce63723a5d3dce08",
     ("curves", "json"):
         "93c105ad299dc51c52c5104f2a553cf6aa08dffc5594c05943732be9e83cac16",
     ("curves", "csv"):
@@ -105,15 +111,15 @@ INGEST_RUNS = {
 }
 INGEST_OUT_SHA256 = {
     ("estimate-events-l1", "json"):
-        "0b91ebce59a779662cf157155144518e757a678a110389911ebce997709a7a2a",
+        "ad01347d34c3fb3eafefa22cc2920f3b3b3c1a22b2de97d92ac96792a2998bcc",
     ("estimate-events-l1", "csv"):
-        "1ed045f09b814d85f8e4e2a8c8cba44ba60221c016a725934c1d55233edcd188",
+        "2a45187b2ad65bc0fa647cb1e3ab6c99f33941fd52f817aa0b2378798e193c18",
     ("curves-events", "json"):
         "468a2209ce75ed2596327f306ebbb7016ea879a225fce0ffe419072672a7a161",
     ("estimate-big-counts-d12", "json"):
-        "45aff175b0ba5157bed67a2256df2af8d50ecdca2b171057e07592d9324334e3",
+        "9c4919705c7d49bd36250b13f2377df89c0bcef45be82d27df4ad312a296d531",
     ("estimate-big-counts-d1", "json"):
-        "289aecbae5ab83c9b4eb45fcdd6a4e5557dcb1b00a97d11e669591a8b0ff2f81",
+        "cb18823048feeaa1bd306f6964cef1e7bfab2f6d3f11c99aa7c63f49006e363b",
 }
 
 
@@ -189,6 +195,13 @@ def test_consistency_sweep_rows_are_bitwise_pinned():
     assert sha256(repr(rows).encode()) == SWEEP_SHA256
 
 
+def test_convergence_probe_is_bitwise_pinned():
+    probe = objective_convergence_probe(
+        PolicyConfig(), [2, 50, 200], 50, 0.3, seed=0, oracle_n=20_000
+    )
+    assert sha256(repr(probe).encode()) == PROBE_SHA256
+
+
 @pytest.mark.parametrize("norm", list(BOOTSTRAP_SHA256))
 def test_multi_block_bootstrap_interval_is_bitwise_pinned(norm):
     ds = generate_dataset(PolicyConfig(), 200, 0.5, np.random.default_rng(3))
@@ -204,7 +217,9 @@ def test_estimate_output_is_bitwise_pinned(tmp_path, monkeypatch, capsys):
     assert sha256((tmp_path / "out.json").read_bytes()) == ESTIMATE_OUT_SHA256
 
 
-@pytest.mark.parametrize("command, fmt", list(CLI_OUT_SHA256), ids="-".join)
+@pytest.mark.parametrize(
+    "command, fmt", list(CLI_OUT_SHA256), ids=["-".join(key) for key in CLI_OUT_SHA256]
+)
 def test_cli_output_is_bitwise_pinned(command, fmt, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     write_bins_fixture(tmp_path)
@@ -212,7 +227,9 @@ def test_cli_output_is_bitwise_pinned(command, fmt, tmp_path, monkeypatch, capsy
     assert sha256((tmp_path / f"out.{fmt}").read_bytes()) == CLI_OUT_SHA256[command, fmt]
 
 
-@pytest.mark.parametrize("run, fmt", list(INGEST_OUT_SHA256), ids="-".join)
+@pytest.mark.parametrize(
+    "run, fmt", list(INGEST_OUT_SHA256), ids=["-".join(key) for key in INGEST_OUT_SHA256]
+)
 def test_ingest_output_is_bitwise_pinned(run, fmt, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     write_ingest_fixtures(tmp_path)

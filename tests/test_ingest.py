@@ -403,6 +403,17 @@ class TestSessions:
         with pytest.raises(ParseError, match="^cannot read .*absent.csv: No such file"):
             parse_binned_counts(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_a_byte_that_is_not_utf8_is_named_at_its_offset_in_the_file(self, bom, tmp_path):
+        body = "".join(f"m{i},1,{i % 7},{i % 5}\n" for i in range(3000))
+        data = bytearray(bom + f"mouse_id,session,b0,b1\n{body}".encode())
+        data[15000] = 0xFF
+        path = tmp_path / "b.csv"
+        path.write_bytes(data)
+        # past the first 8 KB, where a chunked decoder would count from its chunk
+        with pytest.raises(ParseError, match="can't decode byte 0xff in position 15000: "):
+            parse_binned_counts(path)
+
 
 @pytest.mark.parametrize("session", [str(10**30), str(2**63), str(-(2**63) - 1)])
 class TestSessionBeyondInt64:
@@ -850,6 +861,8 @@ def test_plain_files_take_the_fast_path(monkeypatch, tmp_path):
     # a fast reader that always declined would pass every other test
     bins = write(tmp_path / "b.csv", "mouse_id,session,b0,b1\r\nm1,1,3,0\r\nm2,2,1,4\r\n")
     events = write(tmp_path / "e.csv", "\ufeffmouse_id,session,press_time_s\nm1,1,2.5\nm2,1,61\n")
+    # trailing empty lines carry no row
+    trailing = write(tmp_path / "t.csv", "mouse_id,session,b0,b1\nm1,1,3,0\nm2,2,1,4\n\n")
 
     def refuse(*args, **kwargs):
         raise AssertionError("the csv path ran")
@@ -859,6 +872,7 @@ def test_plain_files_take_the_fast_path(monkeypatch, tmp_path):
     assert sessions.mouse_ids == ("m1", "m2")
     np.testing.assert_array_equal(sessions.counts, [[3, 0], [1, 4]])
     np.testing.assert_array_equal(sessions.line_numbers, [2, 3])
+    assert column_bits(parse_binned_counts(trailing)) == column_bits(sessions)
     parsed = parse_events(events)
     np.testing.assert_array_equal(parsed.time, [2.5, 61.0])
     np.testing.assert_array_equal(parsed.session, [1, 1])

@@ -23,6 +23,7 @@ from divtol import (
     generate_study_dataset,
     objective_convergence_probe,
     run_monte_carlo,
+    variance_objective,
 )
 from divtol.errors import ConfigurationError
 from divtol.estimator import BOOTSTRAP_BLOCK_ELEMENTS
@@ -198,6 +199,25 @@ def per_replicate_sweep(policy, ns, replicates, seed, optimal_action):
     return rows
 
 
+def per_replicate_probe(policy, ns, replicates, theta_fixed, seed, oracle_n):
+    """Oracle: one iid dataset and one variance_objective call per replicate."""
+    spec = DivergenceSpec(optimal=np.array([0.0]))
+    oracle = generate_dataset(
+        policy, oracle_n, 0.5, np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    )
+    psi_hat_0 = variance_objective(theta_fixed, oracle, spec)
+    rows = []
+    for n in ns:
+        datasets = (
+            generate_dataset(policy, n, 0.5, simulation._row_rng(seed, n, j))
+            for j in range(replicates)
+        )
+        psis = np.array([variance_objective(theta_fixed, ds, spec) for ds in datasets])
+        scaled = np.sqrt(n) * (psis - psi_hat_0)
+        rows.append((n, float(psis.mean()), float(scaled.mean()), float(scaled.std(ddof=1))))
+    return psi_hat_0, rows
+
+
 def bits(values):
     return np.array(values, dtype=float).view(np.int64).tolist()
 
@@ -258,6 +278,37 @@ class TestBlockFit:
         rows = consistency_sweep(PolicyConfig(), ns, replicates, seed=5, optimal_action=optimal)
         oracle = per_replicate_sweep(PolicyConfig(), ns, replicates, 5, optimal)
         assert [(r.n, r.mean_theta, r.sd_theta) for r in rows] == oracle
+
+    @pytest.mark.parametrize("theta_fixed", [0, 0.3, 1])
+    @pytest.mark.parametrize("n, replicates", [(2, 300), (3, 700), (50, 400), (20000, 3)])
+    def test_probe_matches_the_per_replicate_path(self, n, replicates, theta_fixed):
+        # the last block is partial, or every block is one row
+        assert block_rows(n) == 1 or replicates % block_rows(n)
+        probe = objective_convergence_probe(
+            PolicyConfig(), [n], replicates, theta_fixed, seed=n, oracle_n=1000
+        )
+        psi_hat_0, oracle = per_replicate_probe(
+            PolicyConfig(), [n], replicates, theta_fixed, n, oracle_n=1000
+        )
+        assert bits([probe.psi_hat_0]) == bits([psi_hat_0])
+        got = [(r.n, bits([r.mean_psi, r.mean_scaled, r.sd_scaled])) for r in probe.rows]
+        assert got == [(row[0], bits(row[1:])) for row in oracle]
+
+    def test_probe_builds_one_dataset_the_oracle(self, monkeypatch):
+        built = []
+        post_init = Dataset.__post_init__
+
+        def counting(self):
+            post_init(self)
+            built.append(len(self))
+
+        monkeypatch.setattr(Dataset, "__post_init__", counting)
+        # positive control: the counter sees a dataset the simulation builds
+        generate_dataset(PolicyConfig(), 7, 0.5, np.random.default_rng(0))
+        assert built == [7]
+        built.clear()
+        objective_convergence_probe(PolicyConfig(), [10, 40], 20, 0.3, seed=0, oracle_n=500)
+        assert built == [500]
 
     def test_first_refused_replicate_names_its_divergence(self, monkeypatch):
         # a few replicates get actions too large to square, each its own maximum
@@ -367,9 +418,9 @@ class TestConvergenceProbe:
     def test_constant_actions_give_zero_objective_everywhere(self, monkeypatch):
         def constant(policy, n, p_exposed, rng):
             states = np.r_[np.ones(n // 2, dtype=int), np.zeros(n - n // 2, dtype=int)]
-            return Dataset.from_arrays(actions=np.full((n, 1), 3.0), states=states)
+            return states, np.full(n, 3.0)
 
-        monkeypatch.setattr(simulation, "generate_dataset", constant)
+        monkeypatch.setattr(simulation, "_iid_row", constant)
         probe = objective_convergence_probe(
             PolicyConfig(), [10, 20], 5, theta_fixed=0.5, seed=1, oracle_n=100
         )
@@ -391,6 +442,11 @@ class TestConvergenceProbe:
     def test_invalid_theta_rejected(self):
         with pytest.raises(InputError):
             objective_convergence_probe(PolicyConfig(), [100], 5, theta_fixed=1.5, seed=0)
+
+    @pytest.mark.parametrize("replicates", [0, 1])
+    def test_fewer_than_two_replicates_rejected(self, replicates):
+        with pytest.raises(InputError, match="replicates must be >= 2"):
+            objective_convergence_probe(PolicyConfig(), [10], replicates, 0.3, 0, oracle_n=100)
 
     def test_single_animal_sample_size_rejected_before_sampling(self, monkeypatch):
         def no_draw(n, p_exposed, rng):
