@@ -8,12 +8,12 @@ Commands (selected with ``--command``):
 * ``consistency``   sweep the estimate's spread across sample sizes
 * ``ingest-check``  parse and validate inputs without estimating
 
-Every command's output is the effective configuration, its scalars and at
-most one table, written by one writer only to ``--out``: as JSON (the table
-as one list per column) or as CSV (scalars as ``# key=value`` lines, then
-the table's rows).  Outputs carry the seed, never include timestamps, and
-serialize floats at full (shortest round-trip) precision, so both formats
-carry identical values.
+Each command has its own parser, holding only the flags it reads.  Every
+command's output is its configuration, its scalars and at most one table,
+written by one writer only to ``--out``: as JSON (the table as one list per
+column) or as CSV (scalars as ``# key=value`` lines, then the table's rows).
+Outputs carry the seed, never include timestamps, and serialize floats at
+full (shortest round-trip) precision, so both formats carry identical values.
 
 Exit codes: 0 success, 1 validation or data error (including inputs that
 are not UTF-8, and an ``ingest-check`` that finds violations), 2
@@ -28,9 +28,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import sys
-from argparse import ArgumentParser, Namespace
+from argparse import ArgumentParser, ArgumentTypeError, Namespace
 from dataclasses import asdict
 from typing import NoReturn
 
@@ -74,18 +75,6 @@ CURVES_DEFAULT_GRID_STEP = 0.005  # 201 grid points
 MAX_N = 10**7
 MAX_DATASETS = 10**6
 
-#: the flags each command reads besides --command, --out and --format; any
-#: other flag must keep its default (estimate reads --seed and --level for
-#: --bootstrap, and --grid-step for --method grid)
-_READS = {
-    "estimate": {"exposures", "bins", "events", "optimal", "norm", "weights", "method",
-                 "grid_step", "bootstrap", "level", "seed"},
-    "curves": {"exposures", "bins", "events", "optimal", "norm", "weights", "grid_step"},
-    "simulate-mc": {"optimal", "seed", "n", "datasets", "p_exposed"},
-    "consistency": {"optimal", "seed", "n", "datasets"},
-    "ingest-check": {"exposures", "bins", "events"},
-}
-
 
 class _Parser(ArgumentParser):
     """An argument parser whose usage errors are configuration errors, not exits."""
@@ -97,122 +86,104 @@ class _Parser(ArgumentParser):
         raise ConfigurationError(message)
 
 
-def build_parser() -> ArgumentParser:
-    p = _Parser(
-        prog="divtol",
-        description="Estimate a group's tolerance for divergence from optimality "
-        "in fixed-interval experiments.",
-    )
+def _within(convert, lo=None, hi=math.inf, *, closed=True, many=False):
+    """An argparse ``type``: ``convert`` of the value, or of each comma-separated part if
+    ``many``.  Unless ``lo`` is None, each lies in [lo, hi], or in (lo, hi) if not ``closed``."""
+
+    def parse(raw: str):
+        values = tuple(map(convert, raw.split(","))) if many else (convert(raw),)
+        if lo is not None and not all(lo <= v <= hi if closed else lo < v < hi for v in values):
+            bounds = f"[{lo}, {hi}]" if closed else f"({lo}, {hi})"
+            raise ArgumentTypeError(f"must lie in {bounds}, got {raw}")
+        return values if many else values[0]
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" error names it
+    return parse
+
+
+def _grid_step(max_step: float):
+    """An argparse ``type``: a theta grid step in [DEFAULT_GRID_STEP, max_step] that divides 1."""
+    in_range = _within(float, DEFAULT_GRID_STEP, max_step)
+
+    def parse(raw: str) -> float:
+        try:
+            grid_intervals(step := in_range(raw))
+        except InputError as exc:
+            raise ArgumentTypeError(str(exc)) from None
+        return step
+
+    return parse
+
+
+def _sweep_sizes(raw: str) -> tuple:
+    """An argparse ``type``: the non-decreasing sample sizes of ``consistency``."""
+    ns = _within(int, 2, MAX_N, many=True)(raw)
+    if list(ns) != sorted(ns):
+        raise ArgumentTypeError(f"must be non-decreasing, got {raw}")
+    return ns
+
+
+def build_parser(command: str | None = None) -> ArgumentParser:
+    """The parser of the flags ``command`` reads, each with that command's default and range.
+
+    Without a command it reads only ``--command``, and its ``--help`` lists the commands.
+    """
+    p = _Parser(prog="divtol", allow_abbrev=False, description="Estimate a group's tolerance for "
+                "divergence from optimality in fixed-interval experiments.")
     p.add_argument("--command", required=True, choices=tuple(_DISPATCH))
-    p.add_argument("--exposures", help="exposures CSV (mouse_id,exposed)")
-    p.add_argument("--bins", help="binned counts CSV (mouse_id,session,b0,...)")
-    p.add_argument("--events", help="raw press events CSV (mouse_id,session,press_time_s)")
-    p.add_argument("--optimal", help="optimal action: scalar or comma-separated vector")
-    p.add_argument("--norm", choices=("l2", "l1"), default="l2")
-    p.add_argument(
-        "--weights",
-        choices=("none", "sixty-minus-midpoint"),
-        default="none",
-        help="per-bin weights: none, or interval length minus bin midpoints",
-    )
-    p.add_argument("--method", choices=("closed-form", "grid"), default="closed-form")
-    p.add_argument(
-        "--grid-step",
-        type=float,
-        default=None,
-        help="theta grid step (default 1e-6 for the grid estimator, 0.005 for curves)",
-    )
-    p.add_argument("--bootstrap", type=int, default=None, metavar="N")
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", default=None, help="sample size, or comma list for consistency")
-    p.add_argument("--datasets", type=int, default=None)
-    p.add_argument("--p-exposed", type=float, default=0.5, dest="p_exposed")
-    p.add_argument("--out", help="output file path")
+    if command is None:
+        return p
+    if command in ("estimate", "curves", "ingest-check"):
+        p.add_argument("--exposures", required=True, help="exposures CSV (mouse_id,exposed)")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--bins", help="binned counts CSV (mouse_id,session,b0,...)")
+        source.add_argument("--events", help="raw press events CSV (mouse_id,session,press_time_s)")
+    if command in ("estimate", "curves"):
+        p.add_argument("--optimal", required=True, type=_within(float, many=True),
+                       help="optimal action: scalar or comma-separated vector")
+        p.add_argument("--norm", choices=("l2", "l1"), default="l2")
+        p.add_argument("--weights", choices=("none", "sixty-minus-midpoint"), default="none",
+                       help="per-bin weights: none, or interval length minus bin midpoints")
+    if command == "estimate":
+        p.add_argument("--method", choices=("closed-form", "grid"), default="closed-form")
+        p.add_argument("--grid-step", type=_grid_step(0.5), default=DEFAULT_GRID_STEP,
+                       help="theta grid step of --method grid (default %(default)s)")
+        p.add_argument("--bootstrap", type=_within(int, 100, BOOTSTRAP_MAX_REPLICATES),
+                       metavar="N", help="bootstrap replicates of a percentile interval")
+        p.add_argument("--level", type=_within(float, 0.0, 1.0, closed=False), default=0.95)
+    if command == "curves":
+        p.add_argument("--grid-step", type=_grid_step(1.0), default=CURVES_DEFAULT_GRID_STEP,
+                       help="theta grid step (default %(default)s)")
+    if command in ("estimate", "simulate-mc", "consistency"):
+        p.add_argument("--seed", type=_within(int, 0), default=0)
+    if command in ("simulate-mc", "consistency"):
+        p.add_argument("--optimal", type=float, default=0.0, help="scalar optimal action")
+    if command == "simulate-mc":
+        p.add_argument("--n", type=_within(int, 2, MAX_N), default=50,
+                       help="animals per dataset (default %(default)s)")
+        p.add_argument("--datasets", type=_within(int, 1, MAX_DATASETS), default=2000)
+        p.add_argument("--p-exposed", type=_within(float, 0.0, 1.0, closed=False), default=0.5)
+    if command == "consistency":
+        p.add_argument("--n", type=_sweep_sizes, default=(50, 200, 800),
+                       help="non-decreasing sample sizes (default 50,200,800)")
+        p.add_argument("--datasets", type=_within(int, 2, MAX_DATASETS), default=200)
+    p.add_argument("--out", required=True, help="output file path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     return p
 
 
-def _parse_list(raw: str, convert, flag: str) -> tuple:
-    """The comma-separated values of ``--flag``, each passed through ``convert``."""
-    try:
-        return tuple(convert(part) for part in raw.split(","))
-    except ValueError as exc:
-        raise ConfigurationError(f"cannot parse --{flag} {raw!r}: {exc}") from exc
-
-
-def _resolve_config(args: Namespace, parser: ArgumentParser) -> Namespace:
-    """Check the flags ``parser`` parsed and resolve the per-command defaults onto ``args``.
-
-    The returned namespace is the run's configuration: every output echoes
-    all of it except ``out``.  A flag the command does not read must keep
-    its default; that is checked after every flag's value.
-    """
-    command = args.command
-    unread = [
-        f"--{name.replace('_', '-')}"
-        for name, value in vars(args).items()
-        if name not in _READS[command] | {"command", "out", "format"}
-        and value != parser.get_default(name)
-    ]
-    if args.out is None:
-        raise ConfigurationError("--out is required")
-    if args.seed < 0:
-        raise ConfigurationError("--seed must be nonnegative")
-    if not 0.0 < args.level < 1.0:
-        raise ConfigurationError("--level must lie in (0, 1)")
-    if args.bootstrap is not None and not 100 <= args.bootstrap <= BOOTSTRAP_MAX_REPLICATES:
-        raise ConfigurationError(f"--bootstrap must lie in [100, {BOOTSTRAP_MAX_REPLICATES}]")
-    if not 0.0 < args.p_exposed < 1.0:
-        raise ConfigurationError("--p-exposed must lie in (0, 1)")
-
-    if command in ("estimate", "curves", "ingest-check"):
-        if args.exposures is None:
-            raise ConfigurationError(f"--exposures is required for {command}")
-        if (args.bins is None) == (args.events is None):
-            raise ConfigurationError(f"exactly one of --bins/--events is required for {command}")
-
-    if args.optimal is not None:
-        args.optimal = _parse_list(args.optimal, float, "optimal")
-    if command in ("estimate", "curves") and args.optimal is None:
-        raise ConfigurationError(f"--optimal is required for {command}")
-    if command in ("simulate-mc", "consistency"):
-        if args.optimal is None:
-            args.optimal = (0.0,)
-        if len(args.optimal) != 1:
-            raise ConfigurationError(f"--optimal must be scalar for {command}")
-
-    max_step = 1.0 if command == "curves" else 0.5
-    if args.grid_step is None:
-        args.grid_step = CURVES_DEFAULT_GRID_STEP if command == "curves" else DEFAULT_GRID_STEP
-    elif not DEFAULT_GRID_STEP <= args.grid_step <= max_step:
-        raise ConfigurationError(f"--grid-step must lie in [{DEFAULT_GRID_STEP}, {max_step}]")
-    else:
-        try:
-            grid_intervals(args.grid_step)
-        except InputError:
-            raise ConfigurationError(f"--grid-step must divide 1, got {args.grid_step!r}") from None
-
-    sweep = command == "consistency"
-    if args.n is None:
-        args.n = (50, 200, 800) if sweep else (50,)
-    else:
-        args.n = _parse_list(args.n, int, "n")
-    if args.datasets is None:
-        args.datasets = 200 if sweep else 2000
-    if not sweep and len(args.n) != 1:
-        raise ConfigurationError(f"--n must be a single integer for {command}")
-    if not all(2 <= n <= MAX_N for n in args.n):
-        raise ConfigurationError(f"--n values must lie in [2, {MAX_N}]")
-    min_datasets = 2 if sweep else 1
-    if not min_datasets <= args.datasets <= MAX_DATASETS:
-        raise ConfigurationError(f"--datasets must lie in [{min_datasets}, {MAX_DATASETS}]")
-    if sweep:
-        if list(args.n) != sorted(args.n):
-            raise ConfigurationError("--n must be non-decreasing for consistency")
+def _parse_args(argv: list[str] | None) -> Namespace:
+    """``argv`` parsed by its command's parser: the run configuration, echoed but for ``out``."""
+    head = _Parser(add_help=False, allow_abbrev=False)
+    head.add_argument("--command", choices=tuple(_DISPATCH))
+    parser = build_parser(head.parse_known_args(argv)[0].command)
+    cfg, extra = parser.parse_known_args(argv)
+    unread = [arg.split("=")[0] for arg in extra if arg.startswith("--")]
     if unread:
-        raise ConfigurationError(f"--command {command} does not read {', '.join(unread)}")
-    return args
+        raise ConfigurationError(f"--command {cfg.command} does not read {', '.join(unread)}")
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return cfg
 
 
 def _load_dataset(cfg: Namespace):
@@ -364,13 +335,8 @@ def cmd_curves(cfg: Namespace) -> None:
 
 
 def cmd_simulate_mc(cfg: Namespace) -> None:
-    mc = McConfig(
-        n_per_dataset=cfg.n[0],
-        num_datasets=cfg.datasets,
-        p_exposed=cfg.p_exposed,
-        seed=cfg.seed,
-        optimal_action=cfg.optimal[0],
-    )
+    mc = McConfig(n_per_dataset=cfg.n, num_datasets=cfg.datasets, p_exposed=cfg.p_exposed,
+                  seed=cfg.seed, optimal_action=cfg.optimal)
     policy = PolicyConfig()
     result = run_monte_carlo(mc, policy)
     summary = {
@@ -393,13 +359,8 @@ def cmd_simulate_mc(cfg: Namespace) -> None:
 
 def cmd_consistency(cfg: Namespace) -> None:
     policy = PolicyConfig()
-    rows = consistency_sweep(
-        policy,
-        ns=list(cfg.n),
-        replicates=cfg.datasets,
-        seed=cfg.seed,
-        optimal_action=cfg.optimal[0],
-    )
+    rows = consistency_sweep(policy, ns=list(cfg.n), replicates=cfg.datasets, seed=cfg.seed,
+                             optimal_action=cfg.optimal)
     _write(
         cfg,
         {"policy": asdict(policy)},
@@ -445,8 +406,7 @@ def _emit_error(exc: Exception) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-        cfg = _resolve_config(parser.parse_args(argv), parser)
+        cfg = _parse_args(argv)
         created = not os.path.exists(cfg.out)
         _open_out(cfg.out, "a").close()  # fail before the work, not after it
         try:

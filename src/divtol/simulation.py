@@ -27,7 +27,8 @@ Two sampling designs are exposed, and the distinction matters:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -74,7 +75,12 @@ class PolicyConfig:
     """Parameters of the synthetic behavioral policy.
 
     ``sigma1_sq`` and ``sigma2_sq`` are variances of the shape noise (their
-    square roots are the standard deviations used for sampling).
+    square roots are the standard deviations used for sampling).  The exposed
+    shape is ``shape_multiplier_exposed * eps1`` redrawn until positive, so a
+    negative multiplier truncates ``eps1`` to the negative half-line instead.
+    Every field must be finite, and each group's shape must be positive with
+    probability ``Phi(+-mu / sd)`` of at least ``1 / MAX_REJECTIONS``, so
+    that rejection sampling expects to succeed within its tries.
     """
 
     mu1: float = 2.0
@@ -85,10 +91,21 @@ class PolicyConfig:
     rate: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ConfigurationError(f"policy parameters must be finite, got {self}")
         if self.sigma1_sq <= 0 or self.sigma2_sq <= 0:
             raise ConfigurationError("shape noise variances must be positive")
         if self.rate <= 0:
             raise ConfigurationError("rate must be positive")
+        for s, group in ((1, "exposed"), (0, "control")):
+            mu, sd, mult = self.shape_params(s)
+            z = math.copysign(1.0, mult) * mu / (sd * math.sqrt(2.0))
+            mass = 0.5 * math.erfc(-z) if mult else 0.0
+            if mass * MAX_REJECTIONS < 1.0:
+                raise ConfigurationError(
+                    f"the {group} shape is positive with probability {mass:.3g}, "
+                    f"too small for {MAX_REJECTIONS} rejection draws"
+                )
 
     def shape_params(self, s: int) -> tuple[float, float, float]:
         """(mu, sd, multiplier) of the shape noise for exposure state s."""

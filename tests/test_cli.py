@@ -5,9 +5,11 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -500,6 +502,23 @@ PARITY_RUNS = {
 }
 
 
+def parity_argv(command, two_mouse_files, tmp_path):
+    """The arguments of ``command``'s small run, without ``--out`` and ``--format``."""
+    exposures, bins = two_mouse_files
+    if command == "ingest-check":
+        bins = tmp_path / "bad_header.csv"
+        bins.write_text("mouse_id,session,x\nm1,1,3\n", encoding="utf-8")
+    argv = ["--command", command, *PARITY_RUNS[command][1]]
+    if command in ("estimate", "curves", "ingest-check"):
+        argv += ["--exposures", exposures, "--bins", str(bins)]
+    return argv
+
+
+def option_strings(command):
+    """The flags of ``command``'s parser, ``--help`` aside."""
+    return {s for a in build_parser(command)._actions for s in a.option_strings} - {"-h", "--help"}
+
+
 def as_csv_text(value):
     """A JSON value spelled as the CSV output spells it: lists as one CSV record, strings bare."""
     if isinstance(value, list):
@@ -522,14 +541,8 @@ class TestOutput:
     def test_json_and_csv_carry_the_same_scalars_and_table(
         self, command, two_mouse_files, tmp_path, capsys
     ):
-        exposures, bins = two_mouse_files
-        if command == "ingest-check":
-            bins = tmp_path / "bad_header.csv"
-            bins.write_text("mouse_id,session,x\nm1,1,3\n", encoding="utf-8")
-        key, extra = PARITY_RUNS[command]
-        base = ["--command", command, *extra]
-        if command in ("estimate", "curves", "ingest-check"):
-            base += ["--exposures", exposures, "--bins", str(bins)]
+        key = PARITY_RUNS[command][0]
+        base = parity_argv(command, two_mouse_files, tmp_path)
         json_out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
         codes = {run(base + ["--out", str(json_out)], capsys)[0],
                  run(base + ["--out", str(csv_out), "--format", "csv"], capsys)[0]}
@@ -548,6 +561,23 @@ class TestOutput:
         assert rows
         for j, column in enumerate(columns):
             assert [row[j] for row in rows] == [as_csv_text(v) for v in table[column]]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", list(PARITY_RUNS))
+    def test_config_echoes_exactly_the_flags_the_command_reads(
+        self, command, fmt, two_mouse_files, tmp_path, capsys
+    ):
+        out = tmp_path / f"r.{fmt}"
+        run(parity_argv(command, two_mouse_files, tmp_path) + ["--out", str(out), "--format", fmt],
+            capsys)
+        if fmt == "json":
+            config = set(json.loads(out.read_text())["config"])
+        else:
+            scalars = parse_csv_output(out)[0]
+            config = {key.removeprefix("config.") for key in scalars if key.startswith("config.")}
+        dests = {action.dest for action in build_parser(command)._actions} - {"help", "out"}
+        assert {"command", "format"} <= dests
+        assert config == dests
 
     def test_ids_holding_commas_stay_one_field_in_csv(self, two_mouse_files, tmp_path, capsys):
         _, bins = two_mouse_files
@@ -794,13 +824,23 @@ class TestUsageErrors:
             capsys,
         )
         assert code == 0
-        assert json.loads(out.read_text())["config"]["optimal"] == [-1e10]
+        assert json.loads(out.read_text())["config"]["optimal"] == -1e10
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["--help"])
         assert exit_info.value.code == 0
-        assert "usage: divtol" in capsys.readouterr().out
+        usage = capsys.readouterr().out
+        assert "usage: divtol" in usage
+        assert all(command in usage for command in cli._DISPATCH)
+
+    @pytest.mark.parametrize("command", list(cli._DISPATCH))
+    def test_a_command_help_lists_only_its_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--command", command, "--help"])
+        assert exit_info.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == option_strings(command) | {"--help"}
 
 
 def test_simulated_divergences_too_large_to_square_are_refused(tmp_path, capsys):
@@ -837,6 +877,9 @@ NON_DEFAULT = {
     "--bootstrap": "100", "--level": "0.9", "--seed": "3", "--n": "20", "--datasets": "5",
     "--p-exposed": "0.3",
 }
+#: unread flags given at a value another command takes by default
+UNREAD_AT_A_DEFAULT = [("curves", "--seed", "0"), ("consistency", "--p-exposed", "0.5"),
+                       ("estimate", "--datasets", "2000"), ("ingest-check", "--norm", "l2")]
 FILE_RUN = ["--exposures", "e.csv", "--bins", "b.csv"]
 RESOLVING_RUNS = {
     "estimate": FILE_RUN + ["--optimal", "1"],
@@ -885,15 +928,18 @@ class TestResourceBounds:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, flag", [(c, f) for c, flags in UNREAD_FLAGS.items() for f in flags]
+        "command, flag, value",
+        [(c, f, NON_DEFAULT[f]) for c, flags in UNREAD_FLAGS.items() for f in flags]
+        + UNREAD_AT_A_DEFAULT,
+        ids=[f"{c}-{f}" for c, flags in UNREAD_FLAGS.items() for f in flags]
+        + [f"{c}-{f}-default" for c, f, _ in UNREAD_AT_A_DEFAULT],
     )
     def test_a_flag_the_command_does_not_read_is_a_configuration_error(
-        self, command, flag, tmp_path, capsys
+        self, command, flag, value, tmp_path, capsys
     ):
         base = ["--command", command, *RESOLVING_RUNS[command], "--out", str(tmp_path / "r.json")]
-        parser = build_parser()
-        cli._resolve_config(parser.parse_args(base), parser)
-        code, _, stderr = run(base + [flag, NON_DEFAULT[flag]], capsys)
+        cli._parse_args(base)
+        code, _, stderr = run(base + [flag, value], capsys)
         assert code == 2
         assert json.loads(stderr)["error"] == {
             "class": "ConfigurationError",
@@ -903,18 +949,28 @@ class TestResourceBounds:
 
     def test_the_limits_themselves_resolve(self):
         def resolve(*args):
-            parser = build_parser()
-            return cli._resolve_config(parser.parse_args([*args, "--out", "r.json"]), parser)
+            return cli._parse_args([*args, "--out", "r.json"])
 
         estimate = resolve("--command", "estimate", "--exposures", "e.csv", "--bins", "b.csv",
                            "--optimal", "1", "--bootstrap", str(BOOTSTRAP_MAX_REPLICATES))
         assert estimate.bootstrap == BOOTSTRAP_MAX_REPLICATES
-        for command in ("simulate-mc", "consistency"):
-            cfg = resolve("--command", command, "--n", str(MAX_N), "--datasets", str(MAX_DATASETS))
-            assert (cfg.n, cfg.datasets) == ((MAX_N,), MAX_DATASETS)
-        sweep = resolve("--command", "consistency", "--n", "50,50", "--datasets", "2",
-                        "--p-exposed", "0.5")
-        assert (sweep.n, sweep.datasets, sweep.p_exposed) == ((50, 50), 2, 0.5)
+        mc = resolve("--command", "simulate-mc", "--n", str(MAX_N), "--datasets", str(MAX_DATASETS))
+        assert (mc.n, mc.datasets) == (MAX_N, MAX_DATASETS)
+        sweep = resolve("--command", "consistency", "--n", str(MAX_N), "--datasets", str(MAX_DATASETS))
+        assert (sweep.n, sweep.datasets) == ((MAX_N,), MAX_DATASETS)
+        sweep = resolve("--command", "consistency", "--n", "50,50", "--datasets", "2")
+        assert (sweep.n, sweep.datasets) == ((50, 50), 2)
+
+
+def test_the_readme_table_of_flags_read_matches_the_parsers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| command | reads |"):].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        _, command, reads, _ = line.split("|")
+        rows[command.strip(" `")] = set(re.findall(r"`(--[a-z-]+)`", reads))
+    every_command_reads = {"--command", "--out", "--format"}
+    assert rows == {c: option_strings(c) - every_command_reads for c in cli._DISPATCH}
 
 
 def test_runs_as_a_module(two_mouse_files, tmp_path):

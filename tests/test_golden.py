@@ -20,7 +20,11 @@ and about 1e-6 relative on the big-count fixtures, whose old values were
 that far off), and the ``estimate``, ``curves`` and ``ingest-check``
 outputs gained ``unmatched_exposure_ids``.  The six ``estimate`` output
 hashes were re-recorded once more when the always-false ``clamped`` key was
-removed, which was the only change to those files.  The convergence-probe
+removed, which was the only change to those files.  All thirteen CLI output
+hashes were re-recorded when each command got its own parser: the
+``config`` echo now holds only the flags the command reads, and the
+simulation commands echo a scalar ``optimal`` (and ``simulate-mc`` a scalar
+``n``), which was the only change to those files.  The convergence-probe
 hash was recorded from the probe that built one dataset per replicate,
 before it moved to the block path.  Any change to them is a numeric change
 and must be stated as one.
@@ -54,7 +58,7 @@ from divtol import (
 from divtol.cli import main
 
 MC_SHA256 = "7b6b692350f41b2dcda70763757a6954173a55a279bd9ecd0d4a764981b6d524"
-ESTIMATE_OUT_SHA256 = "e387ad5569d79c524efb082ddaf541de30156d7e6f5c5161d45750d96d9e4d2b"
+ESTIMATE_OUT_SHA256 = "cd3737424f933c9d36f5c6f9191a4b64e2e4fa5c8757146dd4e24c87b7afe5ba"
 IID_DATASET_SHA256 = "a5e3a205e921c8409bcfeb17dc900f704b65caa9ef72f812de1681fc4f379780"
 SWEEP_SHA256 = "2e2db1a47f764744439821205c86284a7618915fa604eec4f871e77edca07dea"
 PROBE_SHA256 = "5d9cf7bc61cc65643dd989322f6f7e00bde1c19e41ed0a90ee061bc9f090a125"
@@ -80,19 +84,19 @@ CLI_RUNS = {
 }
 CLI_OUT_SHA256 = {
     ("estimate", "csv"):
-        "351f098e1991d5a47bf346411f9ec8438ed75f5429769340ce63723a5d3dce08",
+        "9d3a838f2ef3b6ebabb895cc0aae849b3adbfb7f95444bd7fa0f53bedf964082",
     ("curves", "json"):
-        "93c105ad299dc51c52c5104f2a553cf6aa08dffc5594c05943732be9e83cac16",
+        "efde807e5713da276d208997c5243f30b34fd142bb763c0b6308b6e6505e0451",
     ("curves", "csv"):
-        "33383c78ee4d0bf34f3d60892695c5c032f5fa12cbd9438b4a14ddd34ac37a4e",
+        "5ae5dccf98560a34284bc578514e9f61fec7c8af9879dd8084c293067b536a61",
     ("simulate-mc", "json"):
-        "e989bd9193ddbe038601fa58028fd50245bbaac2bc73dbcfc42ae300a744a629",
+        "6cf632a8630a4663d69fe2ceb8b3dbbe165a46e9acb09047b3d0ff71f3d05851",
     ("simulate-mc", "csv"):
-        "c25ba3113e1e8837b8acc337807f08b8d0af17ae7066653129f9ad0d19de7d46",
+        "bb2db527ae7ac5e2e399b240cc112768e1484f904bfc3a2e5074d2d59e7d3c6a",
     ("consistency", "csv"):
-        "e658ab85f57bfc7b1f3a834eb2da68deeef5772c14e5cc6a3e3506434af99790",
+        "636baa0fc467019ee7bab6c8e9830c22b76ffa55b62dfb2ef51681a13c750c8c",
     ("ingest-check", "csv"):
-        "dd6a27633f77ad980771d3106b2cc63f4b59a2d0e7ae5e6dacb120a243a87de3",
+        "9e20517a16977de394c27f3a5e5581a8c27324687736653fe67fc1785d6b7514",
 }
 
 # events input under L1, and bins whose mice have 1 to 4 (d=12) or 1 to 20
@@ -111,15 +115,15 @@ INGEST_RUNS = {
 }
 INGEST_OUT_SHA256 = {
     ("estimate-events-l1", "json"):
-        "ad01347d34c3fb3eafefa22cc2920f3b3b3c1a22b2de97d92ac96792a2998bcc",
+        "7230c6fc3ede6b13f649d1d1aa8ad7ae754d8cff7215df543ccf7d17a454b7f9",
     ("estimate-events-l1", "csv"):
-        "2a45187b2ad65bc0fa647cb1e3ab6c99f33941fd52f817aa0b2378798e193c18",
+        "b63f5fee9955f49477ecf7edea8970d0469dd917060c165883771df01f409552",
     ("curves-events", "json"):
-        "468a2209ce75ed2596327f306ebbb7016ea879a225fce0ffe419072672a7a161",
+        "c264f1529aca857b0a45e49b8bc2dabecdcfebc2064cfae04e8a1336c56028e8",
     ("estimate-big-counts-d12", "json"):
-        "9c4919705c7d49bd36250b13f2377df89c0bcef45be82d27df4ad312a296d531",
+        "9dc18d80c0945961196383b7742e01183717474fe4e2813f2e3cb52b8b33e104",
     ("estimate-big-counts-d1", "json"):
-        "cb18823048feeaa1bd306f6964cef1e7bfab2f6d3f11c99aa7c63f49006e363b",
+        "329a7b53ce271782ef33bfbecc79d86740ebf6e460af0437fa828a96254a3caf",
 }
 
 

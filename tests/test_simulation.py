@@ -1,5 +1,7 @@
 """Synthetic policy sampling, the ANOVA baseline, and the study harness."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -78,6 +80,29 @@ class TestSamplePolicy:
             PolicyConfig(sigma2_sq=0.0)
         with pytest.raises(ConfigurationError):
             PolicyConfig(rate=-1.0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"shape_multiplier_exposed": 0.0}, {"mu1": np.nan}, {"rate": np.inf},
+         {"sigma2_sq": np.inf}, {"mu1": -4.8}, {"mu2": -10.0},
+         {"shape_multiplier_exposed": -1.0, "mu1": 20.0}],
+        ids=["zero-multiplier", "nan-mu1", "inf-rate", "inf-sigma2", "exposed-mass-7.9e-7",
+             "control-mass-2.9e-7", "negative-multiplier-mass-2.8e-89"],
+    )
+    def test_a_policy_that_cannot_be_sampled_is_refused_at_once(self, fields):
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError):
+            PolicyConfig(**fields)
+        assert time.perf_counter() - start < 0.05
+
+    def test_a_negative_multiplier_truncates_on_the_other_side(self):
+        PolicyConfig(mu1=-4.7)  # positive with probability 1.3e-6, above 1 / MAX_REJECTIONS
+        cfg = PolicyConfig(shape_multiplier_exposed=-1.0)
+        rng = np.random.default_rng(6)
+        shapes = [draw_policy(cfg, rng).alpha_exposed for _ in range(2000)]
+        # alpha = -eps1 with eps1 ~ N(2, 1) kept below zero: E[alpha] = 0.3732
+        assert min(shapes) > 0.0
+        assert np.mean(shapes) == pytest.approx(truncated_shape_mean(-2.0, 1.0, 1.0), rel=0.1)
 
 
 class TestGenerateDataset:
