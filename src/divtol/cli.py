@@ -139,7 +139,8 @@ def build_parser(command: str | None = None) -> ArgumentParser:
         source.add_argument("--bins", help="binned counts CSV (mouse_id,session,b0,...)")
         source.add_argument("--events", help="raw press events CSV (mouse_id,session,press_time_s)")
     if command in ("estimate", "curves"):
-        p.add_argument("--optimal", required=True, type=_within(float, many=True),
+        p.add_argument("--optimal", required=True, type=_within(float, -math.inf, closed=False,
+                                                                 many=True),
                        help="optimal action: scalar or comma-separated vector")
         p.add_argument("--norm", choices=("l2", "l1"), default="l2")
         p.add_argument("--weights", choices=("none", "sixty-minus-midpoint"), default="none",
@@ -157,7 +158,8 @@ def build_parser(command: str | None = None) -> ArgumentParser:
     if command in ("estimate", "simulate-mc", "consistency"):
         p.add_argument("--seed", type=_within(int, 0), default=0)
     if command in ("simulate-mc", "consistency"):
-        p.add_argument("--optimal", type=float, default=0.0, help="scalar optimal action")
+        p.add_argument("--optimal", type=_within(float, -math.inf, closed=False), default=0.0,
+                       help="scalar optimal action")
     if command == "simulate-mc":
         p.add_argument("--n", type=_within(int, 2, MAX_N), default=50,
                        help="animals per dataset (default %(default)s)")

@@ -8,18 +8,19 @@ order mark, LF or CRLF):
 * press events:   header ``mouse_id,session,press_time_s``, one row per press
 
 Every file is read and decoded once.  For binned counts and events a fast
-reader comes first: it splits the text into lines, takes each line's first
-comma field as the mouse id and converts the numeric columns with one
-``np.loadtxt`` call.  It declines any file on which it could disagree with
-:mod:`csv` (a quote, a character outside ASCII, an empty line before the
-last row, a row of the wrong width, a field ``loadtxt`` refuses, ...).  The
-csv path then parses the same text, and it is the one that finds and
-names faults.  The exposures file is parsed with csv alone.  Either way a
-field is an integer when ``int()`` accepts it (a press time when
-``float()`` does), and the body is held as columns, with no object per
-row: mouse ids become integer codes in first-seen order, and the checks
-run on whole columns.  An error names the first fault that a row-by-row
-reader would meet, with its line number.
+reader comes first: it splits the text into lines and reads the mouse ids,
+as a bytes field, and the numeric columns with one ``np.loadtxt`` call, then
+codes the ids once per run of equal ids.  It declines any file on which it
+could disagree with :mod:`csv` (a quote, a character outside ASCII, an
+empty line before the last row, a row of the wrong width, a field
+``loadtxt`` refuses, ...), and a file whose longest line would make the id
+field over four times the text's size.  The csv path then parses the same
+text, and it is the one that finds and names faults.  The exposures file
+is parsed with csv alone.  Either way a field is an integer when ``int()``
+accepts it (a press time when ``float()`` does), and the body is held as
+columns, with no object per row: mouse ids become integer codes in
+first-seen order, and the checks run on whole columns.  An error names the
+first fault that a row-by-row reader would meet, with its line number.
 
 Raw events are binned on an idealized fixed-interval clock: a press at time
 t lands in bin ``floor((t mod interval_length) / bin_width)``.  Per-mouse
@@ -218,34 +219,38 @@ def _loadtxt_table(text: str, numeric):
     Outside ASCII lie the line breaks only ``str.splitlines`` honours,
     digits and spaces that only Python reads, and characters on which
     numpy's integer parser can crash (numpy 2.4.6 on U+E60DD).
+
+    The ids come from the same call, as a bytes field as wide as the
+    longest line: exact for ASCII without NUL.  Declines too when that
+    field would exceed four times the text's size (one very long id among
+    short rows).  Only the head of each run of equal raw ids is decoded,
+    stripped and coded; every id first appears at a run's head, so the
+    codes are the csv path's.
     """
     lines = text.rstrip("\r\n").splitlines()
-    if (
-        len(lines) < 2
-        or not all(lines)
-        or not text.isascii()
-        or any(c in text for c in _DECLINE)
-        or max(map(len, lines)) >= csv.field_size_limit()
-    ):
+    if len(lines) < 2 or not all(lines) or not text.isascii() or any(c in text for c in _DECLINE):
+        return None
+    width = max(map(len, lines))
+    if width >= csv.field_size_limit() or width * (len(lines) - 1) > 4 * len(text):
         return None
     types = numeric([c.strip() for c in lines[0].split(",")])
     # loadtxt refuses a row narrower than the header, so an equal comma
     # total leaves no row wider
     if text.count(",") != len(types) * len(lines):
         return None
-    dtype = np.dtype([(f"c{j}", _DTYPE[t]) for j, t in enumerate(types)])
-    body = lines[1:]
+    dtype = np.dtype([("id", f"S{width}")] + [(f"c{j}", _DTYPE[t]) for j, t in enumerate(types)])
     try:
         with warnings.catch_warnings():
             # older numpy parses "1.0" as the integer 1 and only warns
             warnings.simplefilter("error")
-            table = np.loadtxt(
-                body, dtype, comments=None, delimiter=",", usecols=range(1, len(types) + 1), ndmin=1
-            )
+            table = np.loadtxt(lines[1:], dtype, comments=None, delimiter=",", ndmin=1)
     except (ValueError, Warning):
         return None
-    ids = [line.partition(",")[0].strip() for line in body]
-    return ids, [table[name].copy() for name in dtype.names], np.arange(2, len(lines) + 1), None
+    starts = _run_starts(table["id"])
+    mouse_ids, head_codes = _codes([i.decode().strip() for i in table["id"][starts].tolist()])
+    columns = [table[name].copy() for name in dtype.names[1:]]
+    lines_read = np.arange(2, len(lines) + 1)
+    return mouse_ids, head_codes[np.cumsum(starts) - 1], columns, lines_read, None
 
 
 def _table(path, numeric, width_error: type[ParseError], row_error):
@@ -253,9 +258,10 @@ def _table(path, numeric, width_error: type[ParseError], row_error):
 
     ``numeric(header)`` checks the header's stripped fields (none for an
     empty file) and returns the type, ``int`` or ``float``, of each column
-    after the id.  Returns ``(ids, columns, lines, fault)``: the stripped
-    ids, one int64 or float64 array per numeric column and the line
-    numbers of the rows before the first faulty one, and that row's error
+    after the id.  Returns ``(mouse_ids, codes, columns, lines, fault)``:
+    the stripped ids as :func:`_codes` codes them, one int64 or float64
+    array per numeric column and the line numbers of the rows before the
+    first faulty one, and that row's error
     (None when every row converts).  A row of the wrong width is a
     ``width_error``; ``row_error(row, line)`` names the fault of a row
     whose fields do not convert.
@@ -293,7 +299,7 @@ def _table(path, numeric, width_error: type[ParseError], row_error):
             if (error := row_error(body[i], int(lines[i]))) is not None
         )
         converted = columns(end)
-    return [row[0].strip() for row in body[:end]], converted, lines[:end], fault
+    return *_codes([row[0].strip() for row in body[:end]]), converted, lines[:end], fault
 
 
 def parse_exposures(path) -> dict[str, int]:
@@ -392,8 +398,9 @@ def parse_binned_counts(path, layout: StudyLayout | None = None) -> Sessions:
             )
         return [int] * (layout.n_bins + 1)
 
-    ids, (session, *counts), lines, fault = _table(path, numeric, SchemaError, _bins_row_error)
-    mouse_ids, codes = _codes(ids)
+    mouse_ids, codes, (session, *counts), lines, fault = _table(
+        path, numeric, SchemaError, _bins_row_error
+    )
     sessions = Sessions(
         layout=layout,
         mouse_ids=mouse_ids,
@@ -427,10 +434,11 @@ def parse_events(path) -> Events:
             raise SchemaError("expected header 'mouse_id,session,press_time_s'", line_number=1)
         return [int, float]
 
-    ids, (session, time), lines, fault = _table(path, numeric, ParseError, _events_row_error)
+    mouse_ids, codes, (session, time), lines, fault = _table(
+        path, numeric, ParseError, _events_row_error
+    )
     if fault is not None:
         raise fault
-    mouse_ids, codes = _codes(ids)
     return Events(mouse_ids, codes, session, time, lines)
 
 

@@ -79,8 +79,8 @@ class PolicyConfig:
     shape is ``shape_multiplier_exposed * eps1`` redrawn until positive, so a
     negative multiplier truncates ``eps1`` to the negative half-line instead.
     Every field must be finite, and each group's shape must be positive with
-    probability ``Phi(+-mu / sd)`` of at least ``1 / MAX_REJECTIONS``, so
-    that rejection sampling expects to succeed within its tries.
+    a probability ``mass = Phi(+-mu / sd)`` for which the chance that rejection
+    sampling gives up on a shape, ``exp(-mass * MAX_REJECTIONS)``, is <= 1e-9.
     """
 
     mu1: float = 2.0
@@ -101,10 +101,10 @@ class PolicyConfig:
             mu, sd, mult = self.shape_params(s)
             z = math.copysign(1.0, mult) * mu / (sd * math.sqrt(2.0))
             mass = 0.5 * math.erfc(-z) if mult else 0.0
-            if mass * MAX_REJECTIONS < 1.0:
+            if mass * MAX_REJECTIONS < math.log(1e9):
                 raise ConfigurationError(
                     f"the {group} shape is positive with probability {mass:.3g}, "
-                    f"too small for {MAX_REJECTIONS} rejection draws"
+                    f"too small for {MAX_REJECTIONS} rejection draws to succeed reliably"
                 )
 
     def shape_params(self, s: int) -> tuple[float, float, float]:

@@ -817,6 +817,24 @@ class TestUsageErrors:
         assert message in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1,nan"])
+    @pytest.mark.parametrize("command", ["estimate", "curves", "simulate-mc", "consistency"])
+    def test_a_non_finite_optimum_is_a_configuration_error(
+        self, command, value, two_mouse_files, tmp_path, capsys
+    ):
+        exposures, bins = two_mouse_files
+        files = ["--exposures", exposures, "--bins", bins] if command in ("estimate", "curves") else []
+        out = tmp_path / "r.json"
+        code, stdout, stderr = run(
+            ["--command", command, *files, f"--optimal={value}", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert stdout == ""
+        error = strict_json(stderr)["error"]
+        assert error["class"] == "ConfigurationError"
+        assert error["message"].startswith("argument --optimal: ")
+        assert not out.exists()
+
     def test_attached_negative_optimum_is_accepted(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code, _, _ = run(

@@ -3,6 +3,7 @@
 import csv
 import gc
 import math
+import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
 
@@ -793,7 +794,8 @@ def reader_texts(draw):
 
     def usual(j):
         if j == 0:
-            return rnd.choice(["m1", "m2", " m2 ", "m 1"])
+            # several raw spellings of one stripped id, adjacent or not
+            return rnd.choice(["m1", "m2", " m2 ", "m 1", "", "\tm1", "m1 "])
         if j == 1:
             return str(rnd.randint(1, 10**4))
         return repr(rnd.uniform(0.0, 1800.0)) if events else str(rnd.randint(0, 9))
@@ -876,6 +878,29 @@ def test_plain_files_take_the_fast_path(monkeypatch, tmp_path):
     parsed = parse_events(events)
     np.testing.assert_array_equal(parsed.time, [2.5, 61.0])
     np.testing.assert_array_equal(parsed.session, [1, 1])
+    # ids are coded per run of equal raw ids: a repeat that is not adjacent,
+    # and a spelling that strips to an id already seen, keep their first code
+    interleaved = write(tmp_path / "i.csv", "mouse_id,session,b0\nm2,1,0\n m1,1,1\nm2,2,2\nm1,2,3\n")
+    sessions = parse_binned_counts(interleaved)
+    assert sessions.mouse_ids == ("m2", "m1")
+    assert sessions.codes.tolist() == [0, 1, 0, 1]
+
+
+def test_a_long_id_among_short_rows_keeps_memory_linear_in_the_file(tmp_path):
+    # one 100k-character id would widen a bytes id column to 100k per row
+    text = "mouse_id,session,b0\n" + "".join(f"m{i % 7},{i + 1},3\n" for i in range(2000))
+    long = write(tmp_path / "long.csv", text.replace("m0,1,", "m" * 100_000 + ",1,", 1))
+    with mock.patch.object(ingest, "_loadtxt_table", return_value=None):
+        expected = parse_binned_counts(long)
+    tracemalloc.start()
+    try:
+        got = parse_binned_counts(long)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert column_bits(got) == column_bits(expected)
+    assert peak < 10 * 2**20, peak
+    assert ingest._loadtxt_table(long.read_text(), lambda header: [int, int]) is None
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

@@ -84,10 +84,10 @@ class TestSamplePolicy:
     @pytest.mark.parametrize(
         "fields",
         [{"shape_multiplier_exposed": 0.0}, {"mu1": np.nan}, {"rate": np.inf},
-         {"sigma2_sq": np.inf}, {"mu1": -4.8}, {"mu2": -10.0},
+         {"sigma2_sq": np.inf}, {"mu1": -4.8}, {"mu1": -4.7}, {"mu2": -10.0},
          {"shape_multiplier_exposed": -1.0, "mu1": 20.0}],
         ids=["zero-multiplier", "nan-mu1", "inf-rate", "inf-sigma2", "exposed-mass-7.9e-7",
-             "control-mass-2.9e-7", "negative-multiplier-mass-2.8e-89"],
+             "exposed-mass-1.3e-6", "control-mass-2.9e-7", "negative-multiplier-mass-2.8e-89"],
     )
     def test_a_policy_that_cannot_be_sampled_is_refused_at_once(self, fields):
         start = time.perf_counter()
@@ -96,7 +96,8 @@ class TestSamplePolicy:
         assert time.perf_counter() - start < 0.05
 
     def test_a_negative_multiplier_truncates_on_the_other_side(self):
-        PolicyConfig(mu1=-4.7)  # positive with probability 1.3e-6, above 1 / MAX_REJECTIONS
+        # positive with probability 3.2e-5: the sampler gives up with chance exp(-31.7)
+        PolicyConfig(mu1=-4.0)
         cfg = PolicyConfig(shape_multiplier_exposed=-1.0)
         rng = np.random.default_rng(6)
         shapes = [draw_policy(cfg, rng).alpha_exposed for _ in range(2000)]
