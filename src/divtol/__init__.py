@@ -34,7 +34,6 @@ from .errors import (
 from .estimator import (
     CurveSamples,
     EstimateResult,
-    Method,
     bootstrap_ci,
     estimate_theta,
     pairwise_objective,

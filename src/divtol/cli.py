@@ -31,7 +31,7 @@ import json
 import math
 import os
 import sys
-from argparse import ArgumentParser, ArgumentTypeError, Namespace
+from argparse import SUPPRESS, ArgumentParser, ArgumentTypeError, Namespace
 from dataclasses import asdict
 from typing import NoReturn
 
@@ -48,8 +48,7 @@ from .errors import (
 )
 from .estimator import (
     BOOTSTRAP_MAX_REPLICATES,
-    DEFAULT_GRID_STEP,
-    Method,
+    MIN_GRID_STEP,
     bootstrap_ci,
     estimate_theta,
     grid_intervals,
@@ -101,18 +100,16 @@ def _within(convert, lo=None, hi=math.inf, *, closed=True, many=False):
     return parse
 
 
-def _grid_step(max_step: float):
-    """An argparse ``type``: a theta grid step in [DEFAULT_GRID_STEP, max_step] that divides 1."""
-    in_range = _within(float, DEFAULT_GRID_STEP, max_step)
+def _grid_step(raw: str) -> float:
+    """An argparse ``type``: a theta grid step in [MIN_GRID_STEP, 1] that divides 1."""
+    try:
+        grid_intervals(step := _within(float, MIN_GRID_STEP, 1.0)(raw))
+    except InputError as exc:
+        raise ArgumentTypeError(str(exc)) from None
+    return step
 
-    def parse(raw: str) -> float:
-        try:
-            grid_intervals(step := in_range(raw))
-        except InputError as exc:
-            raise ArgumentTypeError(str(exc)) from None
-        return step
 
-    return parse
+_grid_step.__name__ = "float"  # argparse's "invalid float value" error names it
 
 
 def _sweep_sizes(raw: str) -> tuple:
@@ -146,18 +143,18 @@ def build_parser(command: str | None = None) -> ArgumentParser:
         p.add_argument("--weights", choices=("none", "sixty-minus-midpoint"), default="none",
                        help="per-bin weights: none, or interval length minus bin midpoints")
     if command == "estimate":
-        p.add_argument("--method", choices=("closed-form", "grid"), default="closed-form")
-        p.add_argument("--grid-step", type=_grid_step(0.5), default=DEFAULT_GRID_STEP,
-                       help="theta grid step of --method grid (default %(default)s)")
         p.add_argument("--bootstrap", type=_within(int, 100, BOOTSTRAP_MAX_REPLICATES),
                        metavar="N", help="bootstrap replicates of a percentile interval")
-        p.add_argument("--level", type=_within(float, 0.0, 1.0, closed=False), default=0.95)
+        # absent unless given; _parse_args defaults them with --bootstrap and refuses them without
+        p.add_argument("--level", type=_within(float, 0.0, 1.0, closed=False), default=SUPPRESS,
+                       help="interval level of --bootstrap (default 0.95)")
+        p.add_argument("--seed", type=_within(int, 0), default=SUPPRESS,
+                       help="resampling seed of --bootstrap (default 0)")
     if command == "curves":
-        p.add_argument("--grid-step", type=_grid_step(1.0), default=CURVES_DEFAULT_GRID_STEP,
+        p.add_argument("--grid-step", type=_grid_step, default=CURVES_DEFAULT_GRID_STEP,
                        help="theta grid step (default %(default)s)")
-    if command in ("estimate", "simulate-mc", "consistency"):
-        p.add_argument("--seed", type=_within(int, 0), default=0)
     if command in ("simulate-mc", "consistency"):
+        p.add_argument("--seed", type=_within(int, 0), default=0)
         p.add_argument("--optimal", type=_within(float, -math.inf, closed=False), default=0.0,
                        help="scalar optimal action")
     if command == "simulate-mc":
@@ -185,6 +182,14 @@ def _parse_args(argv: list[str] | None) -> Namespace:
         raise ConfigurationError(f"--command {cfg.command} does not read {', '.join(unread)}")
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if cfg.command == "estimate":
+        given = [f"--{key}" for key in ("level", "seed") if key in cfg]
+        if cfg.bootstrap is None and given:
+            raise ConfigurationError(
+                f"--command estimate reads {', '.join(given)} only with --bootstrap"
+            )
+        if cfg.bootstrap is not None:
+            cfg.level, cfg.seed = getattr(cfg, "level", 0.95), getattr(cfg, "seed", 0)
     return cfg
 
 
@@ -292,8 +297,7 @@ def _flatten(obj: dict, prefix: str = "") -> list[tuple[str, object]]:
 def cmd_estimate(cfg: Namespace) -> None:
     ds, layout, unmatched = _load_dataset(cfg)
     spec = _build_spec(cfg, layout)
-    method = Method.CLOSED_FORM if cfg.method == "closed-form" else Method.GRID
-    result = estimate_theta(ds, spec, method=method, grid_step=cfg.grid_step)
+    result = estimate_theta(ds, spec)
     interval = None
     if cfg.bootstrap is not None:
         lo, hi = bootstrap_ci(ds, spec, replicates=cfg.bootstrap, seed=cfg.seed, level=cfg.level)
@@ -301,7 +305,6 @@ def cmd_estimate(cfg: Namespace) -> None:
     result_echo = {
         "theta_e": result.theta_e,
         "objective_at_min": result.objective_at_min,
-        "method": result.method.name,
         "quadratic": dict(zip(("var_u", "cov_uv", "var_v"), result.quadratic)),
         "bootstrap": interval,
     }

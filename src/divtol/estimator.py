@@ -26,15 +26,13 @@ group-mean reward curves cross.  The objective itself is
     Psi_n(theta) = 2 * ((theta^2 W_e + (1 - theta)^2 W_c) / n + p q g^2),
     g = theta m_e - (1 - theta) m_c,
 
-a sum of nonnegative terms, evaluated in O(n).  A grid scan over [0, 1] is
-kept as an oracle.  Divergences above ``MAX_DIVERGENCE`` are refused, so every
-statistic and tolerance stays finite.
+a sum of nonnegative terms, evaluated in O(n).  Divergences above
+``MAX_DIVERGENCE`` are refused, so every statistic and tolerance stays finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +47,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Method",
     "EstimateResult",
     "CurveSamples",
     "pairwise_objective",
@@ -60,8 +57,8 @@ __all__ = [
     "grid_intervals",
 ]
 
-#: default and finest accepted theta grid step: a grid has at most 10^6 + 1 points
-DEFAULT_GRID_STEP = 1e-6
+#: finest accepted theta grid step: a grid has at most 10^6 + 1 points
+MIN_GRID_STEP = 1e-6
 
 #: a grid step must divide 1: 1/step may differ from a whole number of
 #: intervals by at most this fraction of 1/step
@@ -92,14 +89,9 @@ BOOTSTRAP_BLOCK_ELEMENTS = 16384
 BOOTSTRAP_CHUNK = 64
 
 
-class Method(Enum):
-    CLOSED_FORM = "closed_form"
-    GRID = "grid"
-
-
 @dataclass(frozen=True)
 class EstimateResult:
-    """Fitted tolerance with minimizer provenance and diagnostics.
+    """Fitted tolerance, the objective at it, and the quadratic it minimizes.
 
     ``quadratic`` carries the coefficients ``(A_e + A_c, -A_c, W_c / n + p q m_c^2)``
     of ``Psi_n / 2 = (A_e + A_c) theta^2 - 2 A_c theta + W_c / n + p q m_c^2``
@@ -108,7 +100,6 @@ class EstimateResult:
 
     theta_e: float
     objective_at_min: float
-    method: Method
     quadratic: tuple[float, float, float]
 
 
@@ -288,30 +279,10 @@ def grid_intervals(step: float) -> int:
     return int(whole)
 
 
-def _scan_grid(curvature: float, half_slope: float, constant: float, step: float) -> float:
-    """Exhaustive argmin of the quadratic objective over a uniform grid on [0, 1].
+def estimate_theta(ds: Dataset, spec: DivergenceSpec) -> EstimateResult:
+    """Minimize the pairwise objective over theta in [0, 1], in closed form.
 
-    The arguments are :attr:`EstimateResult.quadratic`: the objective is
-    ``2 * (curvature * theta^2 + 2 * half_slope * theta + constant)``.
-    """
-    if not DEFAULT_GRID_STEP <= step <= 0.5:
-        raise InputError(f"grid step must lie in [{DEFAULT_GRID_STEP}, 0.5], got {step!r}")
-    grid = np.linspace(0.0, 1.0, grid_intervals(step) + 1)
-    psi = 2.0 * (curvature * grid * grid + 2.0 * half_slope * grid + constant)
-    return float(grid[np.argmin(psi)]) + 0.0  # normalize -0.0
-
-
-def estimate_theta(
-    ds: Dataset,
-    spec: DivergenceSpec,
-    method: Method = Method.CLOSED_FORM,
-    grid_step: float = DEFAULT_GRID_STEP,
-) -> EstimateResult:
-    """Minimize the pairwise objective over theta in [0, 1].
-
-    CLOSED_FORM uses the quadratic's analytic argmin; GRID scans a uniform
-    grid (default step 1e-6) as an independent oracle.  Raises
-    :class:`EstimationError` when a group is missing and
+    Raises :class:`EstimationError` when a group is missing,
     :class:`DegenerateObjectiveError` when the objective has no curvature,
     and :class:`InputError` when a divergence exceeds ``MAX_DIVERGENCE``.
     """
@@ -324,18 +295,10 @@ def estimate_theta(
             f"<= tolerance {DEGENERACY_RTOL * float(d.max()) ** 2:.3e}); "
             "this happens when every divergence is zero, so no tolerance is identified"
         )
-
-    if method is Method.CLOSED_FORM:
-        theta = float(theta)
-    elif method is Method.GRID:
-        theta = _scan_grid(*quadratic, grid_step)
-    else:
-        raise InputError(f"unknown method {method!r}")
-
+    theta = float(theta)
     return EstimateResult(
         theta_e=theta,
         objective_at_min=_group_objective(theta, d_e, d_c),
-        method=method,
         quadratic=quadratic,
     )
 

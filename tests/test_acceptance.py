@@ -15,7 +15,6 @@ from divtol import (
     Dataset,
     DivergenceSpec,
     McConfig,
-    Method,
     Norm,
     PolicyConfig,
     StudyLayout,
@@ -33,6 +32,7 @@ from divtol import (
 )
 from divtol.cli import main
 from divtol.ingest import bin_events
+from pairwise_oracle import grid_argmin
 
 #: largest |crossing_theta - theta_e| observed over the 20 frozen random
 #: fixtures exercised in the estimator suite
@@ -49,18 +49,18 @@ def test_criterion_1_two_mouse_exact_reproduction():
     spec = DivergenceSpec(optimal=np.array([1.0]))
     estimate_theta(ds, spec)  # warm-up so the timed call excludes dispatch costs
     start = time.perf_counter()
-    closed = estimate_theta(ds, spec, method=Method.CLOSED_FORM)
+    closed = estimate_theta(ds, spec)
     elapsed = time.perf_counter() - start
-    grid = estimate_theta(ds, spec, method=Method.GRID)
+    oracle = grid_argmin(ds, spec)
     ok = (
         abs(closed.theta_e - 0.2) <= 1e-9
-        and abs(grid.theta_e - 0.2) <= 2e-6
+        and abs(oracle - 0.2) <= 2e-6
         and elapsed < 1e-3
     )
     assert report(
         1,
         ok,
-        f"theta_e closed={closed.theta_e!r} grid={grid.theta_e!r} "
+        f"theta_e closed={closed.theta_e!r} pairwise grid oracle={oracle!r} "
         f"closed-form runtime={elapsed * 1e6:.0f}us (< 1 ms)",
     )
 
@@ -119,28 +119,22 @@ def test_criterion_4_closed_form_and_grid_oracle_agree():
         actions = rng.gamma(2.0, 2.0, size=(n, 1))
         ds = Dataset.from_arrays(actions=actions, states=states)
         spec = DivergenceSpec(optimal=np.array([0.5]))
-        closed = estimate_theta(ds, spec, method=Method.CLOSED_FORM)
-        grid = estimate_theta(ds, spec, method=Method.GRID)
-        worst = max(worst, abs(closed.theta_e - grid.theta_e))
-    # engineered boundary datasets: both methods must sit on the boundary
+        worst = max(worst, abs(estimate_theta(ds, spec).theta_e - grid_argmin(ds, spec)))
+    # engineered boundary datasets: the estimate and the oracle must sit on the boundary
     spec = DivergenceSpec(optimal=np.array([0.0]))
     upper = Dataset.from_arrays(actions=[[0.0], [0.0], [3.0], [2.0]], states=[1, 1, 0, 0])
     lower = Dataset.from_arrays(actions=[[3.0], [2.0], [0.0], [0.0]], states=[1, 1, 0, 0])
     boundary_ok = (
-        estimate_theta(upper, spec).theta_e
-        == estimate_theta(upper, spec, method=Method.GRID).theta_e
-        == 1.0
-        and estimate_theta(lower, spec).theta_e
-        == estimate_theta(lower, spec, method=Method.GRID).theta_e
-        == 0.0
+        estimate_theta(upper, spec).theta_e == grid_argmin(upper, spec) == 1.0
+        and estimate_theta(lower, spec).theta_e == grid_argmin(lower, spec) == 0.0
     )
     elapsed = time.perf_counter() - start
     ok = worst <= 2e-6 and boundary_ok and elapsed < 30.0
     assert report(
         4,
         ok,
-        f"worst |closed - grid| = {worst:.2e} over 100 datasets, boundary cases agree, "
-        f"in {elapsed:.1f}s (< 30 s)",
+        f"worst |closed - pairwise grid oracle| = {worst:.2e} over 100 datasets, "
+        f"boundary cases agree, in {elapsed:.1f}s (< 30 s)",
     )
 
 

@@ -65,23 +65,38 @@ class TestEstimate:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["result"]["theta_e"] == pytest.approx(0.2, abs=1e-12)
-        assert payload["result"]["method"] == "CLOSED_FORM"
         assert payload["result"]["bootstrap"] is None
-        assert payload["config"]["seed"] == 0
+        assert "seed" not in payload["config"] and "level" not in payload["config"]
         assert "tolerates divergence from optimality more" in stdout
 
-    def test_grid_method(self, two_mouse_files, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--seed", "3"], "--seed"), (["--level", "0.95"], "--level"),
+         (["--seed", "0", "--level", "0.9"], "--level, --seed")],
+        ids=["seed", "level-at-its-default", "both"],
+    )
+    def test_bootstrap_flags_without_bootstrap_rejected(
+        self, flags, named, two_mouse_files, tmp_path, capsys
+    ):
         exposures, bins = two_mouse_files
-        out = tmp_path / "result.json"
-        code, _, _ = run(
+        out = tmp_path / "r.json"
+        code, _, stderr = run(
             ["--command", "estimate", "--exposures", exposures, "--bins", bins,
-             "--optimal", "1", "--method", "grid", "--out", str(out)],
+             "--optimal", "1", *flags, "--out", str(out)],
             capsys,
         )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["result"]["method"] == "GRID"
-        assert payload["result"]["theta_e"] == pytest.approx(0.2, abs=2e-6)
+        assert code == 2
+        assert json.loads(stderr)["error"] == {
+            "class": "ConfigurationError",
+            "message": f"--command estimate reads {named} only with --bootstrap",
+        }
+        assert not out.exists()
+
+    def test_bootstrap_flags_default_with_bootstrap(self, two_mouse_files):
+        exposures, bins = two_mouse_files
+        cfg = cli._parse_args(["--command", "estimate", "--exposures", exposures, "--bins", bins,
+                               "--optimal", "1", "--bootstrap", "100", "--out", "r.json"])
+        assert (cfg.seed, cfg.level) == (0, 0.95)
 
     def test_bootstrap_interval_in_output(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -149,34 +164,6 @@ class TestEstimate:
             capsys,
         )
         assert code == 2
-
-    @pytest.mark.parametrize("command", ["estimate", "curves"])
-    def test_grid_step_below_the_default_rejected(self, command, two_mouse_files, tmp_path, capsys):
-        exposures, bins = two_mouse_files
-        code, _, stderr = run(
-            ["--command", command, "--exposures", exposures, "--bins", bins, "--optimal", "1",
-             "--method", "grid", "--grid-step", "1e-9", "--out", str(tmp_path / "r.json")],
-            capsys,
-        )
-        assert code == 2
-        assert json.loads(stderr)["error"]["class"] == "ConfigurationError"
-        assert not (tmp_path / "r.json").exists()
-
-    @pytest.mark.parametrize("command", ["estimate", "curves"])
-    def test_grid_step_that_does_not_divide_one_rejected(
-        self, command, two_mouse_files, tmp_path, capsys
-    ):
-        exposures, bins = two_mouse_files
-        code, _, stderr = run(
-            ["--command", command, "--exposures", exposures, "--bins", bins, "--optimal", "1",
-             "--method", "grid", "--grid-step", "0.3", "--out", str(tmp_path / "r.json")],
-            capsys,
-        )
-        assert code == 2
-        error = json.loads(stderr)["error"]
-        assert error["class"] == "ConfigurationError"
-        assert "divide 1" in error["message"]
-        assert not (tmp_path / "r.json").exists()
 
     def test_byte_order_marks_do_not_change_the_result(self, two_mouse_files, tmp_path, capsys):
         exposures, bins = two_mouse_files
@@ -258,6 +245,30 @@ class TestCurves:
         assert columns == ["theta", "mean_reward_exposed", "mean_reward_control"]
         assert len(rows) == 2
         assert float(scalars["metadata.crossing_theta"]) == pytest.approx(0.2)
+
+    def test_grid_step_below_the_finest_rejected(self, two_mouse_files, tmp_path, capsys):
+        exposures, bins = two_mouse_files
+        code, _, stderr = run(
+            ["--command", "curves", "--exposures", exposures, "--bins", bins, "--optimal", "1",
+             "--grid-step", "1e-9", "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(stderr)["error"]["class"] == "ConfigurationError"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_grid_step_that_does_not_divide_one_rejected(self, two_mouse_files, tmp_path, capsys):
+        exposures, bins = two_mouse_files
+        code, _, stderr = run(
+            ["--command", "curves", "--exposures", exposures, "--bins", bins, "--optimal", "1",
+             "--grid-step", "0.3", "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 2
+        error = json.loads(stderr)["error"]
+        assert error["class"] == "ConfigurationError"
+        assert "divide 1" in error["message"]
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestSimulateMc:
@@ -803,8 +814,10 @@ class TestUsageErrors:
             (["--command", "simulate-mc", "--optimal", "-1e100"], "--optimal=-1e100"),
             (["--command", "simulate"], "argument --command: invalid choice: 'simulate'"),
             (["--command", "simulate-mc", "--seed", "1.5"], "argument --seed: invalid int value"),
+            (["--command", "curves", "--exposures", "e.csv", "--bins", "b.csv", "--optimal", "1",
+              "--grid-step", "abc"], "argument --grid-step: invalid float value: 'abc'"),
         ],
-        ids=["negative-exponent", "unknown-command", "bad-seed"],
+        ids=["negative-exponent", "unknown-command", "bad-seed", "bad-grid-step"],
     )
     def test_rejected_flags_are_json_configuration_errors(self, args, message, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -880,7 +893,7 @@ def test_simulated_divergences_too_large_to_square_are_refused(tmp_path, capsys)
 #: flags each command leaves unread, a value for each other than its
 #: default, and a run of each command that resolves
 UNREAD_FLAGS = {
-    "estimate": ["--n", "--datasets", "--p-exposed"],
+    "estimate": ["--method", "--grid-step", "--n", "--datasets", "--p-exposed"],
     "curves": ["--method", "--bootstrap", "--level", "--seed", "--n", "--datasets", "--p-exposed"],
     "simulate-mc": ["--exposures", "--bins", "--events", "--norm", "--weights", "--method",
                     "--grid-step", "--bootstrap", "--level"],

@@ -16,7 +16,6 @@ from divtol import (
     EstimationError,
     InferenceError,
     InputError,
-    Method,
     Norm,
     PolicyConfig,
     bootstrap_ci,
@@ -30,13 +29,13 @@ from divtol import (
 import divtol.estimator as estimator
 from divtol.estimator import (
     BOOTSTRAP_MAX_REPLICATES,
-    DEFAULT_GRID_STEP,
     DEGENERACY_RTOL,
     MAX_DIVERGENCE,
+    MIN_GRID_STEP,
     PAIRWISE_MAX_N,
-    _scan_grid,
     grid_intervals,
 )
+from pairwise_oracle import grid_argmin
 
 SCALAR_AT_ONE = DivergenceSpec(optimal=np.array([1.0]))
 SCALAR_AT_ZERO = DivergenceSpec(optimal=np.array([0.0]))
@@ -172,6 +171,41 @@ def test_estimate_is_invariant_to_the_scale_of_actions(seed, c, norm):
     scaled = Dataset.from_arrays(actions=c * ds.actions, states=ds.states)
     spec = DivergenceSpec(optimal=c * optimal, norm=norm)
     assert estimate_theta(scaled, spec).theta_e == pytest.approx(theta, rel=1e-9)
+
+
+@st.composite
+def oracle_cases(draw):
+    """Two-group datasets of 2-60 mice in d <= 3, either norm, with or without weights.
+
+    In some, one whole group sits at the optimum, which puts the minimizer
+    on a boundary: theta = 1 when the exposed mice do, theta = 0 when the
+    controls do.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 3))
+    states = np.zeros(n, dtype=int)
+    states[: draw(st.integers(1, n - 1))] = 1
+    rng.shuffle(states)
+    actions = rng.gamma(2.0, 2.0, size=(n, d))
+    optimal = rng.normal(size=d)
+    at_optimum = draw(st.none() | st.sampled_from([0, 1]))
+    if at_optimum is not None:
+        actions[states == at_optimum] = optimal
+    weights = rng.uniform(0.1, 3.0, size=d) if draw(st.booleans()) else None
+    spec = DivergenceSpec(optimal=optimal, norm=draw(st.sampled_from(list(Norm))), weights=weights)
+    return Dataset.from_arrays(actions=actions, states=states), spec, at_optimum
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=oracle_cases())
+def test_closed_form_matches_the_pairwise_grid_oracle(case):
+    ds, spec, at_optimum = case
+    theta = estimate_theta(ds, spec).theta_e
+    oracle = grid_argmin(ds, spec)
+    assert abs(theta - oracle) <= 2e-6
+    if at_optimum is not None:
+        assert theta == oracle == at_optimum
 
 
 def test_small_actions_are_not_degenerate():
@@ -359,7 +393,6 @@ class TestEstimateTheta:
     def test_two_mouse_solution_is_exact(self):
         result = estimate_theta(two_mouse_dataset(), SCALAR_AT_ONE)
         assert result.theta_e == pytest.approx(0.2, abs=1e-15)
-        assert result.method is Method.CLOSED_FORM
         assert result.quadratic == pytest.approx((6.25, -1.25, 0.25))
 
     def test_equal_divergences_give_half(self):
@@ -374,16 +407,6 @@ class TestEstimateTheta:
         assert result.quadratic[0] == pytest.approx(7.5, rel=1e-12)
         assert result.quadratic[1] == pytest.approx(-3.25, rel=1e-12)
         assert result.theta_e == pytest.approx(13.0 / 30.0, abs=1e-9)
-        grid = estimate_theta(ds, SCALAR_AT_ONE, method=Method.GRID)
-        assert grid.theta_e == pytest.approx(13.0 / 30.0, abs=2e-6)
-
-    def test_grid_agrees_with_closed_form(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            ds = random_two_group_dataset(rng)
-            a = estimate_theta(ds, SCALAR_AT_ZERO).theta_e
-            b = estimate_theta(ds, SCALAR_AT_ZERO, method=Method.GRID).theta_e
-            assert abs(a - b) <= 2e-6
 
     def test_objective_at_min_matches_pairwise(self):
         rng = np.random.default_rng(9)
@@ -415,26 +438,14 @@ class TestEstimateTheta:
 
     def test_exposed_at_optimum_hits_upper_boundary(self):
         ds = Dataset.from_arrays(actions=[[0.0], [0.0], [3.0], [2.0]], states=[1, 1, 0, 0])
-        closed = estimate_theta(ds, SCALAR_AT_ZERO)
-        grid = estimate_theta(ds, SCALAR_AT_ZERO, method=Method.GRID)
-        assert closed.theta_e == 1.0
-        assert grid.theta_e == 1.0
+        assert estimate_theta(ds, SCALAR_AT_ZERO).theta_e == 1.0
 
     def test_controls_at_optimum_hit_lower_boundary(self):
         ds = Dataset.from_arrays(actions=[[3.0], [2.0], [0.0], [0.0]], states=[1, 1, 0, 0])
-        closed = estimate_theta(ds, SCALAR_AT_ZERO)
-        grid = estimate_theta(ds, SCALAR_AT_ZERO, method=Method.GRID)
-        assert closed.theta_e == 0.0
-        assert grid.theta_e == 0.0
-
-    def test_grid_step_below_the_default_rejected(self):
-        with pytest.raises(InputError):
-            _scan_grid(1.0, -0.5, 1.0, 1e-9)
-        with pytest.raises(InputError):
-            estimate_theta(two_mouse_dataset(), SCALAR_AT_ONE, method=Method.GRID, grid_step=1e-9)
+        assert estimate_theta(ds, SCALAR_AT_ZERO).theta_e == 0.0
 
     @pytest.mark.parametrize(
-        "step, intervals", [(DEFAULT_GRID_STEP, 10**6), (0.005, 200), (0.25, 4), (0.1, 10), (1.0, 1)]
+        "step, intervals", [(MIN_GRID_STEP, 10**6), (0.005, 200), (0.25, 4), (0.1, 10), (1.0, 1)]
     )
     def test_steps_that_divide_one_are_accepted(self, step, intervals):
         assert grid_intervals(step) == intervals
@@ -443,10 +454,6 @@ class TestEstimateTheta:
     def test_grid_step_that_does_not_divide_one_rejected(self, step):
         with pytest.raises(InputError, match="divide 1"):
             grid_intervals(step)
-        with pytest.raises(InputError, match="divide 1"):
-            _scan_grid(1.0, -0.5, 1.0, step)
-        with pytest.raises(InputError, match="divide 1"):
-            estimate_theta(two_mouse_dataset(), SCALAR_AT_ONE, method=Method.GRID, grid_step=step)
 
     def test_missing_group_raises(self):
         ds = Dataset.from_arrays(actions=[[1.0], [2.0]], states=[1, 1])

@@ -24,9 +24,13 @@ removed, which was the only change to those files.  All thirteen CLI output
 hashes were re-recorded when each command got its own parser: the
 ``config`` echo now holds only the flags the command reads, and the
 simulation commands echo a scalar ``optimal`` (and ``simulate-mc`` a scalar
-``n``), which was the only change to those files.  The convergence-probe
-hash was recorded from the probe that built one dataset per replicate,
-before it moved to the block path.  Any change to them is a numeric change
+``n``), which was the only change to those files.  The six ``estimate``
+output hashes were re-recorded again when the grid minimizer was removed:
+the output lost ``config.method``, ``config.grid_step`` and
+``result.method``, and a run without ``--bootstrap`` lost ``config.seed``
+and ``config.level``, which was the only change to those files.  The
+convergence-probe hash was recorded from the probe that built one dataset
+per replicate, before it moved to the block path.  Any change to them is a numeric change
 and must be stated as one.
 """
 
@@ -58,7 +62,7 @@ from divtol import (
 from divtol.cli import main
 
 MC_SHA256 = "7b6b692350f41b2dcda70763757a6954173a55a279bd9ecd0d4a764981b6d524"
-ESTIMATE_OUT_SHA256 = "cd3737424f933c9d36f5c6f9191a4b64e2e4fa5c8757146dd4e24c87b7afe5ba"
+ESTIMATE_OUT_SHA256 = "151da61f190e2ea64a88d16500a398ecc4bc995d9b7ebcc62e90b812f23f70ea"
 IID_DATASET_SHA256 = "a5e3a205e921c8409bcfeb17dc900f704b65caa9ef72f812de1681fc4f379780"
 SWEEP_SHA256 = "2e2db1a47f764744439821205c86284a7618915fa604eec4f871e77edca07dea"
 PROBE_SHA256 = "5d9cf7bc61cc65643dd989322f6f7e00bde1c19e41ed0a90ee061bc9f090a125"
@@ -84,7 +88,7 @@ CLI_RUNS = {
 }
 CLI_OUT_SHA256 = {
     ("estimate", "csv"):
-        "9d3a838f2ef3b6ebabb895cc0aae849b3adbfb7f95444bd7fa0f53bedf964082",
+        "c5e6f679547a1999d40f44fb2baf1a76a11b7a76c8e63d560366ba30c3f7e4e7",
     ("curves", "json"):
         "efde807e5713da276d208997c5243f30b34fd142bb763c0b6308b6e6505e0451",
     ("curves", "csv"):
@@ -115,15 +119,15 @@ INGEST_RUNS = {
 }
 INGEST_OUT_SHA256 = {
     ("estimate-events-l1", "json"):
-        "7230c6fc3ede6b13f649d1d1aa8ad7ae754d8cff7215df543ccf7d17a454b7f9",
+        "f86513903b79d10de6dc83118e8d236cd19334684eb7661226830ac8b30c7ce3",
     ("estimate-events-l1", "csv"):
-        "b63f5fee9955f49477ecf7edea8970d0469dd917060c165883771df01f409552",
+        "7107e537ca569142c129abdb7e844d94972ddbcef6b4fb3f608849c13b01219f",
     ("curves-events", "json"):
         "c264f1529aca857b0a45e49b8bc2dabecdcfebc2064cfae04e8a1336c56028e8",
     ("estimate-big-counts-d12", "json"):
-        "9dc18d80c0945961196383b7742e01183717474fe4e2813f2e3cb52b8b33e104",
+        "c1d3414234b03156d9a9ef54da355557d82032584a3eff2432d262660aa88625",
     ("estimate-big-counts-d1", "json"):
-        "329a7b53ce271782ef33bfbecc79d86740ebf6e460af0437fa828a96254a3caf",
+        "0a0393ecc3634400eddc7c6e2923d91509eb843a9a246e71ce3ac062a3d17396",
 }
 
 
