@@ -110,8 +110,8 @@ class PolicyConfig:
     def shape_params(self, s: int) -> tuple[float, float, float]:
         """(mu, sd, multiplier) of the shape noise for exposure state s."""
         if s == 1:
-            return self.mu1, float(np.sqrt(self.sigma1_sq)), self.shape_multiplier_exposed
-        return self.mu2, float(np.sqrt(self.sigma2_sq)), 1.0
+            return self.mu1, math.sqrt(self.sigma1_sq), self.shape_multiplier_exposed
+        return self.mu2, math.sqrt(self.sigma2_sq), 1.0
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,13 @@ class AnovaFit:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte-Carlo study parameters (defaults reproduce the n=50, M=2000 study)."""
+    """Monte-Carlo study parameters (defaults reproduce the n=50, M=2000 study).
+
+    One try of the exposure assignment draws both groups with probability
+    ``q = 1 - p^n - (1-p)^n``; as in :class:`PolicyConfig`, the chance that
+    every one of ``MAX_ASSIGNMENT_RETRIES`` tries misses, ``exp(-q * tries)``,
+    must be <= 1e-9.
+    """
 
     n_per_dataset: int = 50
     num_datasets: int = 2000
@@ -154,6 +160,14 @@ class McConfig:
             raise ConfigurationError("num_datasets must be >= 1")
         if not 0.0 < self.p_exposed < 1.0:
             raise ConfigurationError("p_exposed must lie in (0, 1)")
+        n, minor = self.n_per_dataset, min(self.p_exposed, 1.0 - self.p_exposed)
+        q = -math.expm1(n * math.log1p(-minor)) - minor**n
+        if q * MAX_ASSIGNMENT_RETRIES < math.log(1e9):
+            raise ConfigurationError(
+                f"an exposure assignment of {n} animals at p_exposed={self.p_exposed!r} holds "
+                f"both groups with probability q = {q:.3g}, too small for "
+                f"{MAX_ASSIGNMENT_RETRIES} tries to succeed reliably"
+            )
         _require_seed(self.seed, ConfigurationError)
 
 
@@ -207,6 +221,18 @@ def _draw_positive_shape(mu: float, sd: float, mult: float, rng: np.random.Gener
 _SMALLEST_ACTION = float(np.finfo(float).tiny)
 
 
+def _gamma_actions(alphas: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Gamma(alphas, rate) draws, floored at :data:`_SMALLEST_ACTION`.
+
+    numpy draws ``Generator.gamma(shape, scale)`` as ``scale * standard_gamma(shape)``
+    element by element, so these are ``rng.gamma(alphas, 1 / rate)``'s bits without
+    its two-parameter broadcast.
+    """
+    actions = rng.standard_gamma(alphas)
+    actions *= 1.0 / rate
+    return np.maximum(actions, _SMALLEST_ACTION, out=actions)
+
+
 def _sample_actions(states: np.ndarray, cfg: PolicyConfig, rng: np.random.Generator) -> np.ndarray:
     """Vectorized iid sampler: one truncated-normal shape and one Gamma draw per animal."""
     n = states.shape[0]
@@ -227,7 +253,7 @@ def _sample_actions(states: np.ndarray, cfg: PolicyConfig, rng: np.random.Genera
                 "gave up resampling nonpositive shapes; check the policy parameters"
             )
         alphas[mask] = vals
-    return np.maximum(rng.gamma(alphas, 1.0 / cfg.rate), _SMALLEST_ACTION)
+    return _gamma_actions(alphas, cfg.rate, rng)
 
 
 def _draw_mixed_states(
@@ -239,18 +265,18 @@ def _draw_mixed_states(
     assignment is then the intended law, not an accident.  Returns the vector
     and the number of regenerations performed.
     """
-    states = (rng.random(n) < p_exposed).astype(int)
+    exposed = rng.random(n) < p_exposed
     if p_exposed <= 0.0 or p_exposed >= 1.0:
-        return states, 0
+        return exposed.astype(int), 0
     regenerations = 0
-    while states.min() == states.max():
+    while not 0 < np.count_nonzero(exposed) < n:
         if regenerations >= MAX_ASSIGNMENT_RETRIES:
             raise ConfigurationError(
                 f"could not draw a mixed exposure assignment in {MAX_ASSIGNMENT_RETRIES} tries"
             )
-        states = (rng.random(n) < p_exposed).astype(int)
+        exposed = rng.random(n) < p_exposed
         regenerations += 1
-    return states, regenerations
+    return exposed.astype(int), regenerations
 
 
 def generate_dataset(
@@ -303,8 +329,8 @@ def _study_row(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The states and scalar actions that :func:`generate_study_dataset` draws."""
     states, _ = _draw_mixed_states(n, p_exposed, rng)
-    alphas = np.where(states == 1, policy.alpha_exposed, policy.alpha_control)
-    return states, np.maximum(rng.gamma(alphas, 1.0 / policy.rate), _SMALLEST_ACTION)
+    alphas = np.array((policy.alpha_control, policy.alpha_exposed))[states]
+    return states, _gamma_actions(alphas, policy.rate, rng)
 
 
 def fit_anova(ds: Dataset) -> AnovaFit:
@@ -398,10 +424,10 @@ def run_monte_carlo(cfg: McConfig, policy: PolicyConfig) -> McResult:
     :func:`fit_anova` on its own :func:`generate_study_dataset` draw.
     """
     spec = DivergenceSpec(optimal=np.array([cfg.optimal_action]))
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.num_datasets)
 
     def draw_row(i):
-        rng = np.random.default_rng(children[i])
+        # child i of SeedSequence(cfg.seed).spawn(num_datasets), built when it is drawn
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
         return _study_row(draw_policy(policy, rng), cfg.n_per_dataset, cfg.p_exposed, rng)
 
     theta, degenerate, b1 = _fit_replicates(

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,22 @@ class TestSimulateMc:
         policy = json.loads(out.read_text())["policy"]
         assert "positivity" not in policy
         assert policy["sigma2_sq"] == 4.0
+
+    def test_a_rarely_mixed_assignment_exits_2_at_once(self, tmp_path, capsys):
+        # each try draws 10^7 uniforms; all 10^5 of them would take hours
+        out = tmp_path / "mc.json"
+        start = time.perf_counter()
+        code, _, stderr = run(
+            ["--command", "simulate-mc", "--n", "10000000", "--p-exposed", "1e-300",
+             "--datasets", "1", "--out", str(out)],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        error = json.loads(stderr)["error"]
+        assert error["class"] == "ConfigurationError"
+        assert "probability q = 1e-293" in error["message"]
+        assert not out.exists()
 
 
 class TestConsistency:

@@ -30,7 +30,9 @@ the output lost ``config.method``, ``config.grid_step`` and
 ``result.method``, and a run without ``--bootstrap`` lost ``config.seed``
 and ``config.level``, which was the only change to those files.  The
 convergence-probe hash was recorded from the probe that built one dataset
-per replicate, before it moved to the block path.  Any change to them is a numeric change
+per replicate, before it moved to the block path.  The rate-2.5 hashes
+were recorded from the sampler that called ``Generator.gamma(alphas,
+1 / rate)``, before it drew ``standard_gamma(alphas) * (1 / rate)``.  Any change to them is a numeric change
 and must be stated as one.
 """
 
@@ -52,8 +54,10 @@ from divtol import (
     bootstrap_ci,
     consistency_sweep,
     dataset_divergences,
+    draw_policy,
     estimate_theta,
     generate_dataset,
+    generate_study_dataset,
     objective_convergence_probe,
     parse_binned_counts,
     parse_exposures,
@@ -66,6 +70,16 @@ ESTIMATE_OUT_SHA256 = "151da61f190e2ea64a88d16500a398ecc4bc995d9b7ebcc62e90b812f
 IID_DATASET_SHA256 = "a5e3a205e921c8409bcfeb17dc900f704b65caa9ef72f812de1681fc4f379780"
 SWEEP_SHA256 = "2e2db1a47f764744439821205c86284a7618915fa604eec4f871e77edca07dea"
 PROBE_SHA256 = "5d9cf7bc61cc65643dd989322f6f7e00bde1c19e41ed0a90ee061bc9f090a125"
+# a non-unit rate, at n=2 and 3 with p_exposed=0.05 so that regenerations are frequent
+RATE_2_5_SHA256 = {
+    ("monte-carlo", 2): "8c972c661d275de59bf567c15bd4d43e104a2179bce6806699ad87fe276680a3",
+    ("monte-carlo", 3): "c97354c2b02630d71bf33aebab57bd79a159bc4fdc4cadffaae198740d125a49",
+    ("iid-dataset", 2): "d72d4b3d89fde064b2c1ca8af975e8aaf9d9627dda2a0e475637ee576b4f9139",
+    ("iid-dataset", 3): "0c20da5c25c0c73bb5e506e3c4d5cd37dd44b0b886f3a83822abff308db3fb63",
+    ("study-dataset", 2): "1d32402086636dc1b4955302885a7cd0adb3c8ddf2688024c98907e7227604f1",
+    ("study-dataset", 3): "9f648a6660742224dfa09af20e5efe9bc1f0e896ef493fadbb89d1024ffd41bb",
+}
+RATE_2_5_SWEEP_SHA256 = "5a86274c707d9b361ab581b3660516a21acdba10cc87fa6f7b2ece04cb9eea02"
 # B=2500 at n=200 spans many resampling blocks and ends in a partial one
 BOOTSTRAP_SHA256 = {
     Norm.L2_SQUARED: "96c833dd5719a4eae2eb1df8164598da1fc69de85e8262dde57ac75f28765247",
@@ -201,6 +215,34 @@ def test_iid_dataset_is_bitwise_pinned():
 def test_consistency_sweep_rows_are_bitwise_pinned():
     rows = consistency_sweep(PolicyConfig(), [50, 200], 50, seed=0)
     assert sha256(repr(rows).encode()) == SWEEP_SHA256
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_monte_carlo_at_a_non_unit_rate_is_bitwise_pinned(n):
+    cfg = McConfig(n_per_dataset=n, num_datasets=300, p_exposed=0.05, seed=n)
+    result = run_monte_carlo(cfg, PolicyConfig(rate=2.5))
+    assert sha256(repr(result).encode()) == RATE_2_5_SHA256["monte-carlo", n]
+
+
+def test_consistency_sweep_at_a_non_unit_rate_is_bitwise_pinned():
+    rows = consistency_sweep(PolicyConfig(rate=2.5), [2, 3], 200, seed=4)
+    assert sha256(repr(rows).encode()) == RATE_2_5_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("design", ["iid-dataset", "study-dataset"])
+def test_datasets_at_a_non_unit_rate_are_bitwise_pinned(design, n):
+    cfg = PolicyConfig(rate=2.5)
+    data = b""
+    if design == "iid-dataset":
+        rng = np.random.default_rng(n)
+        draws = (generate_dataset(cfg, n, 0.05, rng) for _ in range(200))
+    else:
+        rng = np.random.default_rng(10 + n)
+        draws = (generate_study_dataset(draw_policy(cfg, rng), n, 0.05, rng) for _ in range(200))
+    for ds in draws:
+        data += ds.actions.astype("<f8").tobytes() + ds.states.astype("<i8").tobytes()
+    assert sha256(data) == RATE_2_5_SHA256[design, n]
 
 
 def test_convergence_probe_is_bitwise_pinned():

@@ -1,6 +1,7 @@
 """Synthetic policy sampling, the ANOVA baseline, and the study harness."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,58 @@ class TestSamplePolicy:
         # alpha = -eps1 with eps1 ~ N(2, 1) kept below zero: E[alpha] = 0.3732
         assert min(shapes) > 0.0
         assert np.mean(shapes) == pytest.approx(truncated_shape_mean(-2.0, 1.0, 1.0), rel=0.1)
+
+
+def old_draw_mixed_states(n, p_exposed, rng):
+    """The assignment rule before the count test: regenerate while min == max."""
+    states = (rng.random(n) < p_exposed).astype(int)
+    regenerations = 0
+    while states.min() == states.max():
+        states = (rng.random(n) < p_exposed).astype(int)
+        regenerations += 1
+    return states, regenerations
+
+
+class TestSamplerBits:
+    """The sampler's shortcuts keep the bits of the numpy calls they replace."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("scale", [1.0, 1 / 3, 2.5])
+    def test_gamma_is_standard_gamma_times_scale(self, scale, seed):
+        shapes = np.repeat(np.geomspace(1e-3, 50.0, 400), 5)
+        via_gamma = np.random.default_rng(seed).gamma(shapes, scale)
+        via_standard = np.random.default_rng(seed).standard_gamma(shapes) * scale
+        # shape 1e-3 underflows to 0 about half the time; the sampler floors those
+        assert np.count_nonzero(via_gamma == 0.0) > 0
+        assert via_gamma.tobytes() == via_standard.tobytes(), (
+            f"numpy {np.__version__}: Generator.gamma(shape, scale) is no longer "
+            "standard_gamma(shape) * scale bit for bit"
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("rate", [1.0, 3.0, 0.4])
+    def test_actions_are_the_floored_gamma_draws(self, rate, seed):
+        shapes = np.repeat(np.geomspace(1e-3, 50.0, 400), 5)
+        drawn = simulation._gamma_actions(shapes, rate, np.random.default_rng(seed))
+        replaced = np.maximum(
+            np.random.default_rng(seed).gamma(shapes, 1.0 / rate), simulation._SMALLEST_ACTION
+        )
+        assert drawn.tobytes() == replaced.tobytes()
+
+    @pytest.mark.parametrize("p_exposed", [0.05, 0.5])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_count_rule_draws_as_min_equals_max(self, n, p_exposed):
+        regenerated = 0
+        for seed in range(500):
+            new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            states, regenerations = simulation._draw_mixed_states(n, p_exposed, new_rng)
+            old_states, old_regenerations = old_draw_mixed_states(n, p_exposed, old_rng)
+            assert states.dtype == old_states.dtype
+            assert states.tolist() == old_states.tolist()
+            assert regenerations == old_regenerations
+            assert new_rng.random() == old_rng.random()
+            regenerated += regenerations > 0
+        assert regenerated > 100
 
 
 class TestGenerateDataset:
@@ -418,6 +471,38 @@ class TestMonteCarlo:
             McConfig(p_exposed=1.0)
         with pytest.raises(ConfigurationError):
             McConfig(n_per_dataset=1)
+
+    @pytest.mark.parametrize(
+        "n, p_exposed",
+        [(2, 1.03e-4), (2, 1 - 1.03e-4), (10**7, 1e-12), (50, 1e-300), (10**7, 1e-300)],
+    )
+    def test_an_assignment_that_is_rarely_mixed_is_refused(self, n, p_exposed):
+        # exp(-q * MAX_ASSIGNMENT_RETRIES) > 1e-9, where q = 1 - p^n - (1-p)^n
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="probability q = "):
+            McConfig(n_per_dataset=n, p_exposed=p_exposed)
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize(
+        "n, p_exposed",
+        # the designs the tests, golden runs and benchmark draw, then the edges of the rule
+        [(2, 0.05), (3, 0.05), (2, 0.5), (3, 0.5), (50, 0.1), (50, 0.5), (50, 0.9), (1000, 0.5),
+         (20000, 0.5), (10**7, 0.5), (2, 1.04e-4), (2, 1 - 1.04e-4), (10**7, 1e-9)],
+    )
+    def test_every_design_in_use_constructs(self, n, p_exposed):
+        McConfig(n_per_dataset=n, p_exposed=p_exposed)
+
+    def test_spawned_streams_are_built_one_replicate_at_a_time(self):
+        # spawning all 20000 SeedSequence children up front traces a 9.7 MB peak
+        cfg = McConfig(n_per_dataset=2, num_datasets=20_000, seed=0)
+        run_monte_carlo(McConfig(n_per_dataset=2, num_datasets=10, seed=0), PolicyConfig())
+        tracemalloc.start()
+        try:
+            run_monte_carlo(cfg, PolicyConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestConsistencySweep:
