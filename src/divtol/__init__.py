@@ -41,7 +41,6 @@ from .estimator import (
     variance_objective,
 )
 from .ingest import (
-    BinnedSession,
     Events,
     Sessions,
     StudyLayout,

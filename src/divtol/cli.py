@@ -251,30 +251,31 @@ def _open_out(path: str, mode: str):
         raise ConfigurationError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
-def _write(cfg: Namespace, scalars: dict, table: tuple[str, list[str], list] | None = None) -> None:
+def _write(cfg: Namespace, scalars: dict, table: tuple[str, dict] | None = None) -> None:
     """Write the config echo, ``scalars`` and an optional table to ``--out``.
 
-    ``table`` is ``(key, columns, rows)``.  JSON nests it under ``key`` as one
-    list per column; CSV writes the flattened scalars as ``# key=value`` lines,
-    then the table's header and rows.
+    ``table`` is ``(key, columns)``, ``columns`` a dict of column name to a
+    list of Python scalars.  JSON nests ``columns`` under ``key``; CSV writes
+    the flattened scalars as ``# key=value`` lines, then the table's header
+    and rows.
     """
     config = {key: value for key, value in vars(cfg).items() if key != "out"}
     payload = {"config": config, **scalars}
     with _open_out(cfg.out, "w") as fh:
         if cfg.format == "json":
             if table is not None:
-                key, columns, rows = table
-                payload[key] = {c: [row[j] for row in rows] for j, c in enumerate(columns)}
+                key, columns = table
+                payload[key] = columns
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         else:
             for name, value in _flatten(payload):
                 fh.write(f"# {name}={_fmt_value(value).translate(_LINE_BREAK_ESCAPES)}\n")
             if table is not None:
-                _, columns, rows = table
+                _, columns = table
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(columns)
-                writer.writerows([_fmt_value(cell) for cell in row] for row in rows)
+                writer.writerows(map(_fmt_value, row) for row in zip(*columns.values()))
 
 
 def _flatten(obj: dict, prefix: str = "") -> list[tuple[str, object]]:
@@ -326,16 +327,11 @@ def cmd_curves(cfg: Namespace) -> None:
         gap = abs(curves.crossing_theta - theta_hat)
     metadata = {"crossing_theta": curves.crossing_theta, "theta_e": theta_hat, "crossing_gap": gap}
     columns = {
-        "theta": curves.thetas,
-        "mean_reward_exposed": curves.mean_reward_exposed,
-        "mean_reward_control": curves.mean_reward_control,
+        "theta": curves.thetas.tolist(),
+        "mean_reward_exposed": curves.mean_reward_exposed.tolist(),
+        "mean_reward_control": curves.mean_reward_control.tolist(),
     }
-    rows = list(zip(*(c.tolist() for c in columns.values())))
-    _write(
-        cfg,
-        {"metadata": metadata, "unmatched_exposure_ids": unmatched},
-        ("samples", list(columns), rows),
-    )
+    _write(cfg, {"metadata": metadata, "unmatched_exposure_ids": unmatched}, ("samples", columns))
     print(f"crossing_theta = {curves.crossing_theta!r}, theta_e = {theta_hat!r}")
 
 
@@ -350,11 +346,8 @@ def cmd_simulate_mc(cfg: Namespace) -> None:
         "degenerate_count": result.degenerate_count,
         "replicates_used": len(result.theta_estimates),
     }
-    _write(
-        cfg,
-        {"policy": asdict(policy), "summary": summary},
-        ("estimates", ["theta", "b1"], list(zip(result.theta_estimates, result.b1_estimates))),
-    )
+    estimates = {"theta": result.theta_estimates.tolist(), "b1": result.b1_estimates.tolist()}
+    _write(cfg, {"policy": asdict(policy), "summary": summary}, ("estimates", estimates))
     print(
         f"frac(theta < 0.5) = {result.frac_theta_below_half:.4f}, "
         f"frac(b1 > 0) = {result.frac_b1_above_zero:.4f} "
@@ -366,11 +359,8 @@ def cmd_consistency(cfg: Namespace) -> None:
     policy = PolicyConfig()
     rows = consistency_sweep(policy, ns=list(cfg.n), replicates=cfg.datasets, seed=cfg.seed,
                              optimal_action=cfg.optimal)
-    _write(
-        cfg,
-        {"policy": asdict(policy)},
-        ("rows", ["n", "mean_theta", "sd_theta"], [(r.n, r.mean_theta, r.sd_theta) for r in rows]),
-    )
+    columns = {c: [getattr(r, c) for r in rows] for c in ("n", "mean_theta", "sd_theta")}
+    _write(cfg, {"policy": asdict(policy)}, ("rows", columns))
     print("; ".join(f"n={r.n}: sd={r.sd_theta:.5f}" for r in rows))
 
 
@@ -385,11 +375,8 @@ def cmd_ingest_check(cfg: Namespace) -> None:
         n = len(ds)
         dimension = ds.dimension
         violations.extend(validate_dataset(ds).violations)
-    _write(
-        cfg,
-        {"n": n, "dimension": dimension, "unmatched_exposure_ids": unmatched},
-        ("violations", ["violation"], [[v] for v in violations]),
-    )
+    scalars = {"n": n, "dimension": dimension, "unmatched_exposure_ids": unmatched}
+    _write(cfg, scalars, ("violations", {"violation": violations}))
     if violations:
         raise DataError(f"{len(violations)} violation(s) found, listed in {cfg.out}")
     print("clean")

@@ -34,9 +34,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +42,6 @@ from .core import Dataset
 from .errors import DataError, DivtolError, InputError, LinkageError, ParseError, SchemaError
 
 __all__ = [
-    "BinnedSession",
     "Events",
     "Sessions",
     "StudyLayout",
@@ -85,23 +82,15 @@ class StudyLayout:
         return (np.arange(self.n_bins) + 0.5) * self.bin_width_s
 
 
-class BinnedSession(NamedTuple):
-    """Press counts for one mouse in one session: one row of :class:`Sessions`."""
-
-    mouse_id: str
-    session: int
-    counts: np.ndarray
-
-
 @dataclass(frozen=True, eq=False, repr=False)
-class Sessions(Sequence):
+class Sessions:
     """Per-(mouse, session) bin counts held as columns.
 
     ``mouse_ids`` lists each mouse once, in the order its first row appears;
     ``codes[i]`` indexes it for row ``i``.  ``session`` is an int64 array of
     shape (rows,), ``counts`` an int64 array of shape (rows, d), and
     ``line_numbers`` the source line of each row, used only in error
-    messages.  Indexing builds a :class:`BinnedSession` on access.
+    messages.
     """
 
     layout: StudyLayout
@@ -117,11 +106,6 @@ class Sessions(Sequence):
 
     def __len__(self) -> int:
         return self.codes.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        return BinnedSession(self.mouse_ids[self.codes[i]], int(self.session[i]), self.counts[i])
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -442,32 +426,13 @@ def parse_events(path) -> Events:
     return Events(mouse_ids, codes, session, time, lines)
 
 
-def _events_from_tuples(events) -> Events:
-    ids, sessions, times = list(zip(*events)) or [(), (), ()]
-    outside = next((i for i, s in enumerate(sessions) if not _in_int64(s)), None)
-    if outside is not None:
-        raise DataError(f"session beyond int64 for mouse {ids[outside]!r}")
-    mouse_ids, codes = _codes(ids)
-    n = len(ids)
-    return Events(
-        mouse_ids,
-        codes,
-        np.array(sessions, dtype=np.int64),
-        np.array(times, dtype=np.float64),
-        np.arange(1, n + 1),
-    )
-
-
-def bin_events(events: Events | Sequence[tuple[str, int, float]], layout: StudyLayout) -> Sessions:
+def bin_events(events: Events, layout: StudyLayout) -> Sessions:
     """Aggregate raw press times into per-(mouse, session) bin counts.
 
-    ``events`` is a parsed :class:`Events` or a sequence of
-    ``(mouse_id, session, press_time_s)`` tuples.  Times are reduced modulo
-    the interval length (idealized fixed-interval clock), so the total count
-    is conserved across bins.  Rows come out sorted by (mouse_id, session).
+    Times are reduced modulo the interval length (idealized fixed-interval
+    clock), so the total count is conserved across bins.  Rows come out
+    sorted by (mouse_id, session).
     """
-    if not isinstance(events, Events):
-        events = _events_from_tuples(events)
     t = events.time
     bad = _first(~((t >= 0.0) & (t < np.inf)))
     if bad < len(events):
@@ -515,7 +480,7 @@ def average_sessions(sessions: Sessions, layout: StudyLayout) -> dict[str, np.nd
     d = layout.n_bins
     if len(sessions) and sessions.counts.shape[1] != d:
         raise InputError(
-            f"session counts for mouse {sessions[0].mouse_id!r} have length "
+            f"session counts for mouse {sessions.mouse_ids[sessions.codes[0]]!r} have length "
             f"{sessions.counts.shape[1]}, layout declares {d} bins"
         )
     m, codes = len(sessions.mouse_ids), sessions.codes

@@ -33,7 +33,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .core import Dataset, DivergenceSpec, action_divergences
-from .errors import ConfigurationError, EstimationError, InputError, StudyError
+from .errors import ConfigurationError, DivtolError, EstimationError, InputError, StudyError
 from .estimator import (
     BOOTSTRAP_BLOCK_ELEMENTS,
     _bounded,
@@ -137,14 +137,35 @@ class AnovaFit:
     sigma_sq: float | None
 
 
-@dataclass(frozen=True)
-class McConfig:
-    """Monte-Carlo study parameters (defaults reproduce the n=50, M=2000 study).
+def _require_design(n: int, p_exposed: float, error: type[DivtolError]) -> None:
+    """Refuse fewer than two animals, and a ``p_exposed`` outside [0, 1] or rarely mixed.
 
     One try of the exposure assignment draws both groups with probability
     ``q = 1 - p^n - (1-p)^n``; as in :class:`PolicyConfig`, the chance that
     every one of ``MAX_ASSIGNMENT_RETRIES`` tries misses, ``exp(-q * tries)``,
-    must be <= 1e-9.
+    must be <= 1e-9.  At ``p`` in {0, 1} the one group is the design, and
+    nothing is retried.
+    """
+    if n < 2:
+        raise error(f"n must be >= 2, got {n}")
+    if not 0.0 <= p_exposed <= 1.0:
+        raise error(f"p_exposed must lie in [0, 1], got {p_exposed!r}")
+    minor = min(p_exposed, 1.0 - p_exposed)
+    q = -math.expm1(n * math.log1p(-minor)) - minor**n
+    if minor and q * MAX_ASSIGNMENT_RETRIES < math.log(1e9):
+        raise error(
+            f"an exposure assignment of {n} animals at p_exposed={p_exposed!r} holds "
+            f"both groups with probability q = {q:.3g}, too small for "
+            f"{MAX_ASSIGNMENT_RETRIES} tries to succeed reliably"
+        )
+
+
+@dataclass(frozen=True)
+class McConfig:
+    """Monte-Carlo study parameters (defaults reproduce the n=50, M=2000 study).
+
+    ``p_exposed`` lies in (0, 1), and with ``n_per_dataset`` it must make a
+    mixed exposure assignment likely enough for the retries (:func:`_require_design`).
     """
 
     n_per_dataset: int = 50
@@ -154,31 +175,26 @@ class McConfig:
     optimal_action: float = 0.0
 
     def __post_init__(self):
-        if self.n_per_dataset < 2:
-            raise ConfigurationError("n_per_dataset must be >= 2")
         if self.num_datasets < 1:
             raise ConfigurationError("num_datasets must be >= 1")
         if not 0.0 < self.p_exposed < 1.0:
             raise ConfigurationError("p_exposed must lie in (0, 1)")
-        n, minor = self.n_per_dataset, min(self.p_exposed, 1.0 - self.p_exposed)
-        q = -math.expm1(n * math.log1p(-minor)) - minor**n
-        if q * MAX_ASSIGNMENT_RETRIES < math.log(1e9):
-            raise ConfigurationError(
-                f"an exposure assignment of {n} animals at p_exposed={self.p_exposed!r} holds "
-                f"both groups with probability q = {q:.3g}, too small for "
-                f"{MAX_ASSIGNMENT_RETRIES} tries to succeed reliably"
-            )
+        _require_design(self.n_per_dataset, self.p_exposed, ConfigurationError)
         _require_seed(self.seed, ConfigurationError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McResult:
-    """Aggregated study output: headline fractions plus the full estimate lists."""
+    """Aggregated study output: headline fractions plus every surviving estimate.
+
+    ``theta_estimates`` and ``b1_estimates`` are read-only float64 arrays,
+    one entry per replicate whose objective was not degenerate.
+    """
 
     frac_theta_below_half: float
     frac_b1_above_zero: float
-    theta_estimates: tuple[float, ...]
-    b1_estimates: tuple[float, ...]
+    theta_estimates: np.ndarray
+    b1_estimates: np.ndarray
     degenerate_count: int
 
 
@@ -284,13 +300,13 @@ def generate_dataset(
 ) -> Dataset:
     """n iid scalar observations from the compound policy.
 
-    Exposure is Bernoulli(p_exposed); assignments leaving a group empty are
-    regenerated so the dataset stays estimable.
+    Exposure is Bernoulli(p_exposed).  For ``p_exposed`` in (0, 1) an
+    assignment leaving a group empty is regenerated, so both groups are
+    present; at 0 or 1 the dataset holds one group, which no estimator can
+    fit.  Refuses ``n`` below 2, and a ``p_exposed`` outside [0, 1] or too
+    rarely mixed for the retries (:func:`_require_design`).
     """
-    if n < 2:
-        raise InputError(f"n must be >= 2, got {n}")
-    if not 0.0 <= p_exposed <= 1.0:
-        raise InputError(f"p_exposed must lie in [0, 1], got {p_exposed!r}")
+    _require_design(n, p_exposed, InputError)
     states, actions = _iid_row(cfg, n, p_exposed, rng)
     return Dataset.from_arrays(actions=actions[:, None], states=states)
 
@@ -317,9 +333,11 @@ def draw_policy(cfg: PolicyConfig, rng: np.random.Generator) -> RealizedPolicy:
 def generate_study_dataset(
     policy: RealizedPolicy, n: int, p_exposed: float, rng: np.random.Generator
 ) -> Dataset:
-    """n scalar observations from one realized policy (shapes shared within the dataset)."""
-    if n < 2:
-        raise InputError(f"n must be >= 2, got {n}")
+    """n scalar observations from one realized policy (shapes shared within the dataset).
+
+    Exposure is drawn, and the arguments checked, as in :func:`generate_dataset`.
+    """
+    _require_design(n, p_exposed, InputError)
     states, actions = _study_row(policy, n, p_exposed, rng)
     return Dataset.from_arrays(actions=actions[:, None], states=states)
 
@@ -436,11 +454,13 @@ def run_monte_carlo(cfg: McConfig, policy: PolicyConfig) -> McResult:
     theta, b1 = theta[~degenerate], b1[~degenerate]
     if not theta.size:
         raise StudyError("every replicate produced a degenerate objective")
+    theta.setflags(write=False)
+    b1.setflags(write=False)
     return McResult(
         frac_theta_below_half=float(np.mean(theta < 0.5)),
         frac_b1_above_zero=float(np.mean(b1 > 0.0)),
-        theta_estimates=tuple(theta.tolist()),
-        b1_estimates=tuple(b1.tolist()),
+        theta_estimates=theta,
+        b1_estimates=b1,
         degenerate_count=int(np.count_nonzero(degenerate)),
     )
 

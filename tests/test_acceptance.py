@@ -26,6 +26,7 @@ from divtol import (
     objective_convergence_probe,
     pairwise_objective,
     parse_binned_counts,
+    parse_events,
     parse_exposures,
     run_monte_carlo,
     variance_objective,
@@ -266,21 +267,21 @@ def test_criterion_8_ingestion_conservation_and_round_trip(tmp_path):
         (f"m{int(rng.integers(0, 10))}", int(rng.integers(1, 6)), float(rng.uniform(0.0, 1800.0)))
         for _ in range(10_000)
     ]
-    sessions = bin_events(events, layout)
-    conserved = sum(int(s.counts.sum()) for s in sessions) == len(events)
+    events_path = tmp_path / "events.csv"
+    lines = ["mouse_id,session,press_time_s"] + [f"{m},{s},{t!r}" for m, s, t in events]
+    events_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sessions = bin_events(parse_events(events_path), layout)
+    conserved = int(sessions.counts.sum()) == len(events)
+
+    def rows(parsed):
+        ids = [parsed.mouse_ids[c] for c in parsed.codes.tolist()]
+        return sorted(zip(ids, parsed.session.tolist(), parsed.counts.tolist()))
 
     path = tmp_path / "bins.csv"
     header = "mouse_id,session," + ",".join(f"b{j}" for j in range(12))
-    rows = [
-        f"{s.mouse_id},{s.session}," + ",".join(map(str, s.counts)) for s in sessions
-    ]
-    path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    reparsed = parse_binned_counts(path, layout)
-    key = lambda s: (s.mouse_id, s.session)
-    round_trip = len(reparsed) == len(sessions) and all(
-        a.mouse_id == b.mouse_id and a.session == b.session and np.array_equal(a.counts, b.counts)
-        for a, b in zip(sorted(sessions, key=key), sorted(reparsed, key=key))
-    )
+    lines = [f"{m},{s}," + ",".join(map(str, counts)) for m, s, counts in rows(sessions)]
+    path.write_text("\n".join([header] + lines) + "\n", encoding="utf-8")
+    round_trip = rows(parse_binned_counts(path, layout)) == rows(sessions)
     elapsed = time.perf_counter() - start
     ok = conserved and round_trip and elapsed < 1.0
     assert report(

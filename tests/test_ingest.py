@@ -4,6 +4,7 @@ import csv
 import gc
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 from unittest import mock
 
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from divtol import ingest
 from divtol import (
-    BinnedSession,
     DataError,
     DivtolError,
     Events,
@@ -31,6 +31,7 @@ from divtol import (
     parse_exposures,
     validate_dataset,
 )
+from event_tuples import events_from_tuples
 
 LAYOUT = StudyLayout()
 
@@ -40,19 +41,26 @@ def write(path, text):
     return path
 
 
-def write_binned_counts(path, sessions, d):
+def write_binned_counts(path, rows, d):
+    """A binned-counts file of ``(mouse_id, session, counts)`` rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mouse_id", "session"] + [f"b{j}" for j in range(d)])
-        for s in sessions:
-            writer.writerow([s.mouse_id, s.session] + [int(c) for c in s.counts])
+        for mouse_id, session, counts in rows:
+            writer.writerow([mouse_id, session] + [int(c) for c in counts])
     return path
 
 
-def parsed_sessions(path, sessions, d=12):
-    """The ``Sessions`` that parsing a binned-counts file of ``sessions`` gives."""
-    write_binned_counts(path, sessions, d)
+def parsed_sessions(path, rows, d=12):
+    """The ``Sessions`` that parsing a binned-counts file of ``rows`` gives."""
+    write_binned_counts(path, rows, d)
     return parse_binned_counts(path, StudyLayout(bin_width_s=60.0 / d))
+
+
+def session_rows(sessions):
+    """Each row of a ``Sessions`` as ``(mouse_id, session, counts)``, counts as a list."""
+    ids = [sessions.mouse_ids[c] for c in sessions.codes.tolist()]
+    return list(zip(ids, sessions.session.tolist(), sessions.counts.tolist()))
 
 
 class TestStudyLayout:
@@ -101,21 +109,21 @@ class TestParseBinnedCounts:
         path = write(tmp_path / "b.csv", header + "\nm1,1," + ",".join(["0"] * 12) + "\n")
         sessions = parse_binned_counts(path, LAYOUT)
         assert len(sessions) == 1
-        np.testing.assert_array_equal(sessions[0].counts, np.zeros(12, dtype=int))
+        np.testing.assert_array_equal(sessions.counts[0], np.zeros(12, dtype=int))
 
     def test_counts_keep_bin_order(self, tmp_path):
         header = "mouse_id,session," + ",".join(f"b{j}" for j in range(12))
         row = "m1,3," + ",".join(["0"] * 11) + ",5"
         path = write(tmp_path / "b.csv", header + "\n" + row + "\n")
-        session = parse_binned_counts(path, LAYOUT)[0]
-        assert session.session == 3
-        assert session.counts[-1] == 5
-        assert session.counts[:-1].sum() == 0
+        sessions = parse_binned_counts(path, LAYOUT)
+        assert sessions.session[0] == 3
+        assert sessions.counts[0, -1] == 5
+        assert sessions.counts[0, :-1].sum() == 0
 
     def test_full_study_row_count(self, tmp_path):
         rng = np.random.default_rng(0)
         sessions = [
-            BinnedSession(f"m{i}", k, rng.integers(0, 9, size=12))
+            (f"m{i}", k, rng.integers(0, 9, size=12))
             for i in range(26)
             for k in range(1, 26)
         ]
@@ -168,7 +176,7 @@ class TestParseBinnedCounts:
     ids=["negative-count", "session-zero", "beyond-int64"],
 )
 def test_binned_session_rejects_inadmissible_values(session, counts, tmp_path):
-    path = write_binned_counts(tmp_path / "b.csv", [BinnedSession("m1", session, counts)], d=2)
+    path = write_binned_counts(tmp_path / "b.csv", [("m1", session, counts)], d=2)
     with pytest.raises(DataError, match="^line 2: "):
         parse_binned_counts(path, StudyLayout(bin_width_s=30.0))
 
@@ -194,21 +202,21 @@ def test_byte_order_mark_is_ignored(tmp_path):
 
 class TestBinEvents:
     def test_early_presses_share_the_first_bin(self):
-        sessions = bin_events([("m1", 1, 0.1), ("m1", 1, 4.9)], LAYOUT)
-        assert sessions[0].counts[0] == 2
-        assert sessions[0].counts.sum() == 2
+        sessions = bin_events(events_from_tuples([("m1", 1, 0.1), ("m1", 1, 4.9)]), LAYOUT)
+        assert sessions.counts[0, 0] == 2
+        assert sessions.counts.sum() == 2
 
     def test_time_wraps_at_the_interval(self):
-        sessions = bin_events([("m1", 1, 62.0)], LAYOUT)
-        assert sessions[0].counts[0] == 1
+        sessions = bin_events(events_from_tuples([("m1", 1, 62.0)]), LAYOUT)
+        assert sessions.counts[0, 0] == 1
 
     def test_last_moment_lands_in_last_bin(self):
-        sessions = bin_events([("m1", 1, 59.999)], LAYOUT)
-        assert sessions[0].counts[-1] == 1
+        sessions = bin_events(events_from_tuples([("m1", 1, 59.999)]), LAYOUT)
+        assert sessions.counts[0, -1] == 1
 
     def test_negative_time_rejected(self):
         with pytest.raises(DataError):
-            bin_events([("m1", 1, -0.5)], LAYOUT)
+            bin_events(events_from_tuples([("m1", 1, -0.5)]), LAYOUT)
 
     def test_conservation_over_random_events(self):
         rng = np.random.default_rng(1)
@@ -216,20 +224,18 @@ class TestBinEvents:
             (f"m{int(rng.integers(0, 5))}", int(rng.integers(1, 4)), float(rng.uniform(0, 1800)))
             for _ in range(10_000)
         ]
-        sessions = bin_events(events, LAYOUT)
-        assert sum(int(s.counts.sum()) for s in sessions) == len(events)
-        per_mouse = {}
-        for mouse_id, _, _ in events:
-            per_mouse[mouse_id] = per_mouse.get(mouse_id, 0) + 1
-        for mouse_id, expected in per_mouse.items():
-            got = sum(int(s.counts.sum()) for s in sessions if s.mouse_id == mouse_id)
-            assert got == expected
+        sessions = bin_events(events_from_tuples(events), LAYOUT)
+        assert sessions.counts.sum() == len(events)
+        per_mouse = Counter()
+        for mouse_id, _, counts in session_rows(sessions):
+            per_mouse[mouse_id] += sum(counts)
+        assert per_mouse == Counter(mouse_id for mouse_id, _, _ in events)
 
 
 class TestAverageSessions:
     def test_single_session_passthrough(self, tmp_path):
         counts = np.arange(12)
-        sessions = parsed_sessions(tmp_path / "b.csv", [BinnedSession("m1", 1, counts)])
+        sessions = parsed_sessions(tmp_path / "b.csv", [("m1", 1, counts)])
         out = average_sessions(sessions, LAYOUT)
         np.testing.assert_allclose(out["m1"], counts)
 
@@ -237,7 +243,7 @@ class TestAverageSessions:
         a = np.r_[np.zeros(11, dtype=int), 2]
         b = np.r_[np.zeros(11, dtype=int), 4]
         sessions = parsed_sessions(
-            tmp_path / "b.csv", [BinnedSession("m1", 1, a), BinnedSession("m1", 2, b)]
+            tmp_path / "b.csv", [("m1", 1, a), ("m1", 2, b)]
         )
         out = average_sessions(sessions, LAYOUT)
         np.testing.assert_allclose(out["m1"], np.r_[np.zeros(11), 3.0])
@@ -247,9 +253,9 @@ class TestAverageSessions:
         sessions = parsed_sessions(
             tmp_path / "b.csv",
             [
-                BinnedSession("m1", 1, np.full(12, 4)),
-                BinnedSession("m1", 2, np.full(12, 2)),
-                BinnedSession("m2", 1, np.full(12, 6)),
+                ("m1", 1, np.full(12, 4)),
+                ("m1", 2, np.full(12, 2)),
+                ("m2", 1, np.full(12, 6)),
             ],
         )
         out = average_sessions(sessions, LAYOUT)
@@ -259,14 +265,14 @@ class TestAverageSessions:
     def test_matches_column_mean_oracle(self, tmp_path):
         rng = np.random.default_rng(2)
         counts = rng.integers(0, 10, size=(25, 12))
-        sessions = [BinnedSession("m1", k + 1, counts[k]) for k in range(25)]
+        sessions = [("m1", k + 1, counts[k]) for k in range(25)]
         out = average_sessions(parsed_sessions(tmp_path / "b.csv", sessions), LAYOUT)
         expected = [sum(int(counts[k][j]) for k in range(25)) / 25.0 for j in range(12)]
         np.testing.assert_allclose(out["m1"], expected, atol=1e-12)
 
     def test_order_invariance(self, tmp_path):
         rng = np.random.default_rng(3)
-        sessions = [BinnedSession("m1", k + 1, rng.integers(0, 9, size=12)) for k in range(25)]
+        sessions = [("m1", k + 1, rng.integers(0, 9, size=12)) for k in range(25)]
         forward = average_sessions(parsed_sessions(tmp_path / "f.csv", sessions), LAYOUT)
         perm = [sessions[i] for i in rng.permutation(25)]
         shuffled = average_sessions(parsed_sessions(tmp_path / "s.csv", perm), LAYOUT)
@@ -276,15 +282,15 @@ class TestAverageSessions:
     def test_sums_beyond_2_53_keep_the_bits_of_np_mean(self, d, tmp_path):
         rng = np.random.default_rng(6)
         counts = 2**53 + rng.integers(0, 4096, size=(40, d))
-        sessions = [BinnedSession(f"m{k % 3}", k + 1, counts[k]) for k in range(40)]
+        sessions = [(f"m{k % 3}", k + 1, counts[k]) for k in range(40)]
         parsed = parsed_sessions(tmp_path / "b.csv", sessions, d)
         out = average_sessions(parsed, parsed.layout)
         for m in ("m0", "m1", "m2"):
-            mine = np.stack([s.counts for s in sessions if s.mouse_id == m])
+            mine = np.stack([c for mouse_id, _, c in sessions if mouse_id == m])
             assert out[m].tobytes() == np.mean(mine, axis=0).tobytes()
 
     def test_layout_mismatch_names_the_mouse(self, tmp_path):
-        sessions = parsed_sessions(tmp_path / "b.csv", [BinnedSession("m7", 1, [1, 2])], d=2)
+        sessions = parsed_sessions(tmp_path / "b.csv", [("m7", 1, [1, 2])], d=2)
         with pytest.raises(InputError, match="'m7' have length 2, layout declares 12 bins"):
             average_sessions(sessions, LAYOUT)
 
@@ -318,15 +324,9 @@ class TestRoundTrip:
             (f"m{int(rng.integers(0, 8))}", int(rng.integers(1, 6)), float(rng.uniform(0, 1800)))
             for _ in range(10_000)
         ]
-        sessions = bin_events(events, LAYOUT)
-        path = write_binned_counts(tmp_path / "b.csv", sessions, d=12)
-        reparsed = parse_binned_counts(path, LAYOUT)
-        assert len(reparsed) == len(sessions)
-        key = lambda s: (s.mouse_id, s.session)
-        for original, parsed in zip(sorted(sessions, key=key), sorted(reparsed, key=key)):
-            assert original.mouse_id == parsed.mouse_id
-            assert original.session == parsed.session
-            np.testing.assert_array_equal(original.counts, parsed.counts)
+        rows = session_rows(bin_events(events_from_tuples(events), LAYOUT))
+        path = write_binned_counts(tmp_path / "b.csv", rows, d=12)
+        assert sorted(session_rows(parse_binned_counts(path, LAYOUT))) == sorted(rows)
 
     def test_simulator_fixture_end_to_end(self, tmp_path):
         # 48 mice x 25 sessions through files -> dataset, clean validation
@@ -334,7 +334,7 @@ class TestRoundTrip:
         mice = [f"m{i:02d}" for i in range(48)]
         exposures = {m: int(i < 22) for i, m in enumerate(mice)}
         sessions = [
-            BinnedSession(m, k, rng.poisson(3.0, size=12))
+            (m, k, rng.poisson(3.0, size=12))
             for m in mice
             for k in range(1, 26)
         ]
@@ -363,10 +363,7 @@ class TestSessions:
         assert sessions.counts.dtype == np.int64 and sessions.counts.shape == (3, 2)
         assert sessions.line_numbers.tolist() == [2, 4, 5]
         assert sessions.layout == StudyLayout(bin_width_s=30.0)
-        second = sessions[1]
-        assert (second.mouse_id, second.session, second.counts.tolist()) == ("m1", 1, [0, 5])
-        assert [s.mouse_id for s in sessions] == ["m2", "m1", "m2"]
-        assert [s.session for s in sessions[1:]] == [1, 1]
+        assert session_rows(sessions) == [("m2", 3, [1, 2]), ("m1", 1, [0, 5]), ("m2", 1, [4, 4])]
         assert not sessions.counts.flags.writeable
 
     def test_ids_differing_by_a_nul_or_inner_spaces_stay_distinct(self, tmp_path):
@@ -429,10 +426,6 @@ class TestSessionBeyondInt64:
         with pytest.raises(DataError, match="^line 3: session beyond int64 for mouse 'm1'$"):
             parse_events(path)
 
-    def test_in_event_tuples(self, session):
-        with pytest.raises(DataError, match="^session beyond int64 for mouse 'm1'$"):
-            bin_events([("m2", 1, 4.0), ("m1", int(session), 1.5)], LAYOUT)
-
 
 class TestEvents:
     def test_columns(self, tmp_path):
@@ -453,12 +446,13 @@ class TestEvents:
             tmp_path / "e.csv",
             "mouse_id,session,press_time_s\n" + "".join(f"{m},{s},{t!r}\n" for m, s, t in events),
         )
-        from_file, from_tuples = bin_events(parse_events(path), LAYOUT), bin_events(events, LAYOUT)
+        from_file = bin_events(parse_events(path), LAYOUT)
+        from_tuples = bin_events(events_from_tuples(events), LAYOUT)
         mice = tuple(sorted({m for m, _, _ in events}))
         assert from_file.mouse_ids == from_tuples.mouse_ids == mice
         np.testing.assert_array_equal(from_file.session, from_tuples.session)
         np.testing.assert_array_equal(from_file.counts, from_tuples.counts)
-        keys = [(s.mouse_id, s.session) for s in from_file]
+        keys = [(m, s) for m, s, _ in session_rows(from_file)]
         assert keys == sorted(set(keys)) and len(keys) == len(set((m, s) for m, s, _ in events))
 
     def test_vector_bins_match_the_scalar_rule_at_bin_edges(self):
@@ -467,7 +461,7 @@ class TestEvents:
             edges, np.nextafter(edges, np.inf), np.nextafter(edges[1:], 0.0),
             np.random.default_rng(8).uniform(0.0, 1e6, 20_000), [1.7976931348623157e308, 5e-324],
         ])
-        sessions = bin_events([("m", 1, float(x)) for x in t], LAYOUT)
+        sessions = bin_events(events_from_tuples([("m", 1, float(x)) for x in t]), LAYOUT)
         expected = np.zeros(12, dtype=int)
         for x in t.tolist():
             expected[min(int((x % 60.0) // 5.0), 11)] += 1
@@ -705,10 +699,6 @@ def outcome(fn, *args):
         return "error", (type(exc), str(exc), getattr(exc, "line_number", None))
 
 
-def session_rows(sessions):
-    return [(s.mouse_id, s.session, s.counts.tolist()) for s in sessions]
-
-
 def mean_bits(means):
     return [(m, v.dtype.str, v.tobytes()) for m, v in means.items()]
 
@@ -719,7 +709,7 @@ def assert_same_sessions(expected, got, layout):
     if expected[0] == "error":
         assert got[1] == expected[1]
         return
-    assert session_rows(got[1]) == session_rows(expected[1])
+    assert session_rows(got[1]) == [(s.mouse_id, s.session, s.counts.tolist()) for s in expected[1]]
     assert mean_bits(average_sessions(got[1], layout)) == mean_bits(
         row_average_sessions(expected[1], layout)
     )
@@ -755,7 +745,8 @@ def test_columnar_events_parser_matches_the_row_loop(tmp_path_factory, case):
     ]
     binned = outcome(row_bin_events, expected[1], layout)
     assert_same_sessions(binned, outcome(bin_events, events, layout), layout)
-    assert_same_sessions(binned, outcome(bin_events, expected[1], layout), layout)
+    from_tuples = events_from_tuples(expected[1])
+    assert_same_sessions(binned, outcome(bin_events, from_tuples, layout), layout)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from divtol import (
     InputError,
     McConfig,
     PolicyConfig,
+    RealizedPolicy,
     StudyError,
     bootstrap_ci,
     consistency_sweep,
@@ -193,6 +194,35 @@ class TestGenerateDataset:
     def test_too_small_n_rejected(self):
         with pytest.raises(InputError):
             generate_dataset(PolicyConfig(), 1, 0.5, np.random.default_rng(0))
+
+
+#: designs that hold both groups with a probability q too small for the retries
+RARELY_MIXED = [(2, 1.03e-4), (2, 1 - 1.03e-4), (10**7, 1e-12), (50, 1e-300), (10**7, 1e-300),
+                (1000, 1e-300)]
+#: each generator's first argument: the compound policy, or one realization of it
+GENERATORS = {generate_dataset: PolicyConfig(), generate_study_dataset: RealizedPolicy(2.0, 2.0)}
+
+
+@pytest.mark.parametrize("generate", GENERATORS, ids=lambda g: g.__name__)
+class TestGeneratorDesign:
+    """Both generators check their design by McConfig's rule, before drawing."""
+
+    @pytest.mark.parametrize("n, p_exposed", RARELY_MIXED)
+    def test_a_rarely_mixed_design_is_refused_at_once(self, generate, n, p_exposed):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="probability q = "):
+            generate(GENERATORS[generate], n, p_exposed, np.random.default_rng(0))
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("p_exposed", [1.5, -0.1, float("nan")])
+    def test_p_exposed_outside_the_unit_interval_is_refused(self, generate, p_exposed):
+        with pytest.raises(InputError, match=r"p_exposed must lie in \[0, 1\]"):
+            generate(GENERATORS[generate], 10, p_exposed, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("p_exposed", [0.0, 1.0])
+    def test_a_certain_assignment_gives_one_group(self, generate, p_exposed):
+        ds = generate(GENERATORS[generate], 1000, p_exposed, np.random.default_rng(0))
+        assert ds.states.tolist() == [int(p_exposed)] * 1000
 
 
 class TestFitAnova:
@@ -430,8 +460,8 @@ class TestMonteCarlo:
         a = run_monte_carlo(cfg, PolicyConfig())
         b = run_monte_carlo(cfg, PolicyConfig())
         assert len(a.theta_estimates) == len(a.b1_estimates) == 1
-        assert a.theta_estimates == b.theta_estimates
-        assert a.b1_estimates == b.b1_estimates
+        assert bits(a.theta_estimates) == bits(b.theta_estimates)
+        assert bits(a.b1_estimates) == bits(b.b1_estimates)
 
     def test_fractions_are_bitwise_reproducible(self):
         cfg = McConfig(num_datasets=50, seed=21)
@@ -439,15 +469,13 @@ class TestMonteCarlo:
         b = run_monte_carlo(cfg, PolicyConfig())
         assert a.frac_theta_below_half == b.frac_theta_below_half
         assert a.frac_b1_above_zero == b.frac_b1_above_zero
-        assert a.theta_estimates == b.theta_estimates
+        assert bits(a.theta_estimates) == bits(b.theta_estimates)
 
     def test_direction_agreement_between_estimators(self):
         # exposures that raise activity should show up as theta < 0.5 and
         # b1 > 0 for mostly the same replicates
         result = run_monte_carlo(McConfig(seed=0), PolicyConfig())
-        theta = np.array(result.theta_estimates)
-        b1 = np.array(result.b1_estimates)
-        agreement = np.mean((theta < 0.5) == (b1 > 0.0))
+        agreement = np.mean((result.theta_estimates < 0.5) == (result.b1_estimates > 0.0))
         assert agreement > 0.80
 
     def test_large_n_fraction_stays_in_band(self):
@@ -472,10 +500,7 @@ class TestMonteCarlo:
         with pytest.raises(ConfigurationError):
             McConfig(n_per_dataset=1)
 
-    @pytest.mark.parametrize(
-        "n, p_exposed",
-        [(2, 1.03e-4), (2, 1 - 1.03e-4), (10**7, 1e-12), (50, 1e-300), (10**7, 1e-300)],
-    )
+    @pytest.mark.parametrize("n, p_exposed", RARELY_MIXED)
     def test_an_assignment_that_is_rarely_mixed_is_refused(self, n, p_exposed):
         # exp(-q * MAX_ASSIGNMENT_RETRIES) > 1e-9, where q = 1 - p^n - (1-p)^n
         start = time.perf_counter()
@@ -503,6 +528,23 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 5e6
+
+    def test_the_result_holds_its_estimates_in_read_only_arrays(self):
+        # two float64 arrays of 20000 hold 0.32 MB; tuples of Python floats would hold 1.28 MB
+        cfg = McConfig(n_per_dataset=2, num_datasets=20_000, seed=0)
+        run_monte_carlo(McConfig(n_per_dataset=2, num_datasets=10, seed=0), PolicyConfig())
+        tracemalloc.start()
+        try:
+            result = run_monte_carlo(cfg, PolicyConfig())
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 0.6e6, held
+        survivors = (20_000 - result.degenerate_count,)
+        for estimates in (result.theta_estimates, result.b1_estimates):
+            assert estimates.dtype == np.float64 and estimates.shape == survivors
+            with pytest.raises(ValueError, match="read-only"):
+                estimates[0] = 0.5
 
 
 class TestConsistencySweep:
