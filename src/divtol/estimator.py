@@ -125,6 +125,15 @@ def _fit(d_e: np.ndarray, d_c: np.ndarray):
     as alone.  Both groups must be non-empty and every ``D`` finite and
     nonnegative.  ``theta`` lies in [0, 1] on every row, but means nothing
     where ``degenerate``.
+
+    A row is degenerate when its curvature is at most ``DEGENERACY_RTOL``
+    times the square of its largest divergence.  The test is first made
+    against the block's largest divergence, one reduction for the whole
+    block.  No row's maximum exceeds it, and rounded squares and products
+    keep that order, so a row this bound leaves unflagged is unflagged by
+    its own maximum too.  Only when the bound flags some row are the row
+    maxima taken, to clear the flags they do not confirm; every flag, and
+    so every theta, keeps the bits of the per-row test.
     """
     n_e, n_c = d_e.shape[-1], d_c.shape[-1]
     n = n_e + n_c
@@ -138,8 +147,11 @@ def _fit(d_e: np.ndarray, d_c: np.ndarray):
     a_e = w_e + pq_m * m_e
     a_c = w_c + pq_m * m_c
     curvature = a_e + a_c
-    top = np.maximum(d_e.max(axis=-1), d_c.max(axis=-1))
+    top = max(d_e.max(), d_c.max())
     degenerate = curvature <= DEGENERACY_RTOL * (top * top)
+    if np.any(degenerate):
+        top = np.maximum(d_e.max(axis=-1), d_c.max(axis=-1))
+        degenerate &= curvature <= DEGENERACY_RTOL * (top * top)
     theta = a_c / (curvature + degenerate)  # no 0/0 on an all-zero row
     return theta, degenerate, (curvature, 0.0 - a_c, w_c + pq * m_c * m_c)
 
@@ -358,12 +370,15 @@ def bootstrap_ci(
     objective is degenerate are skipped; if more than half are skipped an
     :class:`InferenceError` is raised.
 
-    A chunk is drawn and fitted in row blocks of at most
-    ``BOOTSTRAP_BLOCK_ELEMENTS`` indices, so working memory stays bounded at
-    any n.  Consecutive ``integers`` calls on one stream give the same values
-    as one call over all their rows, so the block size never changes the
-    interval.  Each row is fitted from its group statistics to the same bits
-    as :func:`estimate_theta` on the resampled dataset.
+    Replicates are drawn in blocks of ``max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)``
+    rows into two reused buffers, so working memory stays bounded at any n,
+    and each block is fitted by one :func:`_fit` call.  A block may span
+    several chunks; a chunk that straddles two blocks keeps its two streams
+    across the boundary.  Consecutive ``integers`` calls on one stream give
+    the same values as one call over all their rows, so the block size never
+    changes the interval.  Each row is fitted from its group statistics to
+    the same bits as :func:`estimate_theta` on the resampled dataset.  The
+    surviving estimates fill one array, whose percentiles are taken in place.
 
     Note the percentile interval is not guaranteed to contain the point
     estimate.
@@ -378,28 +393,42 @@ def bootstrap_ci(
     _, d_e, d_c = _group_divergences(ds, spec)
     n_e, n_c = d_e.size, d_c.size
 
-    rows = max(1, BOOTSTRAP_BLOCK_ELEMENTS // (n_e + n_c))
-    estimates = []
-    for chunk, first in enumerate(range(0, replicates, BOOTSTRAP_CHUNK)):
-        size = min(BOOTSTRAP_CHUNK, replicates - first)
-        exposed, control = (
-            np.random.default_rng(np.random.SeedSequence([seed, chunk, group])) for group in (0, 1)
-        )
-        for start in range(0, size, rows):
-            take = min(rows, size - start)
-            draws_e = d_e[exposed.integers(0, n_e, (take, n_e))]
-            draws_c = d_c[control.integers(0, n_c, (take, n_c))]
-            thetas, degenerate, _ = _fit(draws_e, draws_c)
-            estimates.append(thetas[~degenerate])
+    rows = min(replicates, max(1, BOOTSTRAP_BLOCK_ELEMENTS // (n_e + n_c)))
+    draws_e, draws_c = np.empty((rows, n_e)), np.empty((rows, n_c))
+    estimates = np.empty(replicates)
+    used = filled = k = 0
+    while k < replicates:
+        chunk, row = divmod(k, BOOTSTRAP_CHUNK)
+        if row == 0:
+            exposed, control = (
+                np.random.default_rng(np.random.SeedSequence([seed, chunk, group]))
+                for group in (0, 1)
+            )
+        # the rest of this chunk, of this block, or of the replicates
+        take = min(BOOTSTRAP_CHUNK - row, rows - filled, replicates - k)
+        piece = slice(filled, filled + take)
+        # every index is in range, so "wrap" changes no value; it spares the
+        # buffered copy that take's default bounds check makes of ``out``
+        d_e.take(exposed.integers(0, n_e, (take, n_e)), out=draws_e[piece], mode="wrap")
+        d_c.take(control.integers(0, n_c, (take, n_c)), out=draws_c[piece], mode="wrap")
+        filled += take
+        k += take
+        if filled == rows or k == replicates:
+            thetas, degenerate, _ = _fit(draws_e[:filled], draws_c[:filled])
+            kept = thetas[~degenerate]
+            estimates[used : used + kept.size] = kept
+            used += kept.size
+            filled = 0
 
-    estimates = np.concatenate(estimates)
-    skipped = replicates - estimates.size
+    skipped = replicates - used
     if skipped > replicates // 2:
         raise InferenceError(
             f"{skipped} of {replicates} bootstrap replicates were degenerate; "
             "the dataset does not support resampling inference"
         )
     alpha = (1.0 - level) / 2.0
-    lo, hi = np.percentile(estimates, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+    lo, hi = np.percentile(
+        estimates[:used], [100.0 * alpha, 100.0 * (1.0 - alpha)], overwrite_input=True
+    )
     return float(lo), float(hi)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from divtol import (
@@ -332,6 +332,46 @@ def test_closed_form_needs_no_clamp(d_e, d_c, data):
         assert abs(theta - crossing) <= 2 * np.spacing(crossing)
 
 
+@st.composite
+def fit_blocks(draw):
+    """Exposed and control blocks of divergences whose rows differ in scale.
+
+    Each row is all zero, constant, nearly constant or spread, at a scale
+    from 1e-9 to 1e9, so the block's largest divergence often lies many
+    orders above a row's own, and the block bound flags rows that their own
+    maximum does not.
+    """
+    n_e, n_c = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = np.empty((draw(st.integers(1, 8)), n_e + n_c))
+    for row in block:
+        kind = draw(st.sampled_from(["zero", "constant", "near-constant", "spread"]))
+        scale = 10.0 ** draw(st.integers(-9, 9))
+        if kind == "zero":
+            row[:] = 0.0
+        elif kind == "constant":
+            row[:] = scale
+        elif kind == "near-constant":
+            spread = draw(st.sampled_from([1e-3, 1e-5, 1e-7]))
+            row[:] = scale * (1.0 + spread * rng.random(row.size))
+        else:
+            row[:] = scale * rng.gamma(2.0, 1.0, row.size)
+    return block[:, :n_e].copy(), block[:, n_e:].copy()
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=fit_blocks())
+# the block's bound, 3e9, flags the 1e-9 row; its own maximum does not
+@example(block=(np.array([[1e9, 2e9], [1e-9, 3e-9], [0.0, 0.0]]), np.array([[3e9], [2e-9], [0.0]])))
+def test_block_degeneracy_bound_keeps_each_rows_bits(block):
+    d_e, d_c = block
+    thetas, degenerate, _ = estimator._fit(d_e, d_c)
+    for k in range(len(d_e)):
+        theta, flag, _ = estimator._fit(d_e[k], d_c[k])
+        assert thetas[k].tobytes() == np.float64(theta).tobytes()
+        assert degenerate[k] == flag
+
+
 def exact_objective(theta, d, states):
     """Psi_n(theta) in exact rational arithmetic on the float divergences and theta."""
     t = Fraction(theta)
@@ -628,8 +668,8 @@ def resampling_cases(draw):
     """Datasets of 2-200 animals in d <= 3, some drawn from a few repeated mice.
 
     With repeated mice at the optimum, replicates that draw only those are
-    degenerate; n up to 200 spans several resampling blocks per chunk, and B
-    is often not a multiple of the chunk size.
+    degenerate; blocks of 81 or more rows straddle chunk boundaries, and B
+    is often not a multiple of the chunk or the block size.
     """
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(2, 200))
@@ -709,6 +749,37 @@ class TestBootstrap:
         expected = chunk_stream_bootstrap(ds, spec, replicates=1000, seed=3, level=0.9)
         monkeypatch.setattr(estimator, "BOOTSTRAP_BLOCK_ELEMENTS", elements)
         assert bootstrap_ci(ds, spec, replicates=1000, seed=3, level=0.9) == expected
+
+    @pytest.mark.parametrize(
+        "n, elements, replicates, rows",
+        [(64, 16384, 5000, 256), (40, 40 * 333, 1000, 333)],
+    )
+    def test_each_block_is_fitted_once(self, n, elements, replicates, rows, monkeypatch):
+        # blocks span chunks: 19 blocks of 256 rows and one of 136, or 3 of 333 and one of 1
+        fit = estimator._fit
+        fitted = []
+
+        def counting_fit(d_e, d_c):
+            fitted.append(len(d_e))
+            return fit(d_e, d_c)
+
+        monkeypatch.setattr(estimator, "_fit", counting_fit)
+        monkeypatch.setattr(estimator, "BOOTSTRAP_BLOCK_ELEMENTS", elements)
+        ds = random_two_group_dataset(np.random.default_rng(19), n=n)
+        bootstrap_ci(ds, SCALAR_AT_ZERO, replicates=replicates, seed=4)
+        full, rest = divmod(replicates, rows)
+        assert fitted == [rows] * full + [rest]
+
+    def test_replicate_estimates_are_held_once(self):
+        # 10^6 estimates take 7.6 MiB; a second copy of them would pass the bound
+        ds = random_two_group_dataset(np.random.default_rng(20), n=4)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(ds, SCALAR_AT_ZERO, replicates=BOOTSTRAP_MAX_REPLICATES, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
     def test_working_memory_is_bounded_at_large_n(self):
         rng = np.random.default_rng(18)
