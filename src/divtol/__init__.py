@@ -14,7 +14,6 @@ from .core import (
     DivergenceSpec,
     Norm,
     Observation,
-    ValidationReport,
     dataset_divergences,
     validate_dataset,
 )

@@ -199,13 +199,11 @@ def _load_dataset(cfg: Namespace):
         raise LinkageError(f"exposures file not found: {cfg.exposures}")
     exposures = parse_exposures(cfg.exposures)
     if cfg.bins is not None:
-        sessions = parse_binned_counts(cfg.bins)  # bin count from the header
+        sessions = parse_binned_counts(cfg.bins)
     else:
         sessions = bin_events(parse_events(cfg.events), StudyLayout())
-    layout = sessions.layout
-    actions = average_sessions(sessions, layout)
-    ds, unmatched = assemble_dataset(exposures, actions, layout)
-    return ds, layout, unmatched
+    ds, unmatched = assemble_dataset(exposures, average_sessions(sessions))
+    return ds, sessions.layout, unmatched
 
 
 def _build_spec(cfg: Namespace, layout: StudyLayout) -> DivergenceSpec:
@@ -374,7 +372,7 @@ def cmd_ingest_check(cfg: Namespace) -> None:
     else:
         n = len(ds)
         dimension = ds.dimension
-        violations.extend(validate_dataset(ds).violations)
+        violations.extend(validate_dataset(ds))
     scalars = {"n": n, "dimension": dimension, "unmatched_exposure_ids": unmatched}
     _write(cfg, scalars, ("violations", {"violation": violations}))
     if violations:

@@ -21,7 +21,7 @@ so they are safe to share across concurrent workers.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -34,7 +34,6 @@ __all__ = [
     "Observation",
     "Dataset",
     "DivergenceSpec",
-    "ValidationReport",
     "action_divergences",
     "dataset_divergences",
     "validate_dataset",
@@ -246,19 +245,8 @@ def action_divergences(actions: np.ndarray, spec: DivergenceSpec) -> np.ndarray:
         return np.sum(np.abs(resid), axis=1)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate_dataset`: an empty report means estimable."""
-
-    violations: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_dataset(ds: Dataset) -> ValidationReport:
-    """Report every violation of the dataset invariants.
+def validate_dataset(ds: Dataset) -> tuple[str, ...]:
+    """Every violation of the dataset invariants, as messages; none means estimable.
 
     Checks, without raising: finiteness of actions, a minimum of two
     observations, and the presence of both exposure groups.  Shape and state
@@ -275,4 +263,4 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
         violations.append("missing exposed group")
     if states.min() != 0:
         violations.append("missing control group")
-    return ValidationReport(violations=tuple(violations))
+    return tuple(violations)

@@ -4,7 +4,8 @@ Three comma-separated formats are supported (UTF-8 with or without a byte
 order mark, LF or CRLF):
 
 * exposures:      header ``mouse_id,exposed``, state 0/1 per mouse
-* binned counts:  header ``mouse_id,session,b0,...,b{d-1}``, one row per session
+* binned counts:  header ``mouse_id,session,b0,...,b{d-1}``, one row per session;
+                  the header's d bins split a 60 s interval
 * press events:   header ``mouse_id,session,press_time_s``, one row per press
 
 Every file is read and decoded once.  For binned counts and events a fast
@@ -23,16 +24,19 @@ first-seen order, and the checks run on whole columns.  An error names the
 first fault that a row-by-row reader would meet, with its line number.
 
 Raw events are binned on an idealized fixed-interval clock: a press at time
-t lands in bin ``floor((t mod interval_length) / bin_width)``.  Per-mouse
-actions are the componentwise mean of that mouse's session count vectors;
-mice with missing sessions are averaged over the sessions they do have
-rather than imputing zero-count sessions.
+t lands in bin ``floor((t mod interval_length) / bin_width)``.  Either way
+the result is a :class:`Sessions`, which carries its :class:`StudyLayout`
+and refuses counts of another width, so no later step takes a layout.
+Per-mouse actions are the componentwise mean of that mouse's session count
+vectors; mice with missing sessions are averaged over the sessions they do
+have rather than imputing zero-count sessions.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -64,8 +68,8 @@ class StudyLayout:
     bin_width_s: float = 5.0
 
     def __post_init__(self):
-        if self.interval_length_s <= 0 or self.bin_width_s <= 0:
-            raise InputError("interval and bin lengths must be positive")
+        if not (0 < self.interval_length_s < math.inf and 0 < self.bin_width_s < math.inf):
+            raise InputError("interval and bin lengths must be positive and finite")
         ratio = self.interval_length_s / self.bin_width_s
         if abs(ratio - round(ratio)) > 1e-9:
             raise InputError(
@@ -84,13 +88,14 @@ class StudyLayout:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Sessions:
-    """Per-(mouse, session) bin counts held as columns.
+    """Per-(mouse, session) bin counts held as columns, with their layout.
 
     ``mouse_ids`` lists each mouse once, in the order its first row appears;
     ``codes[i]`` indexes it for row ``i``.  ``session`` is an int64 array of
-    shape (rows,), ``counts`` an int64 array of shape (rows, d), and
-    ``line_numbers`` the source line of each row, used only in error
-    messages.
+    shape (rows,), ``counts`` an int64 array of shape (rows, d) with
+    d = ``layout.n_bins``, and ``line_numbers`` the source line of each row,
+    used only in error messages.  Construction refuses counts of any other
+    width.
     """
 
     layout: StudyLayout
@@ -101,6 +106,12 @@ class Sessions:
     line_numbers: np.ndarray
 
     def __post_init__(self):
+        d = self.layout.n_bins
+        if len(self) and self.counts.shape[1] != d:
+            raise InputError(
+                f"session counts for mouse {self.mouse_ids[self.codes[0]]!r} have length "
+                f"{self.counts.shape[1]}, layout declares {d} bins"
+            )
         self.session.setflags(write=False)
         self.counts.setflags(write=False)
 
@@ -357,23 +368,21 @@ def _check_sessions(sessions: Sessions) -> None:
     )
 
 
-def parse_binned_counts(path, layout: StudyLayout | None = None) -> Sessions:
+def parse_binned_counts(path) -> Sessions:
     """Read pre-binned counts, one session per row, in ascending bin-time order.
 
-    Without ``layout`` the bin count d is taken from the header, with a 60 s
-    interval.  Rows must have d + 2 fields, integer sessions >= 1 and
-    nonnegative integer counts, all within int64, and each
-    (mouse_id, session) pair at most once; a repeat names both lines.
+    The bin count d is taken from the header, with a 60 s interval.  Rows
+    must have d + 2 fields, integer sessions >= 1 and nonnegative integer
+    counts, all within int64, and each (mouse_id, session) pair at most
+    once; a repeat names both lines.
     """
+    layout = None
 
     def numeric(header: list[str]) -> list[type]:
         nonlocal layout
-        if layout is None:
-            if len(header) < 3:
-                raise InputError(f"cannot infer bin count from header of {path}")
-            layout = StudyLayout(interval_length_s=60.0, bin_width_s=60.0 / (len(header) - 2))
-        elif not header:
-            raise SchemaError("empty file", line_number=1)
+        if len(header) < 3:
+            raise InputError(f"cannot infer bin count from header of {path}")
+        layout = StudyLayout(interval_length_s=60.0, bin_width_s=60.0 / (len(header) - 2))
         expected_header = ["mouse_id", "session"] + [f"b{j}" for j in range(layout.n_bins)]
         if header != expected_header:
             raise SchemaError(
@@ -468,7 +477,7 @@ def bin_events(events: Events, layout: StudyLayout) -> Sessions:
     )
 
 
-def average_sessions(sessions: Sessions, layout: StudyLayout) -> dict[str, np.ndarray]:
+def average_sessions(sessions: Sessions) -> dict[str, np.ndarray]:
     """Per-mouse componentwise mean count vector over the observed sessions.
 
     Sums accumulate in float64 in row order and are divided by each mouse's
@@ -477,17 +486,11 @@ def average_sessions(sessions: Sessions, layout: StudyLayout) -> dict[str, np.nd
     only shows in the bits once a sum passes 2**53, and then the means are
     taken with ``np.mean`` itself.
     """
-    d = layout.n_bins
-    if len(sessions) and sessions.counts.shape[1] != d:
-        raise InputError(
-            f"session counts for mouse {sessions.mouse_ids[sessions.codes[0]]!r} have length "
-            f"{sessions.counts.shape[1]}, layout declares {d} bins"
-        )
     m, codes = len(sessions.mouse_ids), sessions.codes
     # a weighted bincount adds each column's float64 weights in row order
     sums = np.column_stack([np.bincount(codes, c, m) for c in sessions.counts.T])
     per_mouse = np.bincount(codes, minlength=m)
-    if d == 1 and sums.max(initial=0.0) >= 2.0**53:
+    if sessions.layout.n_bins == 1 and sums.max(initial=0.0) >= 2.0**53:
         order = np.argsort(codes, kind="stable")
         groups = np.split(sessions.counts[order], np.cumsum(per_mouse)[:-1])
         means = np.array([np.mean(g, axis=0) for g in groups])
@@ -497,9 +500,7 @@ def average_sessions(sessions: Sessions, layout: StudyLayout) -> dict[str, np.nd
 
 
 def assemble_dataset(
-    exposures: dict[str, int],
-    actions: dict[str, np.ndarray],
-    layout: StudyLayout,
+    exposures: dict[str, int], actions: dict[str, np.ndarray]
 ) -> tuple[Dataset, list[str]]:
     """Join actions with exposure states into an estimable dataset.
 
@@ -517,8 +518,4 @@ def assemble_dataset(
     ds = Dataset.from_arrays(
         actions=[actions[m] for m in ids], states=[exposures[m] for m in ids], ids=ids
     )
-    if ds.dimension != layout.n_bins:
-        raise InputError(
-            f"actions have {ds.dimension} components, layout declares {layout.n_bins} bins"
-        )
     return ds, unmatched

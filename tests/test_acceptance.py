@@ -222,8 +222,8 @@ def test_criterion_7_binned_pipeline_end_to_end(tmp_path, capsys):
     # the fixture must really separate the groups: every exposed weighted
     # divergence above every control one
     layout = StudyLayout()
-    actions = average_sessions(parse_binned_counts(bins_path, layout), layout)
-    ds, _ = assemble_dataset(parse_exposures(exposures_path), actions, layout)
+    actions = average_sessions(parse_binned_counts(bins_path))
+    ds, _ = assemble_dataset(parse_exposures(exposures_path), actions)
     spec = DivergenceSpec(
         optimal=np.r_[1.0, np.zeros(11)],
         weights=60.0 - layout.midpoints,
@@ -281,7 +281,7 @@ def test_criterion_8_ingestion_conservation_and_round_trip(tmp_path):
     header = "mouse_id,session," + ",".join(f"b{j}" for j in range(12))
     lines = [f"{m},{s}," + ",".join(map(str, counts)) for m, s, counts in rows(sessions)]
     path.write_text("\n".join([header] + lines) + "\n", encoding="utf-8")
-    round_trip = rows(parse_binned_counts(path, layout)) == rows(sessions)
+    round_trip = rows(parse_binned_counts(path)) == rows(sessions)
     elapsed = time.perf_counter() - start
     ok = conserved and round_trip and elapsed < 1.0
     assert report(

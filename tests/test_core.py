@@ -174,27 +174,23 @@ class TestRewardModel:
 class TestValidateDataset:
     def test_clean_two_group_dataset(self):
         ds = Dataset.from_arrays(actions=[[1.0], [2.0]], states=[1, 0])
-        assert validate_dataset(ds).ok
+        assert validate_dataset(ds) == ()
 
     def test_missing_control_group(self):
         ds = Dataset.from_arrays(actions=[[1.0], [2.0]], states=[1, 1])
-        report = validate_dataset(ds)
-        assert any("missing control group" in v for v in report.violations)
+        assert any("missing control group" in v for v in validate_dataset(ds))
 
     def test_missing_exposed_group(self):
         ds = Dataset.from_arrays(actions=[[1.0], [2.0]], states=[0, 0])
-        report = validate_dataset(ds)
-        assert any("missing exposed group" in v for v in report.violations)
+        assert any("missing exposed group" in v for v in validate_dataset(ds))
 
     def test_non_finite_action_reported(self):
         ds = Dataset.from_arrays(actions=[[np.inf], [2.0]], states=[1, 0])
-        report = validate_dataset(ds)
-        assert any("non-finite action" in v for v in report.violations)
+        assert any("non-finite action" in v for v in validate_dataset(ds))
 
     def test_singleton_reported(self):
         ds = Dataset.from_arrays(actions=[[1.0]], states=[1])
-        report = validate_dataset(ds)
-        assert any("fewer than two" in v for v in report.violations)
+        assert any("fewer than two" in v for v in validate_dataset(ds))
 
 
 class TestConstruction:
@@ -235,7 +231,7 @@ class TestConstruction:
         assert ds.ids == ("m0", "m1", "m2")
         assert ds.ids is ds.ids
         assert ds.observations[1].id == "m1"
-        assert validate_dataset(ds).violations == ("non-finite action: observation 'm1'",)
+        assert validate_dataset(ds) == ("non-finite action: observation 'm1'",)
 
     @pytest.mark.parametrize(
         "actions, states, ids",

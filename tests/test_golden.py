@@ -303,8 +303,8 @@ def test_objective_at_min_of_big_counts_is_exact_to_1e_12(bins, optimal, tmp_pat
     # divergences near 2**106 that differ from each other near 2**67
     write_ingest_fixtures(tmp_path)
     sessions = parse_binned_counts(str(tmp_path / bins))
-    actions = average_sessions(sessions, sessions.layout)
-    ds, _ = assemble_dataset(parse_exposures(str(tmp_path / "exposures.csv")), actions, sessions.layout)
+    actions = average_sessions(sessions)
+    ds, _ = assemble_dataset(parse_exposures(str(tmp_path / "exposures.csv")), actions)
     spec = DivergenceSpec(optimal=[float(x) for x in optimal.split(",")])
     result = estimate_theta(ds, spec)
     # the literal pairwise double sum, in exact arithmetic

@@ -22,6 +22,7 @@ from divtol import (
     LinkageError,
     ParseError,
     SchemaError,
+    Sessions,
     StudyLayout,
     assemble_dataset,
     average_sessions,
@@ -54,7 +55,7 @@ def write_binned_counts(path, rows, d):
 def parsed_sessions(path, rows, d=12):
     """The ``Sessions`` that parsing a binned-counts file of ``rows`` gives."""
     write_binned_counts(path, rows, d)
-    return parse_binned_counts(path, StudyLayout(bin_width_s=60.0 / d))
+    return parse_binned_counts(path)
 
 
 def session_rows(sessions):
@@ -71,6 +72,14 @@ class TestStudyLayout:
     def test_bin_width_must_divide_interval(self):
         with pytest.raises(InputError):
             StudyLayout(interval_length_s=60.0, bin_width_s=7.0)
+
+    @pytest.mark.parametrize(
+        "interval, width",
+        [(math.nan, 5.0), (60.0, math.nan), (math.inf, 5.0), (60.0, math.inf), (math.inf, math.inf)],
+    )
+    def test_non_finite_lengths_are_refused(self, interval, width):
+        with pytest.raises(InputError, match="^interval and bin lengths must be positive and finite$"):
+            StudyLayout(interval_length_s=interval, bin_width_s=width)
 
 
 class TestParseExposures:
@@ -107,7 +116,7 @@ class TestParseBinnedCounts:
     def test_zero_counts_row(self, tmp_path):
         header = "mouse_id,session," + ",".join(f"b{j}" for j in range(12))
         path = write(tmp_path / "b.csv", header + "\nm1,1," + ",".join(["0"] * 12) + "\n")
-        sessions = parse_binned_counts(path, LAYOUT)
+        sessions = parse_binned_counts(path)
         assert len(sessions) == 1
         np.testing.assert_array_equal(sessions.counts[0], np.zeros(12, dtype=int))
 
@@ -115,7 +124,7 @@ class TestParseBinnedCounts:
         header = "mouse_id,session," + ",".join(f"b{j}" for j in range(12))
         row = "m1,3," + ",".join(["0"] * 11) + ",5"
         path = write(tmp_path / "b.csv", header + "\n" + row + "\n")
-        sessions = parse_binned_counts(path, LAYOUT)
+        sessions = parse_binned_counts(path)
         assert sessions.session[0] == 3
         assert sessions.counts[0, -1] == 5
         assert sessions.counts[0, :-1].sum() == 0
@@ -128,46 +137,46 @@ class TestParseBinnedCounts:
             for k in range(1, 26)
         ]
         path = write_binned_counts(tmp_path / "b.csv", sessions, d=12)
-        assert len(parse_binned_counts(path, LAYOUT)) == 26 * 25
+        assert len(parse_binned_counts(path)) == 26 * 25
 
     def test_ragged_row_rejected_with_line_number(self, tmp_path):
         header = "mouse_id,session," + ",".join(f"b{j}" for j in range(12))
         path = write(tmp_path / "b.csv", header + "\nm1,1," + ",".join(["0"] * 11) + "\n")
         with pytest.raises(SchemaError) as err:
-            parse_binned_counts(path, LAYOUT)
+            parse_binned_counts(path)
         assert err.value.line_number == 2
 
     def test_negative_count_rejected(self, tmp_path):
         header = "mouse_id,session," + ",".join(f"b{j}" for j in range(12))
         path = write(tmp_path / "b.csv", header + "\nm1,1,-1," + ",".join(["0"] * 11) + "\n")
         with pytest.raises(DataError, match="^line 2: negative count"):
-            parse_binned_counts(path, LAYOUT)
+            parse_binned_counts(path)
 
     def test_session_below_one_rejected_with_line_number(self, tmp_path):
         path = write(tmp_path / "b.csv", "mouse_id,session,b0\nm2,1,4\nm1,0,1\n")
         with pytest.raises(DataError, match="^line 3: session must be >= 1"):
-            parse_binned_counts(path, StudyLayout(bin_width_s=60.0))
+            parse_binned_counts(path)
 
     @pytest.mark.parametrize("count", ["99999999999999999999", str(2**63)])
     def test_count_beyond_int64_is_a_line_numbered_data_error(self, count, tmp_path):
         path = write(tmp_path / "b.csv", f"mouse_id,session,b0\nm2,1,4\nm1,1,{count}\n")
         with pytest.raises(DataError, match="^line 3: count beyond int64"):
-            parse_binned_counts(path, StudyLayout(bin_width_s=60.0))
+            parse_binned_counts(path)
 
     def test_oversized_field_is_a_parse_error(self, tmp_path):
         path = write(tmp_path / "b.csv", "mouse_id,session,b0\n" + "1" * 200_000 + ",1,1\n")
         with pytest.raises(ParseError, match="field larger than field limit"):
-            parse_binned_counts(path, StudyLayout(bin_width_s=60.0))
+            parse_binned_counts(path)
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = write(tmp_path / "b.csv", "mouse,sess,b0\nm1,1,0\n")
         with pytest.raises(SchemaError):
-            parse_binned_counts(path, StudyLayout(bin_width_s=60.0))
+            parse_binned_counts(path)
 
     def test_duplicate_session_rejected_naming_both_lines(self, tmp_path):
         path = write(tmp_path / "b.csv", "mouse_id,session,b0\nm1,1,3\nm2,1,4\nm1,1,9\n")
         with pytest.raises(DataError, match="lines 2 and 4"):
-            parse_binned_counts(path, StudyLayout(bin_width_s=60.0))
+            parse_binned_counts(path)
 
 
 @pytest.mark.parametrize(
@@ -178,7 +187,7 @@ class TestParseBinnedCounts:
 def test_binned_session_rejects_inadmissible_values(session, counts, tmp_path):
     path = write_binned_counts(tmp_path / "b.csv", [("m1", session, counts)], d=2)
     with pytest.raises(DataError, match="^line 2: "):
-        parse_binned_counts(path, StudyLayout(bin_width_s=30.0))
+        parse_binned_counts(path)
 
 
 def test_byte_order_mark_is_ignored(tmp_path):
@@ -191,8 +200,8 @@ def test_byte_order_mark_is_ignored(tmp_path):
         directory.mkdir()
         e = write(directory / "e.csv", prefix + exposures)
         b = write(directory / "b.csv", prefix + bins)
-        actions = average_sessions(parse_binned_counts(b, LAYOUT), LAYOUT)
-        datasets.append(assemble_dataset(parse_exposures(e), actions, LAYOUT)[0])
+        actions = average_sessions(parse_binned_counts(b))
+        datasets.append(assemble_dataset(parse_exposures(e), actions)[0])
     plain, bommed = datasets
     assert (tmp_path / "bom1" / "e.csv").read_bytes().startswith(b"\xef\xbb\xbf")
     assert plain.ids == bommed.ids
@@ -236,7 +245,7 @@ class TestAverageSessions:
     def test_single_session_passthrough(self, tmp_path):
         counts = np.arange(12)
         sessions = parsed_sessions(tmp_path / "b.csv", [("m1", 1, counts)])
-        out = average_sessions(sessions, LAYOUT)
+        out = average_sessions(sessions)
         np.testing.assert_allclose(out["m1"], counts)
 
     def test_two_session_midpoint(self, tmp_path):
@@ -245,7 +254,7 @@ class TestAverageSessions:
         sessions = parsed_sessions(
             tmp_path / "b.csv", [("m1", 1, a), ("m1", 2, b)]
         )
-        out = average_sessions(sessions, LAYOUT)
+        out = average_sessions(sessions)
         np.testing.assert_allclose(out["m1"], np.r_[np.zeros(11), 3.0])
 
     def test_missing_sessions_shrink_the_divisor(self, tmp_path):
@@ -258,7 +267,7 @@ class TestAverageSessions:
                 ("m2", 1, np.full(12, 6)),
             ],
         )
-        out = average_sessions(sessions, LAYOUT)
+        out = average_sessions(sessions)
         np.testing.assert_allclose(out["m1"], np.full(12, 3.0))
         np.testing.assert_allclose(out["m2"], np.full(12, 6.0))
 
@@ -266,16 +275,16 @@ class TestAverageSessions:
         rng = np.random.default_rng(2)
         counts = rng.integers(0, 10, size=(25, 12))
         sessions = [("m1", k + 1, counts[k]) for k in range(25)]
-        out = average_sessions(parsed_sessions(tmp_path / "b.csv", sessions), LAYOUT)
+        out = average_sessions(parsed_sessions(tmp_path / "b.csv", sessions))
         expected = [sum(int(counts[k][j]) for k in range(25)) / 25.0 for j in range(12)]
         np.testing.assert_allclose(out["m1"], expected, atol=1e-12)
 
     def test_order_invariance(self, tmp_path):
         rng = np.random.default_rng(3)
         sessions = [("m1", k + 1, rng.integers(0, 9, size=12)) for k in range(25)]
-        forward = average_sessions(parsed_sessions(tmp_path / "f.csv", sessions), LAYOUT)
+        forward = average_sessions(parsed_sessions(tmp_path / "f.csv", sessions))
         perm = [sessions[i] for i in rng.permutation(25)]
-        shuffled = average_sessions(parsed_sessions(tmp_path / "s.csv", perm), LAYOUT)
+        shuffled = average_sessions(parsed_sessions(tmp_path / "s.csv", perm))
         np.testing.assert_array_equal(forward["m1"], shuffled["m1"])
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -284,35 +293,30 @@ class TestAverageSessions:
         counts = 2**53 + rng.integers(0, 4096, size=(40, d))
         sessions = [(f"m{k % 3}", k + 1, counts[k]) for k in range(40)]
         parsed = parsed_sessions(tmp_path / "b.csv", sessions, d)
-        out = average_sessions(parsed, parsed.layout)
+        out = average_sessions(parsed)
         for m in ("m0", "m1", "m2"):
             mine = np.stack([c for mouse_id, _, c in sessions if mouse_id == m])
             assert out[m].tobytes() == np.mean(mine, axis=0).tobytes()
-
-    def test_layout_mismatch_names_the_mouse(self, tmp_path):
-        sessions = parsed_sessions(tmp_path / "b.csv", [("m7", 1, [1, 2])], d=2)
-        with pytest.raises(InputError, match="'m7' have length 2, layout declares 12 bins"):
-            average_sessions(sessions, LAYOUT)
 
 
 class TestAssembleDataset:
     def test_two_mouse_assembly(self):
         actions = {"m1": np.ones(12), "m2": np.zeros(12)}
-        ds, unmatched = assemble_dataset({"m1": 1, "m2": 0}, actions, LAYOUT)
+        ds, unmatched = assemble_dataset({"m1": 1, "m2": 0}, actions)
         assert unmatched == []
         assert len(ds) == 2
         assert ds.dimension == 12
-        assert validate_dataset(ds).ok
+        assert validate_dataset(ds) == ()
 
     def test_unknown_action_id_rejected(self):
         with pytest.raises(LinkageError) as err:
-            assemble_dataset({"m1": 1}, {"m1": np.ones(12), "mX": np.ones(12)}, LAYOUT)
+            assemble_dataset({"m1": 1}, {"m1": np.ones(12), "mX": np.ones(12)})
         assert "mX" in str(err.value)
 
     def test_exposure_without_action_is_reported_not_dropped(self):
         actions = {"m1": np.ones(12), "m2": np.zeros(12)}
         exposures = {"m9": 0, "m1": 1, "m2": 0, "m3": 1}
-        ds, unmatched = assemble_dataset(exposures, actions, LAYOUT)
+        ds, unmatched = assemble_dataset(exposures, actions)
         assert ds.ids == ("m1", "m2")
         assert unmatched == ["m3", "m9"]
 
@@ -326,7 +330,7 @@ class TestRoundTrip:
         ]
         rows = session_rows(bin_events(events_from_tuples(events), LAYOUT))
         path = write_binned_counts(tmp_path / "b.csv", rows, d=12)
-        assert sorted(session_rows(parse_binned_counts(path, LAYOUT))) == sorted(rows)
+        assert sorted(session_rows(parse_binned_counts(path))) == sorted(rows)
 
     def test_simulator_fixture_end_to_end(self, tmp_path):
         # 48 mice x 25 sessions through files -> dataset, clean validation
@@ -344,12 +348,12 @@ class TestRoundTrip:
             "mouse_id,exposed\n" + "".join(f"{m},{s}\n" for m, s in exposures.items()),
         )
         parsed_exposures = parse_exposures(exposures_path)
-        actions = average_sessions(parse_binned_counts(bins_path, LAYOUT), LAYOUT)
-        ds, unmatched = assemble_dataset(parsed_exposures, actions, LAYOUT)
+        actions = average_sessions(parse_binned_counts(bins_path))
+        ds, unmatched = assemble_dataset(parsed_exposures, actions)
         assert unmatched == []
         assert len(ds) == 48
         assert sorted(set(ds.states)) == [0, 1]
-        assert validate_dataset(ds).ok
+        assert validate_dataset(ds) == ()
 
 
 class TestSessions:
@@ -366,6 +370,13 @@ class TestSessions:
         assert session_rows(sessions) == [("m2", 3, [1, 2]), ("m1", 1, [0, 5]), ("m2", 1, [4, 4])]
         assert not sessions.counts.flags.writeable
 
+    def test_counts_of_another_width_than_the_layout_name_the_mouse(self):
+        one_row = dict(mouse_ids=("m7",), codes=np.array([0]), session=np.array([1]),
+                       counts=np.array([[1, 2]]), line_numbers=np.array([2]))
+        with pytest.raises(InputError, match="'m7' have length 2, layout declares 12 bins"):
+            Sessions(layout=LAYOUT, **one_row)
+        assert len(Sessions(layout=StudyLayout(bin_width_s=30.0), **one_row)) == 1
+
     def test_ids_differing_by_a_nul_or_inner_spaces_stay_distinct(self, tmp_path):
         ids = ["m1", "m1\x00", "m 1", "m  1", "m1\x00\x00"]
         path = write(
@@ -374,7 +385,7 @@ class TestSessions:
         )
         sessions = parse_binned_counts(path)
         assert sessions.mouse_ids == tuple(ids)
-        means = average_sessions(sessions, sessions.layout)
+        means = average_sessions(sessions)
         assert list(means) == ids
         assert [float(means[m][0]) for m in ids] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
@@ -710,7 +721,7 @@ def assert_same_sessions(expected, got, layout):
         assert got[1] == expected[1]
         return
     assert session_rows(got[1]) == [(s.mouse_id, s.session, s.counts.tolist()) for s in expected[1]]
-    assert mean_bits(average_sessions(got[1], layout)) == mean_bits(
+    assert mean_bits(average_sessions(got[1])) == mean_bits(
         row_average_sessions(expected[1], layout)
     )
 
@@ -723,7 +734,6 @@ def test_columnar_bins_parser_matches_the_row_loop(tmp_path_factory, case):
     path.write_text(text, encoding="utf-8")
     layout = StudyLayout(bin_width_s=60.0 / d)
     expected = outcome(row_parse_binned_counts, path, layout)
-    assert_same_sessions(expected, outcome(parse_binned_counts, path, layout), layout)
     assert_same_sessions(expected, outcome(parse_binned_counts, path), layout)
 
 
