@@ -139,7 +139,7 @@ def build_parser(command: str | None = None) -> ArgumentParser:
         p.add_argument("--optimal", required=True, type=_within(float, -math.inf, closed=False,
                                                                  many=True),
                        help="optimal action: scalar or comma-separated vector")
-        p.add_argument("--norm", choices=("l2", "l1"), default="l2")
+        p.add_argument("--norm", choices=tuple(norm.value for norm in Norm), default="l2")
         p.add_argument("--weights", choices=("none", "sixty-minus-midpoint"), default="none",
                        help="per-bin weights: none, or interval length minus bin midpoints")
     if command == "estimate":
@@ -215,8 +215,7 @@ def _build_spec(cfg: Namespace, layout: StudyLayout) -> DivergenceSpec:
     weights = None
     if cfg.weights == "sixty-minus-midpoint":
         weights = layout.interval_length_s - layout.midpoints
-    norm = Norm.L2_SQUARED if cfg.norm == "l2" else Norm.L1
-    return DivergenceSpec(optimal=optimal, norm=norm, weights=weights)
+    return DivergenceSpec(optimal=optimal, norm=Norm(cfg.norm), weights=weights)
 
 
 def _interpretation(theta_e: float) -> str:

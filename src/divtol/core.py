@@ -9,10 +9,10 @@ from a configured optimal action ``a*``:
 with optional nonnegative per-component weights ``w`` (all ones by default).
 :func:`dataset_divergences` computes it for every animal of a
 :class:`Dataset` at once, through :func:`action_divergences`, which takes any
-(n, d) action array (the simulation passes its blocks of replicates).  The
-rewards that scale it by a group tolerance (``-D * theta_e`` for exposed
-animals, ``-D * (1 - theta_e)`` for controls) are formed in
-:mod:`divtol.estimator`.
+(..., n, d) action array (the simulation passes its blocks of replicates)
+and refuses divergences above ``MAX_DIVERGENCE``.  This module alone decides
+what can be fitted; the rewards ``-D * theta_e`` (exposed) and
+``-D * (1 - theta_e)`` (control) are formed in :mod:`divtol.estimator`.
 
 All values here are immutable after construction and the functions are pure,
 so they are safe to share across concurrent workers.
@@ -38,6 +38,11 @@ __all__ = [
     "dataset_divergences",
     "validate_dataset",
 ]
+
+#: largest divergence the estimator accepts: squares of divergences up to
+#: 1e150, and so every group statistic, coefficient and tolerance, stay finite
+#: for fewer than 10^8 animals
+MAX_DIVERGENCE = 1e150
 
 
 class Norm(Enum):
@@ -78,9 +83,8 @@ class Dataset:
 
     ``states`` is a read-only int array of shape (n,) with values in {0, 1};
     ``actions`` is a read-only float array of shape (n, dimension) that the
-    dataset owns.  Build datasets with :meth:`from_arrays`; the whole input is
-    validated once, at construction.  Non-finite actions are accepted here so
-    that :func:`validate_dataset` can report them.
+    dataset owns, every entry finite.  Build datasets with :meth:`from_arrays`;
+    the whole input is validated once, at construction.
     """
 
     _ids: tuple[str, ...] | None
@@ -113,6 +117,11 @@ class Dataset:
             if len(ids) != n:
                 raise InputError(f"got {len(ids)} ids for {n} observations")
             object.__setattr__(self, "_ids", ids)
+        finite = np.isfinite(acts).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            name = f"m{i}" if self._ids is None else self._ids[i]
+            raise InputError(f"non-finite action: observation {name!r}")
         states = raw.astype(int)
         states.setflags(write=False)
         acts.setflags(write=False)
@@ -225,42 +234,51 @@ def dataset_divergences(ds: Dataset, spec: DivergenceSpec) -> np.ndarray:
     """Per-observation divergences as a float array of shape (n,).
 
     Nonnegative; zero exactly where every weighted component of ``a - a*``
-    vanishes.  Not finite where a divergence is too large for a float.
+    vanishes.  Refused as :func:`action_divergences` refuses them.
     """
     return action_divergences(ds.actions, spec)
 
 
 def action_divergences(actions: np.ndarray, spec: DivergenceSpec) -> np.ndarray:
-    """:func:`dataset_divergences` of an (n, d) action array: one divergence per row."""
-    if spec.dimension != actions.shape[1]:
+    """:func:`dataset_divergences` of an (..., n, d) action array: one divergence per action.
+
+    Raises :class:`InputError` unless every divergence is finite and at most
+    ``MAX_DIVERGENCE``; the message names the largest divergence of the first
+    (n,) row refused.
+    """
+    if spec.dimension != actions.shape[-1]:
         raise InputError(
-            f"spec dimension {spec.dimension} does not match dataset dimension {actions.shape[1]}"
+            f"spec dimension {spec.dimension} does not match dataset dimension {actions.shape[-1]}"
         )
-    if not np.all(np.isfinite(actions)):
-        raise InputError("actions must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = spec.effective_weights()[None, :] * (actions - spec.optimal[None, :])
+        resid = spec.effective_weights() * (actions - spec.optimal)
         if spec.norm is Norm.L2_SQUARED:
-            return np.einsum("ij,ij->i", resid, resid)
-        return np.sum(np.abs(resid), axis=1)
+            d = np.einsum("...j,...j->...", resid, resid)
+        else:
+            d = np.sum(np.abs(resid), axis=-1)
+    tops = np.ravel(d.max(axis=-1))
+    refused = ~(tops <= MAX_DIVERGENCE)  # NaN too
+    if refused.any():
+        raise InputError(
+            f"divergences must be finite and at most {MAX_DIVERGENCE:g}, got "
+            f"{float(tops[refused.argmax()])!r}; rescale the actions and the optimum"
+        )
+    return d
+
+
+def _missing_group(states: np.ndarray) -> str | None:
+    """``"missing <group> group"`` when ``states`` holds one group only, else None."""
+    if states.min() == states.max():
+        return f"missing {'control' if states[0] else 'exposed'} group"
+    return None
 
 
 def validate_dataset(ds: Dataset) -> tuple[str, ...]:
     """Every violation of the dataset invariants, as messages; none means estimable.
 
-    Checks, without raising: finiteness of actions, a minimum of two
-    observations, and the presence of both exposure groups.  Shape and state
-    invariants are enforced when the dataset is built.
+    Checks, without raising: a minimum of two observations, and the presence
+    of both exposure groups.  Shape, state and finiteness invariants are
+    enforced when the dataset is built.
     """
-    violations = [
-        f"non-finite action: observation {ds.ids[i]!r}"
-        for i in np.flatnonzero(~np.isfinite(ds.actions).all(axis=1))
-    ]
-    if len(ds) < 2:
-        violations.append("fewer than two observations")
-    states = ds.states
-    if states.max() != 1:
-        violations.append("missing exposed group")
-    if states.min() != 0:
-        violations.append("missing control group")
-    return tuple(violations)
+    few = "fewer than two observations" if len(ds) < 2 else None
+    return tuple(v for v in (few, _missing_group(ds.states)) if v)

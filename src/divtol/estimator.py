@@ -26,8 +26,9 @@ group-mean reward curves cross.  The objective itself is
     Psi_n(theta) = 2 * ((theta^2 W_e + (1 - theta)^2 W_c) / n + p q g^2),
     g = theta m_e - (1 - theta) m_c,
 
-a sum of nonnegative terms, evaluated in O(n).  Divergences above
-``MAX_DIVERGENCE`` are refused, so every statistic and tolerance stays finite.
+a sum of nonnegative terms, evaluated in O(n).  :mod:`divtol.core` refuses
+divergences above ``MAX_DIVERGENCE`` (re-exported here), so every statistic
+and tolerance stays finite.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Dataset, DivergenceSpec, dataset_divergences
+from .core import MAX_DIVERGENCE, Dataset, DivergenceSpec, _missing_group, dataset_divergences
 from .errors import (
     DegenerateObjectiveError,
     DivtolError,
@@ -71,11 +72,6 @@ PAIRWISE_MAX_N = 5000
 #: curvature.  The bound is relative, so rescaling the actions and the optimum
 #: never changes whether an objective counts as degenerate.
 DEGENERACY_RTOL = 1e-12
-
-#: largest divergence the estimator accepts: squares of divergences up to
-#: 1e150, and so every group statistic, coefficient and tolerance, stay finite
-#: for fewer than 10^8 animals
-MAX_DIVERGENCE = 1e150
 
 #: largest replicate count :func:`bootstrap_ci` accepts
 BOOTSTRAP_MAX_REPLICATES = 10**6
@@ -169,37 +165,13 @@ def _require_seed(seed, error: type[DivtolError] = InputError) -> None:
         raise error(f"seed must be a nonnegative integer, got {seed!r}")
 
 
-def _bounded(d: np.ndarray) -> np.ndarray:
-    """``d``, refused unless every divergence is finite and at most ``MAX_DIVERGENCE``.
-
-    ``d`` holds one dataset's divergences, or one row per replicate; the
-    error names the largest divergence of the first row refused.
-    """
-    tops = d.max(axis=-1)
-    ok = tops <= MAX_DIVERGENCE
-    if not ok.all():
-        top = np.ravel(tops)[~np.ravel(ok)][0]
-        raise InputError(
-            f"divergences must be finite and at most {MAX_DIVERGENCE:g}, got {float(top)!r}; "
-            "rescale the actions and the optimum"
-        )
-    return d
-
-
-def _divergences(ds: Dataset, spec: DivergenceSpec) -> np.ndarray:
-    """:func:`dataset_divergences`, refused by :func:`_bounded`."""
-    return _bounded(dataset_divergences(ds, spec))
-
-
 def _group_divergences(ds: Dataset, spec: DivergenceSpec):
     """Return (d, d_e, d_c): all divergences, then the exposed and the control ones."""
-    exposed = ds.states == 1
-    n_e = np.count_nonzero(exposed)
-    groups = (("exposed", n_e == 0), ("control", n_e == exposed.size))
-    missing = [name for name, absent in groups if absent]
-    if missing:
-        raise EstimationError(f"missing {' and '.join(missing)} group")
-    d = _divergences(ds, spec)
+    states = ds.states
+    if missing := _missing_group(states):
+        raise EstimationError(missing)
+    d = dataset_divergences(ds, spec)
+    exposed = states == 1
     return d, d[exposed], d[~exposed]
 
 
@@ -260,7 +232,7 @@ def pairwise_objective(theta_e: float, ds: Dataset, spec: DivergenceSpec) -> flo
         raise InputError(
             f"pairwise_objective builds an n x n matrix; n={len(ds)} exceeds {PAIRWISE_MAX_N}"
         )
-    r = _rewards(t, _divergences(ds, spec), ds.states)
+    r = _rewards(t, dataset_divergences(ds, spec), ds.states)
     diff = r[:, None] - r[None, :]
     return float(np.mean(diff * diff))
 
@@ -273,7 +245,7 @@ def variance_objective(theta_e: float, ds: Dataset, spec: DivergenceSpec) -> flo
     common part.  A missing group contributes nothing.
     """
     t = _require_theta(theta_e)
-    d = _divergences(ds, spec)
+    d = dataset_divergences(ds, spec)
     exposed = ds.states == 1
     return _group_objective(t, d[exposed], d[~exposed])
 

@@ -21,7 +21,9 @@ is parsed with csv alone.  Either way a field is an integer when ``int()``
 accepts it (a press time when ``float()`` does), and the body is held as
 columns, with no object per row: mouse ids become integer codes in
 first-seen order, and the checks run on whole columns.  An error names the
-first fault that a row-by-row reader would meet, with its line number.
+first fault that a row-by-row reader would meet.  A malformed row is named
+by its line number; conflicting exposure rows and :func:`bin_events`'
+press-time and session errors name the mouse or the value instead.
 
 Raw events are binned on an idealized fixed-interval clock: a press at time
 t lands in bin ``floor((t mod interval_length) / bin_width)``.  Either way

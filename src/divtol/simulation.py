@@ -32,11 +32,10 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .core import Dataset, DivergenceSpec, action_divergences
+from .core import Dataset, DivergenceSpec, _missing_group, action_divergences
 from .errors import ConfigurationError, DivtolError, EstimationError, InputError, StudyError
 from .estimator import (
     BOOTSTRAP_BLOCK_ELEMENTS,
-    _bounded,
     _fit,
     _group_objective,
     _require_seed,
@@ -360,11 +359,9 @@ def fit_anova(ds: Dataset) -> AnovaFit:
     if ds.dimension != 1:
         raise InputError("fit_anova requires scalar actions (dimension 1)")
     states = ds.states
-    if states.min() == states.max():
-        raise EstimationError("missing exposed or control group")
+    if missing := _missing_group(states):
+        raise EstimationError(missing)
     a = ds.actions[:, 0]
-    if not np.all(np.isfinite(a)):
-        raise InputError("actions must be finite")
     mean_control = float(a[states == 0].mean())
     mean_exposed = float(a[states == 1].mean())
     b0 = mean_control
@@ -414,8 +411,8 @@ def _fit_replicates(
     are made one replicate at a time, in order: they fill the rows of a
     block of at most ``BOOTSTRAP_BLOCK_ELEMENTS`` entries (one row if n is
     larger), and ``fit_block(states, actions, d)`` fits each block at once.
-    The divergences ``d`` come from :func:`action_divergences` and are
-    refused as the estimator refuses them.
+    The divergences ``d`` come from :func:`action_divergences`, which
+    refuses them as it refuses a dataset's.
     """
     rows = max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
     states = np.empty((min(rows, count), n), dtype=int)
@@ -425,7 +422,7 @@ def _fit_replicates(
         take = min(rows, count - start)
         for i in range(take):
             states[i], actions[i] = draw_row(start + i)
-        d = _bounded(action_divergences(actions[:take].reshape(-1, 1), spec).reshape(take, n))
+        d = action_divergences(actions[:take, :, None], spec)
         fits.append(fit_block(states[:take], actions[:take], d))
     return tuple(map(np.concatenate, zip(*fits)))
 

@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 from divtol import (
     Dataset,
     DivergenceSpec,
+    EstimationError,
     InputError,
     Norm,
+    bootstrap_ci,
     dataset_divergences,
+    estimate_theta,
+    fit_anova,
     pairwise_objective,
+    reward_curves,
     validate_dataset,
     variance_objective,
 )
@@ -185,12 +190,32 @@ class TestValidateDataset:
         assert any("missing exposed group" in v for v in validate_dataset(ds))
 
     def test_non_finite_action_reported(self):
-        ds = Dataset.from_arrays(actions=[[np.inf], [2.0]], states=[1, 0])
-        assert any("non-finite action" in v for v in validate_dataset(ds))
+        with pytest.raises(InputError, match="non-finite action"):
+            Dataset.from_arrays(actions=[[np.inf], [2.0]], states=[1, 0])
 
     def test_singleton_reported(self):
         ds = Dataset.from_arrays(actions=[[1.0]], states=[1])
         assert any("fewer than two" in v for v in validate_dataset(ds))
+
+    @pytest.mark.parametrize("state, group", [(1, "control"), (0, "exposed")])
+    def test_every_consumer_names_the_same_missing_group(self, state, group):
+        ds = Dataset.from_arrays(actions=[[1.0], [2.0], [4.0]], states=[state] * 3)
+        message = f"missing {group} group"
+        assert validate_dataset(ds) == (message,)
+        spec = DivergenceSpec(optimal=np.array([0.0]))
+        for fit in (
+            lambda: estimate_theta(ds, spec),
+            lambda: bootstrap_ci(ds, spec, replicates=100, seed=0),
+            lambda: reward_curves(ds, spec, [0.0, 1.0]),
+            lambda: fit_anova(ds),
+        ):
+            with pytest.raises(EstimationError) as refused:
+                fit()
+            assert str(refused.value) == message
+        # fit_anova refuses vector actions before it looks at the groups
+        vector = Dataset.from_arrays(actions=np.ones((3, 2)), states=[state] * 3)
+        with pytest.raises(InputError, match="dimension 1"):
+            fit_anova(vector)
 
 
 class TestConstruction:
@@ -226,12 +251,14 @@ class TestConstruction:
         assert ds.states.tolist() == [1, 0, 1]
 
     def test_default_ids_are_built_on_first_access(self):
-        ds = Dataset.from_arrays(actions=[[1.0], [np.nan], [2.0]], states=[1, 0, 0])
+        ds = Dataset.from_arrays(actions=[[1.0], [3.0], [2.0]], states=[1, 0, 0])
         assert vars(ds)["_ids"] is None
         assert ds.ids == ("m0", "m1", "m2")
         assert ds.ids is ds.ids
         assert ds.observations[1].id == "m1"
-        assert validate_dataset(ds) == ("non-finite action: observation 'm1'",)
+        with pytest.raises(InputError) as refused:
+            Dataset.from_arrays(actions=[[1.0], [np.nan], [2.0]], states=[1, 0, 0])
+        assert str(refused.value) == "non-finite action: observation 'm1'"
 
     @pytest.mark.parametrize(
         "actions, states, ids",
@@ -380,3 +407,28 @@ def test_objective_reward_reverses_divergence_ordering(a, b, states):
         assert ra < rb
     else:
         assert ra == rb
+
+
+_non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 4)),
+    named=st.booleans(),
+    data=st.data(),
+)
+def test_dataset_refuses_non_finite_actions_and_names_the_first_row(shape, named, data):
+    n, d = shape
+    actions = np.ones(shape)
+    cells = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1)), min_size=1, unique=True)
+    )
+    for row, column in cells:
+        actions[row, column] = data.draw(_non_finite)
+    ids = [f"mouse-{k}" for k in range(n)] if named else None
+    first = min(row for row, _ in cells)
+    with pytest.raises(InputError) as refused:
+        Dataset.from_arrays(actions=actions, states=np.arange(n) % 2, ids=ids)
+    name = ids[first] if named else f"m{first}"
+    assert str(refused.value) == f"non-finite action: observation {name!r}"

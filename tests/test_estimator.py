@@ -1,6 +1,7 @@
 """Pairwise objective, minimizer, curves, contrast, and bootstrap."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from divtol import (
     reward_curves,
     variance_objective,
 )
+from divtol.core import action_divergences
 import divtol.estimator as estimator
 from divtol.estimator import (
     BOOTSTRAP_MAX_REPLICATES,
@@ -105,8 +107,8 @@ class TestPairwiseObjective:
             pairwise_objective(1.5, two_mouse_dataset(), SCALAR_AT_ONE)
 
     def test_non_finite_dataset_rejected(self):
-        ds = Dataset.from_arrays(actions=[[np.nan], [2.0]], states=[1, 0])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="non-finite action"):
+            ds = Dataset.from_arrays(actions=[[np.nan], [2.0]], states=[1, 0])
             pairwise_objective(0.5, ds, SCALAR_AT_ONE)
 
 
@@ -420,6 +422,12 @@ class TestMaxDivergence:
             bootstrap_ci(ds, L1_AT_ZERO, replicates=100, seed=0)
         with pytest.raises(InputError, match="at most 1e\\+150"):
             variance_objective(0.5, ds, L1_AT_ZERO)
+        with pytest.raises(InputError, match="at most 1e\\+150"):
+            dataset_divergences(ds, L1_AT_ZERO)
+        # a block of replicates: the first row is accepted, the second names its maximum
+        block = np.stack([np.ones_like(ds.actions), ds.actions])
+        with pytest.raises(InputError, match=f"at most 1e\\+150, got {re.escape(repr(top))};"):
+            action_divergences(block, L1_AT_ZERO)
 
     def test_the_bound_itself_is_accepted(self):
         ds = divergence_dataset([MAX_DIVERGENCE, MAX_DIVERGENCE], [0.5 * MAX_DIVERGENCE])
