@@ -81,9 +81,6 @@ BOOTSTRAP_MAX_REPLICATES = 10**6
 #: at any n
 BOOTSTRAP_BLOCK_ELEMENTS = 16384
 
-#: replicates that share one pair of :func:`bootstrap_ci` random streams
-BOOTSTRAP_CHUNK = 64
-
 
 @dataclass(frozen=True)
 class EstimateResult:
@@ -331,26 +328,22 @@ def bootstrap_ci(
     """Stratified percentile bootstrap interval for the fitted tolerance.
 
     Observations are resampled with replacement within each exposure group,
-    so both groups survive every replicate.  Replicates come in chunks of
-    ``BOOTSTRAP_CHUNK``: replicate k is row ``k % BOOTSTRAP_CHUNK`` of chunk
-    ``c = k // BOOTSTRAP_CHUNK``.  Chunk c draws its exposed indices from
-    ``default_rng(SeedSequence([seed, c, 0]))`` and its control indices from
-    ``default_rng(SeedSequence([seed, c, 1]))``, each stream filling the
-    chunk's rows with ``integers(0, m, (rows, m))`` for a group of m
-    animals.  The interval is reproducible, and chunks are independent, so
-    the work is safe to parallelize at chunk grain.  Replicates whose
-    objective is degenerate are skipped; if more than half are skipped an
+    so both groups survive every replicate.  Exposed indices come from one
+    stream, ``default_rng(SeedSequence([seed, 0]))``, and control indices
+    from another, ``default_rng(SeedSequence([seed, 1]))``; replicate k is
+    row k of the draws ``integers(0, m, (replicates, m))`` that each stream
+    would make for a group of m animals.  Replicates whose objective is
+    degenerate are skipped; if more than half are skipped an
     :class:`InferenceError` is raised.
 
     Replicates are drawn in blocks of ``max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)``
     rows into two reused buffers, so working memory stays bounded at any n,
-    and each block is fitted by one :func:`_fit` call.  A block may span
-    several chunks; a chunk that straddles two blocks keeps its two streams
-    across the boundary.  Consecutive ``integers`` calls on one stream give
-    the same values as one call over all their rows, so the block size never
-    changes the interval.  Each row is fitted from its group statistics to
-    the same bits as :func:`estimate_theta` on the resampled dataset.  The
-    surviving estimates fill one array, whose percentiles are taken in place.
+    and each block is fitted by one :func:`_fit` call.  Consecutive
+    ``integers`` calls on one stream give the same values as one call over
+    all their rows, so the block size never changes the interval.  Each row
+    is fitted from its group statistics to the same bits as
+    :func:`estimate_theta` on the resampled dataset.  The surviving estimates
+    fill one array, whose percentiles are taken in place.
 
     Note the percentile interval is not guaranteed to contain the point
     estimate.
@@ -367,30 +360,19 @@ def bootstrap_ci(
 
     rows = min(replicates, max(1, BOOTSTRAP_BLOCK_ELEMENTS // (n_e + n_c)))
     draws_e, draws_c = np.empty((rows, n_e)), np.empty((rows, n_c))
+    exposed, control = (np.random.default_rng(np.random.SeedSequence([seed, g])) for g in (0, 1))
     estimates = np.empty(replicates)
-    used = filled = k = 0
-    while k < replicates:
-        chunk, row = divmod(k, BOOTSTRAP_CHUNK)
-        if row == 0:
-            exposed, control = (
-                np.random.default_rng(np.random.SeedSequence([seed, chunk, group]))
-                for group in (0, 1)
-            )
-        # the rest of this chunk, of this block, or of the replicates
-        take = min(BOOTSTRAP_CHUNK - row, rows - filled, replicates - k)
-        piece = slice(filled, filled + take)
+    used = 0
+    for start in range(0, replicates, rows):
+        take = min(rows, replicates - start)
         # every index is in range, so "wrap" changes no value; it spares the
         # buffered copy that take's default bounds check makes of ``out``
-        d_e.take(exposed.integers(0, n_e, (take, n_e)), out=draws_e[piece], mode="wrap")
-        d_c.take(control.integers(0, n_c, (take, n_c)), out=draws_c[piece], mode="wrap")
-        filled += take
-        k += take
-        if filled == rows or k == replicates:
-            thetas, degenerate, _ = _fit(draws_e[:filled], draws_c[:filled])
-            kept = thetas[~degenerate]
-            estimates[used : used + kept.size] = kept
-            used += kept.size
-            filled = 0
+        d_e.take(exposed.integers(0, n_e, (take, n_e)), out=draws_e[:take], mode="wrap")
+        d_c.take(control.integers(0, n_c, (take, n_c)), out=draws_c[:take], mode="wrap")
+        thetas, degenerate, _ = _fit(draws_e[:take], draws_c[:take])
+        kept = thetas[~degenerate]
+        estimates[used : used + kept.size] = kept
+        used += kept.size
 
     skipped = replicates - used
     if skipped > replicates // 2:

@@ -639,23 +639,20 @@ class TestGroupDivergenceContrast:
             curve_contrast(ds, SCALAR_AT_ONE)
 
 
-def chunk_stream_bootstrap(ds, spec, replicates, seed, level):
+def stream_bootstrap(ds, spec, replicates, seed, level):
     """Per-replicate, dataset-rebuilding reference for the stratified bootstrap.
 
-    Replicate k is row k % 64 of chunk k // 64, whose exposed and control
-    indices come from the streams ``SeedSequence([seed, chunk, 0])`` and
-    ``[seed, chunk, 1]``.  Rows are drawn one at a time, and each resampled
-    dataset is rebuilt and fitted with :func:`estimate_theta`.  Returns None
-    where :func:`bootstrap_ci` raises because more than half of the
-    replicates were degenerate.
+    Exposed indices come from the stream ``SeedSequence([seed, 0])`` and
+    control indices from ``SeedSequence([seed, 1])``, both built once.  Rows
+    are drawn one at a time, and each resampled dataset is rebuilt and fitted
+    with :func:`estimate_theta`.  Returns None where :func:`bootstrap_ci`
+    raises because more than half of the replicates were degenerate.
     """
     states = ds.states
     groups = (np.flatnonzero(states == 1), np.flatnonzero(states == 0))
+    streams = [np.random.default_rng(np.random.SeedSequence([seed, g])) for g in (0, 1)]
     estimates = []
-    for k in range(replicates):
-        chunk, row = divmod(k, 64)
-        if row == 0:
-            streams = [np.random.default_rng(np.random.SeedSequence([seed, chunk, g])) for g in (0, 1)]
+    for _ in range(replicates):
         take = np.concatenate(
             [idx[rng.integers(0, idx.size, idx.size)] for idx, rng in zip(groups, streams)]
         )
@@ -676,8 +673,7 @@ def resampling_cases(draw):
     """Datasets of 2-200 animals in d <= 3, some drawn from a few repeated mice.
 
     With repeated mice at the optimum, replicates that draw only those are
-    degenerate; blocks of 81 or more rows straddle chunk boundaries, and B
-    is often not a multiple of the chunk or the block size.
+    degenerate, and B is often not a multiple of the block size.
     """
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(2, 200))
@@ -705,7 +701,7 @@ def test_bootstrap_equals_the_per_replicate_reference_exactly(case, level):
         fast = bootstrap_ci(ds, spec, replicates=replicates, seed=seed, level=level)
     except InferenceError:
         fast = None
-    assert fast == chunk_stream_bootstrap(ds, spec, replicates, seed, level)
+    assert fast == stream_bootstrap(ds, spec, replicates, seed, level)
 
 
 @settings(max_examples=200, deadline=None)
@@ -716,7 +712,8 @@ def test_bootstrap_equals_the_per_replicate_reference_exactly(case, level):
     seed=st.integers(0, 2**63),
 )
 def test_row_pieces_of_one_stream_are_one_draw(bound, width, pieces, seed):
-    # bootstrap_ci draws a chunk's rows in blocks and relies on this
+    # bootstrap_ci draws each group's rows from one stream in blocks, so this
+    # is why the block size never changes its interval
     whole = np.random.default_rng(seed).integers(0, bound, (sum(pieces), width))
     rng = np.random.default_rng(seed)
     split = np.concatenate([rng.integers(0, bound, (rows, width)) for rows in pieces])
@@ -744,26 +741,40 @@ class TestBootstrap:
         rng = np.random.default_rng(16)
         ds = random_two_group_dataset(rng, n=12)
         fast = bootstrap_ci(ds, SCALAR_AT_ZERO, replicates=200, seed=9, level=0.9)
-        slow = chunk_stream_bootstrap(ds, SCALAR_AT_ZERO, replicates=200, seed=9, level=0.9)
+        slow = stream_bootstrap(ds, SCALAR_AT_ZERO, replicates=200, seed=9, level=0.9)
         assert fast == slow
 
     @pytest.mark.parametrize("elements", [1, 7, 40, 97, 200, 40 * 333, 16384])
     def test_block_size_does_not_change_the_interval(self, elements, monkeypatch):
         # row blocks of 1, 1, 1, 2, 5, 333 and 409 replicates at n=40, against
-        # the reference's rows drawn one at a time; 1000 = 15 * 64 + 40
+        # the reference's rows drawn one at a time
         rng = np.random.default_rng(17)
         ds = random_two_group_dataset(rng, n=40, d=2)
         spec = DivergenceSpec(optimal=np.zeros(2), norm=Norm.L1)
-        expected = chunk_stream_bootstrap(ds, spec, replicates=1000, seed=3, level=0.9)
+        expected = stream_bootstrap(ds, spec, replicates=1000, seed=3, level=0.9)
         monkeypatch.setattr(estimator, "BOOTSTRAP_BLOCK_ELEMENTS", elements)
         assert bootstrap_ci(ds, spec, replicates=1000, seed=3, level=0.9) == expected
+
+    @pytest.mark.parametrize("replicates", [100, 5000])
+    def test_two_generators_per_call(self, replicates, monkeypatch):
+        ds = random_two_group_dataset(np.random.default_rng(21), n=64)
+        default_rng = np.random.default_rng
+        built = []
+
+        def counting_rng(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        bootstrap_ci(ds, SCALAR_AT_ZERO, replicates=replicates, seed=6)
+        assert len(built) == 2
 
     @pytest.mark.parametrize(
         "n, elements, replicates, rows",
         [(64, 16384, 5000, 256), (40, 40 * 333, 1000, 333)],
     )
     def test_each_block_is_fitted_once(self, n, elements, replicates, rows, monkeypatch):
-        # blocks span chunks: 19 blocks of 256 rows and one of 136, or 3 of 333 and one of 1
+        # 19 blocks of 256 rows and one of 136, or 3 of 333 and one of 1
         fit = estimator._fit
         fitted = []
 

@@ -32,8 +32,12 @@ and ``config.level``, which was the only change to those files.  The
 convergence-probe hash was recorded from the probe that built one dataset
 per replicate, before it moved to the block path.  The rate-2.5 hashes
 were recorded from the sampler that called ``Generator.gamma(alphas,
-1 / rate)``, before it drew ``standard_gamma(alphas) * (1 / rate)``.  Any change to them is a numeric change
-and must be stated as one.
+1 / rate)``, before it drew ``standard_gamma(alphas) * (1 / rate)``.  The
+two bootstrap hashes, the ``estimate`` JSON hash and the ``estimate`` CSV
+hash moved again when the chunked substreams gave way to one stream per
+exposure group, ``SeedSequence([seed, 0])`` for the exposed and
+``[seed, 1]`` for the controls; only the interval's ends changed.  Any
+change to them is a numeric change and must be stated as one.
 """
 
 import dataclasses
@@ -67,7 +71,7 @@ from divtol import (
 from divtol.cli import main
 
 MC_SHA256 = "7b6b692350f41b2dcda70763757a6954173a55a279bd9ecd0d4a764981b6d524"
-ESTIMATE_OUT_SHA256 = "151da61f190e2ea64a88d16500a398ecc4bc995d9b7ebcc62e90b812f23f70ea"
+ESTIMATE_OUT_SHA256 = "47c64fcb288237d4ef26c25ff68e15fef962cc2ac9eb8c9a3b9289a6d04fc30f"
 IID_DATASET_SHA256 = "a5e3a205e921c8409bcfeb17dc900f704b65caa9ef72f812de1681fc4f379780"
 SWEEP_SHA256 = "2e2db1a47f764744439821205c86284a7618915fa604eec4f871e77edca07dea"
 PROBE_SHA256 = "5d9cf7bc61cc65643dd989322f6f7e00bde1c19e41ed0a90ee061bc9f090a125"
@@ -83,8 +87,8 @@ RATE_2_5_SHA256 = {
 RATE_2_5_SWEEP_SHA256 = "5a86274c707d9b361ab581b3660516a21acdba10cc87fa6f7b2ece04cb9eea02"
 # B=2500 at n=200 spans many resampling blocks and ends in a partial one
 BOOTSTRAP_SHA256 = {
-    Norm.L2_SQUARED: "96c833dd5719a4eae2eb1df8164598da1fc69de85e8262dde57ac75f28765247",
-    Norm.L1: "5fef9f78f68a02592b7d11174832c96e3cd6234e8957ed33b51e0db921fb221f",
+    Norm.L2_SQUARED: "87df036f3060b8d3d5b3515d6e53eeaeefc383b46c50dfb689ed44d36a695ff3",
+    Norm.L1: "9f147c462b551de6248b069d198eca133d72b39edd6621ac51dbd654fec56355",
 }
 
 OPTIMAL_12 = ",".join(["1"] + ["0"] * 11)
@@ -103,7 +107,7 @@ CLI_RUNS = {
 }
 CLI_OUT_SHA256 = {
     ("estimate", "csv"):
-        "c5e6f679547a1999d40f44fb2baf1a76a11b7a76c8e63d560366ba30c3f7e4e7",
+        "c3c7c6de99244988dc1dfc1972ae94b51172c36b6984f8bb5efb5a3db4fccdfa",
     ("curves", "json"):
         "efde807e5713da276d208997c5243f30b34fd142bb763c0b6308b6e6505e0451",
     ("curves", "csv"):

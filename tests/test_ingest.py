@@ -807,6 +807,11 @@ def reader_texts(draw):
     for _ in range(rnd.choice([0, 1, 1, 1, 2, 3])):
         i = rnd.randrange(len(rows))
         row = rows[i]
+        if not row:
+            # a row emptied by an earlier hazard: give it back its one empty
+            # field, which writes the same text, so the field hazards and the
+            # pop have a field to work on
+            row.append("")
         j = rnd.randrange(1, len(row)) if len(row) > 1 and rnd.random() < 0.75 else 0
         kind = rnd.randrange(9)
         if kind == 0:
