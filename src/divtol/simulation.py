@@ -18,11 +18,15 @@ Two sampling designs are exposed, and the distinction matters:
   observations are iid from one fixed compound policy.  This is the design
   the consistency and convergence probes need.
 * :func:`run_monte_carlo` realizes the policy once per replicate dataset
-  (one eps1 and one eps2 shared by all animals in that dataset, via
-  :func:`draw_policy`).  Group contrasts then vary dataset-to-dataset with
-  the realized shapes, which is what produces headline fractions near 74%
-  for both the tolerance estimate and the ANOVA slope at n=50; redrawing
-  the noise per animal concentrates both fractions near 1 instead.
+  (one eps1 and one eps2 shared by all its animals, as :func:`draw_policy`
+  and :func:`generate_study_dataset` draw them).  Group contrasts then vary
+  dataset-to-dataset with the realized shapes, which is what produces
+  headline fractions near 74% for both the tolerance estimate and the ANOVA
+  slope at n=50; redrawing the noise per animal concentrates both fractions
+  near 1 instead.
+
+One block sampler, :func:`_draw_block`, draws both designs; the three public
+generators are its one-row calls.
 """
 
 from __future__ import annotations
@@ -220,17 +224,6 @@ class ProbeResult:
     rows: tuple[ProbeRow, ...] = field(default_factory=tuple)
 
 
-def _draw_positive_shape(mu: float, sd: float, mult: float, rng: np.random.Generator) -> float:
-    for _ in range(MAX_REJECTIONS):
-        alpha = mult * rng.normal(mu, sd)
-        if alpha > 0.0:
-            return alpha
-    raise ConfigurationError(
-        f"gave up after {MAX_REJECTIONS} rejected shape draws "
-        f"(mu={mu}, sd={sd}); the positive region has negligible mass"
-    )
-
-
 #: gamma draws with tiny shapes can underflow to 0.0; the law's support is
 #: strictly positive, so underflowed draws are floored here
 _SMALLEST_ACTION = float(np.finfo(float).tiny)
@@ -248,50 +241,76 @@ def _gamma_actions(alphas: np.ndarray, rate: float, rng: np.random.Generator) ->
     return np.maximum(actions, _SMALLEST_ACTION, out=actions)
 
 
-def _sample_actions(states: np.ndarray, cfg: PolicyConfig, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized iid sampler: one truncated-normal shape and one Gamma draw per animal."""
-    n = states.shape[0]
-    alphas = np.empty(n)
-    for bit in (1, 0):
-        mask = states == bit
-        if not mask.any():
-            continue
-        mu, sd, mult = cfg.shape_params(bit)
-        vals = mult * rng.normal(mu, sd, size=int(mask.sum()))
-        for _ in range(MAX_REJECTIONS):
-            bad = vals <= 0.0
-            if not bad.any():
-                break
-            vals[bad] = mult * rng.normal(mu, sd, size=int(bad.sum()))
-        else:
-            raise ConfigurationError(
-                "gave up resampling nonpositive shapes; check the policy parameters"
-            )
-        alphas[mask] = vals
-    return _gamma_actions(alphas, cfg.rate, rng)
+def _positive_shapes(cfg: PolicyConfig, s: int, size, rng: np.random.Generator) -> np.ndarray:
+    """``size`` shapes of exposure state s, ``mult * N(mu, sd)``; nonpositive ones are redrawn."""
+    mu, sd, mult = cfg.shape_params(s)
+    shapes = mult * rng.normal(mu, sd, size)
+    for _ in range(MAX_REJECTIONS):
+        bad = shapes <= 0.0
+        if not bad.any():
+            return shapes
+        shapes[bad] = mult * rng.normal(mu, sd, int(np.count_nonzero(bad)))
+    raise ConfigurationError(
+        f"gave up after {MAX_REJECTIONS} rejected shape draws "
+        f"(mu={mu}, sd={sd}); the positive region has negligible mass"
+    )
 
 
 def _draw_mixed_states(
-    n: int, p_exposed: float, rng: np.random.Generator
+    rows: int, n: int, p_exposed: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """Bernoulli exposure vector, regenerated until both groups are present.
+    """(rows, n) Bernoulli exposures, each row regenerated until both groups are present.
 
-    Degenerate probabilities (p in {0, 1}) are returned as-is: a single-group
-    assignment is then the intended law, not an accident.  Returns the vector
-    and the number of regenerations performed.
+    Only the rows that lack a group are drawn again, together, and no row is
+    regenerated more than ``MAX_ASSIGNMENT_RETRIES`` times.  Degenerate
+    probabilities (p in {0, 1}) are returned as-is: a single-group assignment
+    is then the intended law, not an accident.  Returns the states and the
+    number of row regenerations performed.
     """
-    exposed = rng.random(n) < p_exposed
-    if p_exposed <= 0.0 or p_exposed >= 1.0:
-        return exposed.astype(int), 0
+    exposed = rng.random((rows, n)) < p_exposed
     regenerations = 0
-    while not 0 < np.count_nonzero(exposed) < n:
-        if regenerations >= MAX_ASSIGNMENT_RETRIES:
+    if 0.0 < p_exposed < 1.0:
+        # a row holds both groups unless its exposed count is 0 or n
+        unmixed = np.flatnonzero(np.count_nonzero(exposed, axis=1) % n == 0)
+        for _ in range(MAX_ASSIGNMENT_RETRIES):
+            if not unmixed.size:
+                break
+            redrawn = rng.random((unmixed.size, n)) < p_exposed
+            exposed[unmixed] = redrawn
+            regenerations += unmixed.size
+            unmixed = unmixed[np.count_nonzero(redrawn, axis=1) % n == 0]
+        if unmixed.size:
             raise ConfigurationError(
                 f"could not draw a mixed exposure assignment in {MAX_ASSIGNMENT_RETRIES} tries"
             )
-        exposed = rng.random(n) < p_exposed
-        regenerations += 1
     return exposed.astype(int), regenerations
+
+
+def _draw_block(
+    policy: PolicyConfig | RealizedPolicy, rows: int, n: int, p_exposed: float, rngs, iid=False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The states and scalar actions of ``rows`` replicates of n animals, as (rows, n) arrays.
+
+    ``rngs`` holds the shape, state and action generators.  The states are
+    drawn first, then the shapes, exposed before control, then the Gamma
+    actions, so a one-row call can pass one generator in all three roles.
+    With ``iid`` each animal draws its own shape from the compound
+    ``policy``; otherwise a row's animals share one shape per group, drawn
+    per row from a :class:`PolicyConfig` or given by a :class:`RealizedPolicy`.
+    """
+    shapes_rng, states_rng, actions_rng = rngs
+    states, _ = _draw_mixed_states(rows, n, p_exposed, states_rng)
+    exposed = states == 1
+    if iid:
+        alphas = np.empty(states.shape)
+        for s, mask in ((1, exposed), (0, ~exposed)):
+            alphas[mask] = _positive_shapes(policy, s, np.count_nonzero(mask), shapes_rng)
+    elif isinstance(policy, RealizedPolicy):
+        alphas = np.where(exposed, policy.alpha_exposed, policy.alpha_control)
+    else:
+        shapes = [_positive_shapes(policy, s, (rows, 1), shapes_rng) for s in (1, 0)]
+        alphas = np.where(exposed, *shapes)
+    return states, _gamma_actions(alphas, policy.rate, actions_rng)
 
 
 def generate_dataset(
@@ -306,27 +325,14 @@ def generate_dataset(
     rarely mixed for the retries (:func:`_require_design`).
     """
     _require_design(n, p_exposed, InputError)
-    states, actions = _iid_row(cfg, n, p_exposed, rng)
-    return Dataset.from_arrays(actions=actions[:, None], states=states)
-
-
-def _iid_row(
-    cfg: PolicyConfig, n: int, p_exposed: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The states and scalar actions that :func:`generate_dataset` draws."""
-    states, _ = _draw_mixed_states(n, p_exposed, rng)
-    return states, _sample_actions(states, cfg, rng)
+    states, actions = _draw_block(cfg, 1, n, p_exposed, (rng, rng, rng), iid=True)
+    return Dataset.from_arrays(actions=actions.reshape(n, 1), states=states[0])
 
 
 def draw_policy(cfg: PolicyConfig, rng: np.random.Generator) -> RealizedPolicy:
-    """Realize the random policy once: one positive shape per group."""
-    mu1, sd1, mult1 = cfg.shape_params(1)
-    mu2, sd2, mult2 = cfg.shape_params(0)
-    return RealizedPolicy(
-        alpha_exposed=_draw_positive_shape(mu1, sd1, mult1, rng),
-        alpha_control=_draw_positive_shape(mu2, sd2, mult2, rng),
-        rate=cfg.rate,
-    )
+    """Realize the random policy once: one positive shape per group, the exposed first."""
+    exposed, control = (float(_positive_shapes(cfg, s, 1, rng)[0]) for s in (1, 0))
+    return RealizedPolicy(alpha_exposed=exposed, alpha_control=control, rate=cfg.rate)
 
 
 def generate_study_dataset(
@@ -337,17 +343,8 @@ def generate_study_dataset(
     Exposure is drawn, and the arguments checked, as in :func:`generate_dataset`.
     """
     _require_design(n, p_exposed, InputError)
-    states, actions = _study_row(policy, n, p_exposed, rng)
-    return Dataset.from_arrays(actions=actions[:, None], states=states)
-
-
-def _study_row(
-    policy: RealizedPolicy, n: int, p_exposed: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The states and scalar actions that :func:`generate_study_dataset` draws."""
-    states, _ = _draw_mixed_states(n, p_exposed, rng)
-    alphas = np.array((policy.alpha_control, policy.alpha_exposed))[states]
-    return states, _gamma_actions(alphas, policy.rate, rng)
+    states, actions = _draw_block(policy, 1, n, p_exposed, (rng, rng, rng))
+    return Dataset.from_arrays(actions=actions.reshape(n, 1), states=states[0])
 
 
 def fit_anova(ds: Dataset) -> AnovaFit:
@@ -403,50 +400,43 @@ def _fit_rows(
 
 
 def _fit_replicates(
-    draw_row, count: int, n: int, spec: DivergenceSpec, fit_block
+    policy: PolicyConfig, count: int, n: int, p_exposed: float, entropy, spec, fit_block, iid=False
 ) -> tuple[np.ndarray, ...]:
     """Fit ``count`` replicates of n animals, one entry each per array ``fit_block`` returns.
 
-    ``draw_row(i)`` returns replicate i's states and actions.  Only the draws
-    are made one replicate at a time, in order: they fill the rows of a
-    block of at most ``BOOTSTRAP_BLOCK_ELEMENTS`` entries (one row if n is
-    larger), and ``fit_block(states, actions, d)`` fits each block at once.
-    The divergences ``d`` come from :func:`action_divergences`, which
-    refuses them as it refuses a dataset's.
+    The replicates are drawn by :func:`_draw_block` from three generators,
+    ``SeedSequence(entropy).spawn(3)``, in blocks of at most
+    ``BOOTSTRAP_BLOCK_ELEMENTS`` entries (one row if n is larger), and
+    ``fit_block(states, actions, d)`` fits each block at once.  The
+    divergences ``d`` come from :func:`action_divergences`, which refuses
+    them as it refuses a dataset's.
     """
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(entropy).spawn(3)]
     rows = max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
-    states = np.empty((min(rows, count), n), dtype=int)
-    actions = np.empty(states.shape)
     fits = []
     for start in range(0, count, rows):
-        take = min(rows, count - start)
-        for i in range(take):
-            states[i], actions[i] = draw_row(start + i)
-        d = action_divergences(actions[:take, :, None], spec)
-        fits.append(fit_block(states[:take], actions[:take], d))
+        states, actions = _draw_block(policy, min(rows, count - start), n, p_exposed, rngs, iid)
+        d = action_divergences(actions[:, :, None], spec)
+        fits.append(fit_block(states, actions, d))
     return tuple(map(np.concatenate, zip(*fits)))
 
 
 def run_monte_carlo(cfg: McConfig, policy: PolicyConfig) -> McResult:
     """The simulation study: tolerance estimate vs ANOVA slope over replicates.
 
-    Each replicate realizes the policy once, generates a dataset, estimates
-    the tolerance with optimal action ``cfg.optimal_action`` under the
-    squared L2 divergence, and fits the two-group ANOVA.  Replicates with a
-    degenerate objective are counted and skipped; the fractions are taken
-    over the surviving replicates.  The replicates are fitted a block at a
-    time, each to the same bits as :func:`estimate_theta` and
-    :func:`fit_anova` on its own :func:`generate_study_dataset` draw.
+    Each replicate realizes the policy once (one shape per group, shared by
+    its animals), draws its exposures and actions, estimates the tolerance
+    with optimal action ``cfg.optimal_action`` under the squared L2
+    divergence, and fits the two-group ANOVA.  Replicates with a degenerate
+    objective are counted and skipped; the fractions are taken over the
+    surviving replicates.  The replicates are drawn a block at a time from
+    the three streams of ``SeedSequence(cfg.seed)`` (:func:`_fit_replicates`),
+    and each is fitted to the same bits as :func:`estimate_theta` and
+    :func:`fit_anova` on a dataset of its row.
     """
     spec = DivergenceSpec(optimal=np.array([cfg.optimal_action]))
-
-    def draw_row(i):
-        # child i of SeedSequence(cfg.seed).spawn(num_datasets), built when it is drawn
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
-        return _study_row(draw_policy(policy, rng), cfg.n_per_dataset, cfg.p_exposed, rng)
-
     theta, degenerate, b1 = _fit_replicates(
-        draw_row, cfg.num_datasets, cfg.n_per_dataset, spec, _fit_rows
+        policy, cfg.num_datasets, cfg.n_per_dataset, cfg.p_exposed, cfg.seed, spec, _fit_rows
     )
     theta, b1 = theta[~degenerate], b1[~degenerate]
     if not theta.size:
@@ -462,30 +452,24 @@ def run_monte_carlo(cfg: McConfig, policy: PolicyConfig) -> McResult:
     )
 
 
-def _row_rng(seed: int, n: int, replicate: int) -> np.random.Generator:
-    # keyed on (seed, n, replicate) so a repeated n reproduces identical rows
-    return np.random.default_rng(np.random.SeedSequence([seed, n, replicate]))
-
-
 def _iid_study(
     policy: PolicyConfig, ns: list[int], replicates: int, seed: int, spec: DivergenceSpec, fit_block
 ) -> list[tuple[np.ndarray, ...]]:
-    """:func:`_fit_replicates` for each n, on :func:`generate_dataset`'s draws.
+    """:func:`_fit_replicates` for each n, on :func:`generate_dataset`'s design.
 
-    Replicate j of size n is drawn from ``_row_rng(seed, n, j)``.  The
+    The replicates of size n are drawn from the streams of
+    ``SeedSequence([seed, n])``, so a repeated n gives the same rows.  The
     arguments are checked before anything is drawn.
     """
     if list(ns) != sorted(ns):
         raise InputError("ns must be non-decreasing")
     if replicates < 2:
         raise InputError("replicates must be >= 2")
-    if ns and ns[0] < 2:
-        raise InputError(f"n must be >= 2, got {ns[0]}")
+    if ns:
+        _require_design(ns[0], 0.5, InputError)
     _require_seed(seed)
     return [
-        _fit_replicates(
-            lambda j: _iid_row(policy, n, 0.5, _row_rng(seed, n, j)), replicates, n, spec, fit_block
-        )
+        _fit_replicates(policy, replicates, n, 0.5, [seed, n], spec, fit_block, iid=True)
         for n in ns
     ]
 
@@ -504,17 +488,20 @@ def consistency_sweep(
     is the empirical signature of consistency.
     """
     spec = DivergenceSpec(optimal=np.array([optimal_action]))
-    fits = _iid_study(policy, ns, replicates, seed, spec, _fit_rows)
-    rows = []
-    for n, (estimates, degenerate, _) in zip(ns, fits):
+
+    def estimates(states, actions, d):
+        theta, degenerate, _ = _fit_rows(states, actions, d)
         if degenerate.any():
-            # refit the first degenerate replicate alone: it raises the estimator's error
+            # the first degenerate replicate, fitted alone, raises the estimator's error
             j = int(np.argmax(degenerate))
-            estimate_theta(generate_dataset(policy, n, 0.5, _row_rng(seed, n, j)), spec)
-        rows.append(
-            SweepRow(n=n, mean_theta=float(estimates.mean()), sd_theta=float(estimates.std(ddof=1)))
-        )
-    return rows
+            estimate_theta(Dataset.from_arrays(actions=actions[j, :, None], states=states[j]), spec)
+        return (theta,)
+
+    fits = _iid_study(policy, ns, replicates, seed, spec, estimates)
+    return [
+        SweepRow(n=n, mean_theta=float(theta.mean()), sd_theta=float(theta.std(ddof=1)))
+        for n, (theta,) in zip(ns, fits)
+    ]
 
 
 def objective_convergence_probe(
@@ -537,6 +524,10 @@ def objective_convergence_probe(
     its dataset, taken from the group moments of a block of replicates.
     """
     theta = _require_theta(theta_fixed)
+    try:
+        _require_design(oracle_n, 0.5, InputError)
+    except InputError as exc:
+        raise InputError(f"oracle_n: {exc}") from None
     spec = DivergenceSpec(optimal=np.array([optimal_action]))
 
     def objectives(states, actions, d):
@@ -544,8 +535,7 @@ def objective_convergence_probe(
         return (np.array([_group_objective(theta, r[e], r[~e]) for r, e in zip(d, exposed)]),)
 
     fits = _iid_study(policy, ns, replicates, seed, spec, objectives)
-    oracle_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    oracle = generate_dataset(policy, oracle_n, 0.5, oracle_rng)
+    oracle = generate_dataset(policy, oracle_n, 0.5, np.random.default_rng([seed, 0]))
     psi_hat_0 = variance_objective(theta, oracle, spec)
 
     rows = []

@@ -36,8 +36,14 @@ were recorded from the sampler that called ``Generator.gamma(alphas,
 two bootstrap hashes, the ``estimate`` JSON hash and the ``estimate`` CSV
 hash moved again when the chunked substreams gave way to one stream per
 exposure group, ``SeedSequence([seed, 0])`` for the exposed and
-``[seed, 1]`` for the controls; only the interval's ends changed.  Any
-change to them is a numeric change and must be stated as one.
+``[seed, 1]`` for the controls; only the interval's ends changed.  The
+Monte-Carlo, sweep and probe hashes, the two Monte-Carlo and the sweep
+rate-2.5 hashes, and the ``simulate-mc`` and ``consistency`` CLI hashes
+moved when the studies stopped building one generator per replicate and
+drew blocks of replicates from three streams, shapes, states and actions,
+spawned from ``SeedSequence(seed)`` (``[seed, n]`` per sample size for the
+sweep and the probe); the dataset pins held.  Any change to them is a
+numeric change and must be stated as one.
 """
 
 import dataclasses
@@ -70,21 +76,21 @@ from divtol import (
 )
 from divtol.cli import main
 
-MC_SHA256 = "7b6b692350f41b2dcda70763757a6954173a55a279bd9ecd0d4a764981b6d524"
+MC_SHA256 = "de3f54c05fa794a27426e0c386ff8072ed881aa7e814ac7f5ffcb52a7eba26c1"
 ESTIMATE_OUT_SHA256 = "47c64fcb288237d4ef26c25ff68e15fef962cc2ac9eb8c9a3b9289a6d04fc30f"
 IID_DATASET_SHA256 = "a5e3a205e921c8409bcfeb17dc900f704b65caa9ef72f812de1681fc4f379780"
-SWEEP_SHA256 = "2e2db1a47f764744439821205c86284a7618915fa604eec4f871e77edca07dea"
-PROBE_SHA256 = "5d9cf7bc61cc65643dd989322f6f7e00bde1c19e41ed0a90ee061bc9f090a125"
+SWEEP_SHA256 = "226014da0352b962857d39a0b923e0cbd099261694d85576d193abb6bf35db96"
+PROBE_SHA256 = "3dbea85f20ee09eda7f744547b0ad88a3515182449cca7f564ce40d599b48fe2"
 # a non-unit rate, at n=2 and 3 with p_exposed=0.05 so that regenerations are frequent
 RATE_2_5_SHA256 = {
-    ("monte-carlo", 2): "8c972c661d275de59bf567c15bd4d43e104a2179bce6806699ad87fe276680a3",
-    ("monte-carlo", 3): "c97354c2b02630d71bf33aebab57bd79a159bc4fdc4cadffaae198740d125a49",
+    ("monte-carlo", 2): "e3d22a961634d63a2507de95fb6606f230b66bf4c0c052815d8b3a0217fb9780",
+    ("monte-carlo", 3): "d4b1dfdb7960f5d380823794c9243d547dd15a948e1b47e3e753fad38c22988b",
     ("iid-dataset", 2): "d72d4b3d89fde064b2c1ca8af975e8aaf9d9627dda2a0e475637ee576b4f9139",
     ("iid-dataset", 3): "0c20da5c25c0c73bb5e506e3c4d5cd37dd44b0b886f3a83822abff308db3fb63",
     ("study-dataset", 2): "1d32402086636dc1b4955302885a7cd0adb3c8ddf2688024c98907e7227604f1",
     ("study-dataset", 3): "9f648a6660742224dfa09af20e5efe9bc1f0e896ef493fadbb89d1024ffd41bb",
 }
-RATE_2_5_SWEEP_SHA256 = "5a86274c707d9b361ab581b3660516a21acdba10cc87fa6f7b2ece04cb9eea02"
+RATE_2_5_SWEEP_SHA256 = "496efa99f94092c4d1e00bd28f27eb910a41d66bcdbb505978f0e820007988f5"
 # B=2500 at n=200 spans many resampling blocks and ends in a partial one
 BOOTSTRAP_SHA256 = {
     Norm.L2_SQUARED: "87df036f3060b8d3d5b3515d6e53eeaeefc383b46c50dfb689ed44d36a695ff3",
@@ -113,11 +119,11 @@ CLI_OUT_SHA256 = {
     ("curves", "csv"):
         "5ae5dccf98560a34284bc578514e9f61fec7c8af9879dd8084c293067b536a61",
     ("simulate-mc", "json"):
-        "6cf632a8630a4663d69fe2ceb8b3dbbe165a46e9acb09047b3d0ff71f3d05851",
+        "3630cce0fc442381fd9eeeaf43a37e1040f2407806a4229224f8eab21baf87ee",
     ("simulate-mc", "csv"):
-        "bb2db527ae7ac5e2e399b240cc112768e1484f904bfc3a2e5074d2d59e7d3c6a",
+        "fd24ba9ff840e423f85fc19027533ae6c61c107602f30fe93ea07792858881f7",
     ("consistency", "csv"):
-        "636baa0fc467019ee7bab6c8e9830c22b76ffa55b62dfb2ef51681a13c750c8c",
+        "3f850aefc9b10f0c596f8b75afdbd3c363098499c0797d7ae71012541ebd40bb",
     ("ingest-check", "csv"):
         "9e20517a16977de394c27f3a5e5581a8c27324687736653fe67fc1785d6b7514",
 }

@@ -33,6 +33,32 @@ from divtol.errors import ConfigurationError
 from divtol.estimator import BOOTSTRAP_BLOCK_ELEMENTS
 
 
+def fastest_of_three(call):
+    """Wall seconds of the fastest of three identical calls of ``call``.
+
+    A refusal takes microseconds; the fastest of three keeps a pause of the
+    machine in one call from reading as slow work.
+    """
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+class NoDraws:
+    """A generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was called before the design was refused")
+
+
+def streams(entropy):
+    """The three generators a study draws from: shapes, states and actions."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(entropy).spawn(3)]
+
+
 def truncated_shape_mean(mu, sd, mult, rate=1.0):
     """Numeric-integration oracle: E[mult * eps | mult * eps > 0] / rate."""
     mass = 1.0 - stats.norm.cdf(0.0, mu, sd)
@@ -40,34 +66,34 @@ def truncated_shape_mean(mu, sd, mult, rate=1.0):
     return mult * numerator / mass / rate
 
 
+def iid_row(cfg, n, p_exposed, seed):
+    """One row of the block sampler's iid design: (states, actions) of n animals."""
+    rng = np.random.default_rng(seed)
+    states, actions = simulation._draw_block(cfg, 1, n, p_exposed, (rng, rng, rng), iid=True)
+    return states[0], actions[0]
+
+
 class TestSamplePolicy:
     def test_vanishing_noise_recovers_the_gamma_mean(self):
-        cfg = PolicyConfig(sigma1_sq=1e-12)
-        rng = np.random.default_rng(0)
-        draws = simulation._sample_actions(np.ones(20_000, dtype=int), cfg, rng)
+        _, draws = iid_row(PolicyConfig(sigma1_sq=1e-12), 20_000, 1.0, 0)
         assert draws.mean() == pytest.approx(4.0, abs=0.05)
 
     def test_exposed_mean_exceeds_control_mean(self):
-        cfg = PolicyConfig()
-        rng = np.random.default_rng(1)
-        states = np.r_[np.ones(50_000, dtype=int), np.zeros(50_000, dtype=int)]
-        actions = simulation._sample_actions(states, cfg, rng)
-        assert actions[:50_000].mean() > actions[50_000:].mean()
+        states, actions = iid_row(PolicyConfig(), 100_000, 0.5, 1)
+        assert actions[states == 1].mean() > actions[states == 0].mean()
 
     def test_vectorized_sampler_matches_integration_oracle(self):
-        cfg = PolicyConfig()
-        rng = np.random.default_rng(3)
         for state, (mu, sd, mult) in ((1, (2.0, 1.0, 2.0)), (0, (2.0, 2.0, 1.0))):
-            states = np.full(10**6, state, dtype=int)
-            actions = simulation._sample_actions(states, cfg, rng)
+            _, actions = iid_row(PolicyConfig(), 10**6, float(state), 3)
             oracle = truncated_shape_mean(mu, sd, mult)
             assert abs(actions.mean() - oracle) / oracle < 0.005
 
     def test_all_draws_positive(self):
-        cfg = PolicyConfig()
-        rng = np.random.default_rng(4)
-        states = np.r_[np.ones(5_000, dtype=int), np.zeros(5_000, dtype=int)]
-        assert np.all(simulation._sample_actions(states, cfg, rng) > 0.0)
+        # mostly-negative shape noise, in both designs
+        cfg = PolicyConfig(mu1=-1.0, mu2=-1.0)
+        for iid in (True, False):
+            _, actions = simulation._draw_block(cfg, 40, 250, 0.5, streams(4), iid)
+            assert np.all(actions > 0.0)
 
     def test_realized_shapes_are_rejection_sampled_positive(self):
         # mostly-negative shape noise: only the rejection loop keeps shapes positive
@@ -92,10 +118,11 @@ class TestSamplePolicy:
              "exposed-mass-1.3e-6", "control-mass-2.9e-7", "negative-multiplier-mass-2.8e-89"],
     )
     def test_a_policy_that_cannot_be_sampled_is_refused_at_once(self, fields):
-        start = time.perf_counter()
-        with pytest.raises(ConfigurationError):
-            PolicyConfig(**fields)
-        assert time.perf_counter() - start < 0.05
+        def refuse():
+            with pytest.raises(ConfigurationError):
+                PolicyConfig(**fields)
+
+        assert fastest_of_three(refuse) < 0.05
 
     def test_a_negative_multiplier_truncates_on_the_other_side(self):
         # positive with probability 3.2e-5: the sampler gives up with chance exp(-31.7)
@@ -150,10 +177,10 @@ class TestSamplerBits:
         regenerated = 0
         for seed in range(500):
             new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            states, regenerations = simulation._draw_mixed_states(n, p_exposed, new_rng)
+            states, regenerations = simulation._draw_mixed_states(1, n, p_exposed, new_rng)
             old_states, old_regenerations = old_draw_mixed_states(n, p_exposed, old_rng)
             assert states.dtype == old_states.dtype
-            assert states.tolist() == old_states.tolist()
+            assert states.tolist() == [old_states.tolist()]
             assert regenerations == old_regenerations
             assert new_rng.random() == old_rng.random()
             regenerated += regenerations > 0
@@ -179,11 +206,11 @@ class TestGenerateDataset:
 
     def test_regenerated_assignment_is_reported(self):
         # seed 1's first two-mouse draw is single-group, forcing a redraw
-        states, regenerations = simulation._draw_mixed_states(2, 0.5, np.random.default_rng(1))
+        states, regenerations = simulation._draw_mixed_states(1, 2, 0.5, np.random.default_rng(1))
         assert regenerations >= 1
-        assert sorted(states) == [0, 1]
+        assert sorted(states[0]) == [0, 1]
         ds = generate_dataset(PolicyConfig(), 2, 0.5, np.random.default_rng(1))
-        np.testing.assert_array_equal(ds.states, states)
+        np.testing.assert_array_equal(ds.states, states[0])
 
     def test_degenerate_assignment_probability_is_honored(self):
         # p exactly 0 or 1 is an intentional single-group design
@@ -209,10 +236,11 @@ class TestGeneratorDesign:
 
     @pytest.mark.parametrize("n, p_exposed", RARELY_MIXED)
     def test_a_rarely_mixed_design_is_refused_at_once(self, generate, n, p_exposed):
-        start = time.perf_counter()
-        with pytest.raises(InputError, match="probability q = "):
-            generate(GENERATORS[generate], n, p_exposed, np.random.default_rng(0))
-        assert time.perf_counter() - start < 0.05
+        def refuse():
+            with pytest.raises(InputError, match="probability q = "):
+                generate(GENERATORS[generate], n, p_exposed, NoDraws())
+
+        assert fastest_of_three(refuse) < 0.05
 
     @pytest.mark.parametrize("p_exposed", [1.5, -0.1, float("nan")])
     def test_p_exposed_outside_the_unit_interval_is_refused(self, generate, p_exposed):
@@ -277,14 +305,25 @@ class TestFitAnova:
             fit_anova(ds)
 
 
+def drawn_rows(policy, count, n, p_exposed, entropy, iid=False):
+    """Each replicate's (states, actions), drawn a block at a time from the study's streams."""
+    rngs = streams(entropy)
+    rows = block_rows(n)
+    for start in range(0, count, rows):
+        block = simulation._draw_block(policy, min(rows, count - start), n, p_exposed, rngs, iid)
+        yield from zip(*block)
+
+
+def row_dataset(states, actions):
+    return Dataset.from_arrays(actions=actions[:, None], states=states)
+
+
 def per_replicate_monte_carlo(cfg, policy):
-    """Oracle: one dataset, estimate_theta and fit_anova per replicate, in spawn order."""
+    """Oracle: the study's rows, each fitted alone by estimate_theta and fit_anova."""
     spec = DivergenceSpec(optimal=np.array([cfg.optimal_action]))
     thetas, b1s, degenerate = [], [], 0
-    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.num_datasets):
-        rng = np.random.default_rng(child)
-        realized = draw_policy(policy, rng)
-        ds = generate_study_dataset(realized, cfg.n_per_dataset, cfg.p_exposed, rng)
+    for row in drawn_rows(policy, cfg.num_datasets, cfg.n_per_dataset, cfg.p_exposed, cfg.seed):
+        ds = row_dataset(*row)
         try:
             thetas.append(estimate_theta(ds, spec).theta_e)
         except DegenerateObjectiveError:
@@ -295,21 +334,18 @@ def per_replicate_monte_carlo(cfg, policy):
 
 
 def per_replicate_sweep(policy, ns, replicates, seed, optimal_action):
-    """Oracle: one iid dataset and one estimate_theta call per replicate."""
+    """Oracle: each iid row fitted alone by estimate_theta."""
     spec = DivergenceSpec(optimal=np.array([optimal_action]))
     rows = []
     for n in ns:
-        datasets = (
-            generate_dataset(policy, n, 0.5, simulation._row_rng(seed, n, j))
-            for j in range(replicates)
-        )
-        estimates = np.array([estimate_theta(ds, spec).theta_e for ds in datasets])
+        drawn = drawn_rows(policy, replicates, n, 0.5, [seed, n], iid=True)
+        estimates = np.array([estimate_theta(row_dataset(*row), spec).theta_e for row in drawn])
         rows.append((n, float(estimates.mean()), float(estimates.std(ddof=1))))
     return rows
 
 
 def per_replicate_probe(policy, ns, replicates, theta_fixed, seed, oracle_n):
-    """Oracle: one iid dataset and one variance_objective call per replicate."""
+    """Oracle: each iid row's objective from variance_objective on its own dataset."""
     spec = DivergenceSpec(optimal=np.array([0.0]))
     oracle = generate_dataset(
         policy, oracle_n, 0.5, np.random.default_rng(np.random.SeedSequence([seed, 0]))
@@ -317,11 +353,8 @@ def per_replicate_probe(policy, ns, replicates, theta_fixed, seed, oracle_n):
     psi_hat_0 = variance_objective(theta_fixed, oracle, spec)
     rows = []
     for n in ns:
-        datasets = (
-            generate_dataset(policy, n, 0.5, simulation._row_rng(seed, n, j))
-            for j in range(replicates)
-        )
-        psis = np.array([variance_objective(theta_fixed, ds, spec) for ds in datasets])
+        drawn = drawn_rows(policy, replicates, n, 0.5, [seed, n], iid=True)
+        psis = np.array([variance_objective(theta_fixed, row_dataset(*row), spec) for row in drawn])
         scaled = np.sqrt(n) * (psis - psi_hat_0)
         rows.append((n, float(psis.mean()), float(scaled.mean()), float(scaled.std(ddof=1))))
     return psi_hat_0, rows
@@ -335,8 +368,14 @@ def block_rows(n):
     return max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
 
 
+def half_exposed(rows, n, action):
+    """A block whose rows each hold n // 2 exposed animals, every one at ``action``."""
+    states = np.r_[np.ones(n // 2, dtype=int), np.zeros(n - n // 2, dtype=int)]
+    return np.tile(states, (rows, 1)), np.full((rows, n), action)
+
+
 class TestBlockFit:
-    """The block-fitted study loops give the per-replicate path's bits."""
+    """The block-fitted study loops give the bits of each row fitted alone."""
 
     @pytest.mark.parametrize("n, datasets", [(2, 300), (3, 700), (50, 700), (1000, 40), (20000, 3)])
     def test_monte_carlo_matches_the_per_replicate_path(self, n, datasets):
@@ -363,15 +402,15 @@ class TestBlockFit:
         assert result.frac_b1_above_zero == float(np.mean(np.array(b1s) > 0.0))
 
     def test_degenerate_rows_are_skipped_in_place(self, monkeypatch):
-        # some replicates put every animal at the optimum; both paths draw
-        # through the same row helper, so they see the same replicates
-        draw = simulation._study_row
+        # about 30% of the rows put every animal at the optimum; both paths
+        # draw through the same sampler, so they see the same replicates
+        draw = simulation._draw_block
 
-        def sometimes_optimal(policy, n, p_exposed, rng):
-            states, actions = draw(policy, n, p_exposed, rng)
-            return states, np.full(n, 1.5) if rng.random() < 0.3 else actions
+        def sometimes_optimal(*args):
+            states, actions = draw(*args)
+            return states, np.where(actions[:, :1] % 1.0 < 0.3, 1.5, actions)
 
-        monkeypatch.setattr(simulation, "_study_row", sometimes_optimal)
+        monkeypatch.setattr(simulation, "_draw_block", sometimes_optimal)
         cfg = McConfig(n_per_dataset=50, num_datasets=700, seed=3, optimal_action=1.5)
         result = run_monte_carlo(cfg, PolicyConfig())
         thetas, b1s, degenerate = per_replicate_monte_carlo(cfg, PolicyConfig())
@@ -420,14 +459,14 @@ class TestBlockFit:
         assert built == [500]
 
     def test_first_refused_replicate_names_its_divergence(self, monkeypatch):
-        # a few replicates get actions too large to square, each its own maximum
-        draw = simulation._study_row
+        # about 5% of the rows get actions too large to square, each its own maximum
+        draw = simulation._draw_block
 
-        def sometimes_huge(policy, n, p_exposed, rng):
-            states, actions = draw(policy, n, p_exposed, rng)
-            return states, actions * 1e80 if rng.random() < 0.05 else actions
+        def sometimes_huge(*args):
+            states, actions = draw(*args)
+            return states, np.where(actions[:, :1] % 1.0 < 0.05, actions * 1e80, actions)
 
-        monkeypatch.setattr(simulation, "_study_row", sometimes_huge)
+        monkeypatch.setattr(simulation, "_draw_block", sometimes_huge)
         cfg = McConfig(n_per_dataset=50, num_datasets=400, seed=0)
         with pytest.raises(InputError) as block:
             run_monte_carlo(cfg, PolicyConfig())
@@ -437,21 +476,97 @@ class TestBlockFit:
         assert "at most 1e+150, got " in str(block.value)
 
     def test_degenerate_sweep_replicate_raises_the_estimator_error(self, monkeypatch):
-        def all_optimal(cfg, n, p_exposed, rng):
-            states = np.r_[np.ones(n // 2, dtype=int), np.zeros(n - n // 2, dtype=int)]
-            return states, np.zeros(n)
+        drawn = []
 
-        monkeypatch.setattr(simulation, "_iid_row", all_optimal)
-        with pytest.raises(DegenerateObjectiveError, match="no curvature"):
-            consistency_sweep(PolicyConfig(), [10], 5, seed=1)
+        def all_optimal(policy, rows, n, p_exposed, rngs, iid=False):
+            drawn.append(n)
+            return half_exposed(rows, n, 0.0)
+
+        monkeypatch.setattr(simulation, "_draw_block", all_optimal)
+        with pytest.raises(DegenerateObjectiveError, match="no curvature") as swept:
+            consistency_sweep(PolicyConfig(), [10, 20], 5, seed=1)
+        # the first degenerate block raises: nothing is drawn after it, or again
+        assert drawn == [10]
+        with pytest.raises(DegenerateObjectiveError) as alone:
+            per_replicate_sweep(PolicyConfig(), [10], 5, 1, 0.0)
+        assert str(swept.value) == str(alone.value)
 
     def test_sweep_rejects_a_single_animal_before_drawing(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("a replicate was drawn")
 
-        monkeypatch.setattr(simulation, "_iid_row", no_draw)
+        monkeypatch.setattr(simulation, "_draw_block", no_draw)
         with pytest.raises(InputError, match="n must be >= 2, got 1"):
             consistency_sweep(PolicyConfig(), [1, 10], 5, seed=1)
+
+
+def numpy_block(cfg, rows, n, p_exposed, rngs, iid):
+    """One block of the studies' stream contract, restated in plain numpy calls."""
+    shape_rng, state_rng, action_rng = rngs
+    exposed = state_rng.random((rows, n)) < p_exposed
+    while unmixed := [i for i, row in enumerate(exposed) if row.all() or not row.any()]:
+        exposed[unmixed] = state_rng.random((len(unmixed), n)) < p_exposed
+
+    def positive_shapes(s, size):
+        mu, sd, mult = cfg.shape_params(s)
+        shapes = mult * shape_rng.normal(mu, sd, size)
+        while (bad := shapes <= 0.0).any():
+            shapes[bad] = mult * shape_rng.normal(mu, sd, bad.sum())
+        return shapes
+
+    alphas = np.empty((rows, n))
+    if iid:
+        alphas[exposed] = positive_shapes(1, exposed.sum())
+        alphas[~exposed] = positive_shapes(0, (~exposed).sum())
+    else:
+        exposed_shapes, control_shapes = positive_shapes(1, rows), positive_shapes(0, rows)
+        alphas[:] = np.where(exposed, exposed_shapes[:, None], control_shapes[:, None])
+    actions = action_rng.gamma(alphas, 1.0 / cfg.rate)
+    return exposed.astype(int), np.maximum(actions, np.finfo(float).tiny)
+
+
+class TestStreams:
+    """Each study draws its replicates from three generators: shapes, states and actions."""
+
+    @pytest.mark.parametrize("iid", [False, True], ids=["study", "iid"])
+    @pytest.mark.parametrize(
+        "cfg, n, p_exposed",
+        # frequent regenerations, frequent rejections, a negative multiplier, the paper's design
+        [(PolicyConfig(rate=2.5), 2, 0.05), (PolicyConfig(mu1=-1.0, mu2=-1.0), 3, 0.3),
+         (PolicyConfig(shape_multiplier_exposed=-1.0), 10, 0.2), (PolicyConfig(), 50, 0.5)],
+    )
+    def test_a_block_is_these_numpy_calls(self, cfg, n, p_exposed, iid):
+        ours, theirs = streams(11), streams(11)
+        # consecutive blocks of several sizes continue the same three streams
+        for rows in (40, 1, 17):
+            states, actions = simulation._draw_block(cfg, rows, n, p_exposed, ours, iid)
+            expected_states, expected_actions = numpy_block(cfg, rows, n, p_exposed, theirs, iid)
+            assert states.tolist() == expected_states.tolist()
+            assert bits(actions) == bits(expected_actions)
+        assert [rng.random() for rng in ours] == [rng.random() for rng in theirs]
+
+    @staticmethod
+    def count_generators(monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        return built
+
+    @pytest.mark.parametrize("datasets", [400, 2000])
+    def test_three_generators_per_monte_carlo_call(self, datasets, monkeypatch):
+        built = self.count_generators(monkeypatch)
+        run_monte_carlo(McConfig(num_datasets=datasets, seed=0), PolicyConfig())
+        assert len(built) == 3
+
+    def test_three_generators_per_sweep_sample_size(self, monkeypatch):
+        built = self.count_generators(monkeypatch)
+        consistency_sweep(PolicyConfig(), [50, 200, 800], 200, seed=0)
+        assert len(built) == 9
 
 
 class TestMonteCarlo:
@@ -486,11 +601,10 @@ class TestMonteCarlo:
         assert result.frac_theta_below_half > 0.70
 
     def test_all_degenerate_replicates_raise_study_error(self, monkeypatch):
-        def all_optimal(policy, n, p_exposed, rng):
-            states = np.r_[np.ones(n // 2, dtype=int), np.zeros(n - n // 2, dtype=int)]
-            return states, np.zeros(n)
+        def all_optimal(policy, rows, n, p_exposed, rngs, iid=False):
+            return half_exposed(rows, n, 0.0)
 
-        monkeypatch.setattr(simulation, "_study_row", all_optimal)
+        monkeypatch.setattr(simulation, "_draw_block", all_optimal)
         with pytest.raises(StudyError):
             run_monte_carlo(McConfig(num_datasets=5, seed=1), PolicyConfig())
 
@@ -503,10 +617,11 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("n, p_exposed", RARELY_MIXED)
     def test_an_assignment_that_is_rarely_mixed_is_refused(self, n, p_exposed):
         # exp(-q * MAX_ASSIGNMENT_RETRIES) > 1e-9, where q = 1 - p^n - (1-p)^n
-        start = time.perf_counter()
-        with pytest.raises(ConfigurationError, match="probability q = "):
-            McConfig(n_per_dataset=n, p_exposed=p_exposed)
-        assert time.perf_counter() - start < 0.05
+        def refuse():
+            with pytest.raises(ConfigurationError, match="probability q = "):
+                McConfig(n_per_dataset=n, p_exposed=p_exposed)
+
+        assert fastest_of_three(refuse) < 0.05
 
     @pytest.mark.parametrize(
         "n, p_exposed",
@@ -517,8 +632,8 @@ class TestMonteCarlo:
     def test_every_design_in_use_constructs(self, n, p_exposed):
         McConfig(n_per_dataset=n, p_exposed=p_exposed)
 
-    def test_spawned_streams_are_built_one_replicate_at_a_time(self):
-        # spawning all 20000 SeedSequence children up front traces a 9.7 MB peak
+    def test_working_memory_stays_bounded_at_many_datasets(self):
+        # the draws are made a block of at most 16384 entries at a time
         cfg = McConfig(n_per_dataset=2, num_datasets=20_000, seed=0)
         run_monte_carlo(McConfig(n_per_dataset=2, num_datasets=10, seed=0), PolicyConfig())
         tracemalloc.start()
@@ -569,11 +684,10 @@ class TestConsistencySweep:
 
 class TestConvergenceProbe:
     def test_constant_actions_give_zero_objective_everywhere(self, monkeypatch):
-        def constant(policy, n, p_exposed, rng):
-            states = np.r_[np.ones(n // 2, dtype=int), np.zeros(n - n // 2, dtype=int)]
-            return states, np.full(n, 3.0)
+        def constant(policy, rows, n, p_exposed, rngs, iid=False):
+            return half_exposed(rows, n, 3.0)
 
-        monkeypatch.setattr(simulation, "_iid_row", constant)
+        monkeypatch.setattr(simulation, "_draw_block", constant)
         probe = objective_convergence_probe(
             PolicyConfig(), [10, 20], 5, theta_fixed=0.5, seed=1, oracle_n=100
         )
@@ -602,12 +716,20 @@ class TestConvergenceProbe:
             objective_convergence_probe(PolicyConfig(), [10], replicates, 0.3, 0, oracle_n=100)
 
     def test_single_animal_sample_size_rejected_before_sampling(self, monkeypatch):
-        def no_draw(n, p_exposed, rng):
+        def no_draw(*args):
             raise AssertionError("exposures drawn before the sample sizes were checked")
 
-        monkeypatch.setattr(simulation, "_draw_mixed_states", no_draw)
+        monkeypatch.setattr(simulation, "_draw_block", no_draw)
         with pytest.raises(InputError):
             objective_convergence_probe(PolicyConfig(), [1, 10], 2, 0.3, 0, oracle_n=100)
+
+    def test_a_single_animal_oracle_is_refused_before_sampling(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a replicate was drawn before oracle_n was checked")
+
+        monkeypatch.setattr(simulation, "_draw_block", no_draw)
+        with pytest.raises(InputError, match="oracle_n: n must be >= 2, got 1"):
+            objective_convergence_probe(PolicyConfig(), [100, 400, 1600], 200, 0.3, 0, oracle_n=1)
 
 
 def test_estimates_concentrate_below_half_under_default_policy():
