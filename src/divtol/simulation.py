@@ -15,8 +15,8 @@ animals more active (larger actions).
 Two sampling designs are exposed, and the distinction matters:
 
 * :func:`generate_dataset` draws fresh shape noise for every animal, so the
-  observations are iid from one fixed compound policy.  This is the design
-  the consistency and convergence probes need.
+  observations are iid from one fixed compound policy, whose moments are
+  closed forms.  This is the design the consistency and convergence probes need.
 * :func:`run_monte_carlo` realizes the policy once per replicate dataset
   (one eps1 and one eps2 shared by all its animals, as :func:`draw_policy`
   and :func:`generate_study_dataset` draw them).  Group contrasts then vary
@@ -45,7 +45,6 @@ from .estimator import (
     _require_seed,
     _require_theta,
     estimate_theta,
-    variance_objective,
 )
 
 __all__ = [
@@ -218,9 +217,9 @@ class ProbeRow:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Centered, sqrt(n)-scaled objective fluctuations per sample size."""
+    """sqrt(n)-scaled fluctuations per sample size around the objective's exact limit ``psi_0``."""
 
-    psi_hat_0: float
+    psi_0: float
     rows: tuple[ProbeRow, ...] = field(default_factory=tuple)
 
 
@@ -254,6 +253,29 @@ def _positive_shapes(cfg: PolicyConfig, s: int, size, rng: np.random.Generator) 
         f"gave up after {MAX_REJECTIONS} rejected shape draws "
         f"(mu={mu}, sd={sd}); the positive region has negligible mass"
     )
+
+
+def _shape_moments(cfg: PolicyConfig, s: int) -> list[float]:
+    """Raw moments 0-4 of state s's shape, ``N(mu, sd^2)`` scaled by mult and truncated to > 0.
+
+    ``m_1 = mu + sd phi(mu/sd) / Phi(mu/sd)`` and ``m_k = mu m_{k-1} + (k-1) sd^2 m_{k-2}``.
+    """
+    mu, sd, mult = cfg.shape_params(s)
+    mu, sd, z = mult * mu, abs(mult) * sd, math.copysign(1.0, mult) * mu / sd
+    m = [1.0, mu + sd * math.sqrt(2 / math.pi) * math.exp(-z * z / 2) / math.erfc(-z / 2**0.5)]
+    for k in range(2, 5):
+        m.append(mu * m[-1] + (k - 1) * sd * sd * m[-2])
+    return m
+
+
+def _divergence_moments(cfg: PolicyConfig, s: int, optimal: float) -> tuple[float, float]:
+    """E[D] and E[D^2], D = (a - optimal)^2, for an iid action a of exposure state s.
+
+    ``E[a^k | alpha] = alpha (alpha+1) ... (alpha+k-1) / rate^k``; D's are binomial sums.
+    """
+    m = _shape_moments(cfg, s)
+    action = [1.0] + [np.poly(-np.arange(k))[::-1] @ m[: k + 1] * cfg.rate**-k for k in range(1, 5)]
+    return tuple(float(np.poly([optimal] * k)[::-1] @ action[: k + 1]) for k in (2, 4))
 
 
 def _draw_mixed_states(
@@ -461,12 +483,11 @@ def _iid_study(
     ``SeedSequence([seed, n])``, so a repeated n gives the same rows.  The
     arguments are checked before anything is drawn.
     """
-    if list(ns) != sorted(ns):
-        raise InputError("ns must be non-decreasing")
+    if not ns or list(ns) != sorted(ns):
+        raise InputError(f"ns must be non-empty and non-decreasing, got {ns!r}")
     if replicates < 2:
         raise InputError("replicates must be >= 2")
-    if ns:
-        _require_design(ns[0], 0.5, InputError)
+    _require_design(ns[0], 0.5, InputError)
     _require_seed(seed)
     return [
         _fit_replicates(policy, replicates, n, 0.5, [seed, n], spec, fit_block, iid=True)
@@ -511,23 +532,17 @@ def objective_convergence_probe(
     theta_fixed: float,
     seed: int,
     optimal_action: float = 0.0,
-    oracle_n: int = 10**6,
 ) -> ProbeResult:
-    """Fluctuations of the objective around its large-sample value.
+    """Fluctuations of the objective around its large-sample limit ``Psi_0``.
 
-    The objective at a fixed theta converges to a positive constant, so the
-    probe centers it: it reports, per sample size, the mean of the raw
-    objective and the mean and sd of ``sqrt(n) * (Psi_n - Psi_hat_0)``, where
-    ``Psi_hat_0`` comes from a single size-``oracle_n`` replicate.  A stable
-    sd across sample sizes is consistent with an O_P(1) centered fluctuation.
-    Each replicate's objective has the bits of :func:`variance_objective` on
-    its dataset, taken from the group moments of a block of replicates.
+    Per sample size, the mean of the raw objective and the mean and sd of
+    ``sqrt(n) * (Psi_n - Psi_0)``; a stable sd across sample sizes is consistent with an
+    O_P(1) centered fluctuation.  ``Psi_0`` is the iid design's limit at ``p = 1/2``
+    (:func:`_divergence_moments`), taken after the draws so that divergences too large to
+    fit raise their error.  Each replicate's objective has the bits of
+    :func:`variance_objective` on its dataset, from the group moments of a block of them.
     """
     theta = _require_theta(theta_fixed)
-    try:
-        _require_design(oracle_n, 0.5, InputError)
-    except InputError as exc:
-        raise InputError(f"oracle_n: {exc}") from None
     spec = DivergenceSpec(optimal=np.array([optimal_action]))
 
     def objectives(states, actions, d):
@@ -535,13 +550,12 @@ def objective_convergence_probe(
         return (np.array([_group_objective(theta, r[e], r[~e]) for r, e in zip(d, exposed)]),)
 
     fits = _iid_study(policy, ns, replicates, seed, spec, objectives)
-    oracle = generate_dataset(policy, oracle_n, 0.5, np.random.default_rng([seed, 0]))
-    psi_hat_0 = variance_objective(theta, oracle, spec)
+    (m_e, sq_e), (m_c, sq_c) = (_divergence_moments(policy, s, optimal_action) for s in (1, 0))
+    loss = theta * m_e + (1 - theta) * m_c
+    psi_0 = theta * theta * sq_e + (1 - theta) * (1 - theta) * sq_c - loss * loss / 2
 
     rows = []
     for n, (psis,) in zip(ns, fits):
-        scaled = np.sqrt(n) * (psis - psi_hat_0)
-        rows.append(
-            ProbeRow(n, float(psis.mean()), float(scaled.mean()), float(scaled.std(ddof=1)))
-        )
-    return ProbeResult(psi_hat_0=psi_hat_0, rows=tuple(rows))
+        mean, root_n = float(psis.mean()), math.sqrt(n)
+        rows.append(ProbeRow(n, mean, root_n * (mean - psi_0), root_n * float(psis.std(ddof=1))))
+    return ProbeResult(psi_0=psi_0, rows=tuple(rows))

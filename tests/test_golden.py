@@ -80,7 +80,7 @@ MC_SHA256 = "de3f54c05fa794a27426e0c386ff8072ed881aa7e814ac7f5ffcb52a7eba26c1"
 ESTIMATE_OUT_SHA256 = "47c64fcb288237d4ef26c25ff68e15fef962cc2ac9eb8c9a3b9289a6d04fc30f"
 IID_DATASET_SHA256 = "a5e3a205e921c8409bcfeb17dc900f704b65caa9ef72f812de1681fc4f379780"
 SWEEP_SHA256 = "226014da0352b962857d39a0b923e0cbd099261694d85576d193abb6bf35db96"
-PROBE_SHA256 = "3dbea85f20ee09eda7f744547b0ad88a3515182449cca7f564ce40d599b48fe2"
+PROBE_SHA256 = "8e917c85ad8fe947e0f0272a71798a9d1cd8d269b64d1abaa5605de4a7b230bd"
 # a non-unit rate, at n=2 and 3 with p_exposed=0.05 so that regenerations are frequent
 RATE_2_5_SHA256 = {
     ("monte-carlo", 2): "e3d22a961634d63a2507de95fb6606f230b66bf4c0c052815d8b3a0217fb9780",
@@ -267,9 +267,7 @@ def test_datasets_at_a_non_unit_rate_are_bitwise_pinned(design, n):
 
 
 def test_convergence_probe_is_bitwise_pinned():
-    probe = objective_convergence_probe(
-        PolicyConfig(), [2, 50, 200], 50, 0.3, seed=0, oracle_n=20_000
-    )
+    probe = objective_convergence_probe(PolicyConfig(), [2, 50, 200], 50, 0.3, seed=0)
     assert sha256(repr(probe).encode()) == PROBE_SHA256
 
 

@@ -31,6 +31,7 @@ from divtol import (
 )
 from divtol.errors import ConfigurationError
 from divtol.estimator import BOOTSTRAP_BLOCK_ELEMENTS
+from policy_limits import psi_limit, theta_limit
 
 
 def fastest_of_three(call):
@@ -61,9 +62,17 @@ def streams(entropy):
 
 def truncated_shape_mean(mu, sd, mult, rate=1.0):
     """Numeric-integration oracle: E[mult * eps | mult * eps > 0] / rate."""
-    mass = 1.0 - stats.norm.cdf(0.0, mu, sd)
-    numerator = integrate.quad(lambda e: e * stats.norm.pdf(e, mu, sd), 0.0, mu + 12 * sd)[0]
+    lo, hi = (0.0, mu + 12 * sd) if mult > 0 else (mu - 12 * sd, 0.0)
+    mass = abs(stats.norm.cdf(hi, mu, sd) - stats.norm.cdf(lo, mu, sd))
+    numerator = integrate.quad(lambda e: e * stats.norm.pdf(e, mu, sd), lo, hi)[0]
     return mult * numerator / mass / rate
+
+
+def truncated_shape_moments(mu, sd, mult):
+    """scipy's raw moments 1-4 of the shape mult * eps, eps ~ N(mu, sd^2) truncated to > 0."""
+    lo, hi = (0.0, np.inf) if mult > 0 else (-np.inf, 0.0)
+    law = stats.truncnorm((lo - mu) / sd, (hi - mu) / sd, loc=mu, scale=sd)
+    return [mult**k * law.moment(k) for k in range(1, 5)]
 
 
 def iid_row(cfg, n, p_exposed, seed):
@@ -82,11 +91,23 @@ class TestSamplePolicy:
         states, actions = iid_row(PolicyConfig(), 100_000, 0.5, 1)
         assert actions[states == 1].mean() > actions[states == 0].mean()
 
-    def test_vectorized_sampler_matches_integration_oracle(self):
-        for state, (mu, sd, mult) in ((1, (2.0, 1.0, 2.0)), (0, (2.0, 2.0, 1.0))):
-            _, actions = iid_row(PolicyConfig(), 10**6, float(state), 3)
-            oracle = truncated_shape_mean(mu, sd, mult)
-            assert abs(actions.mean() - oracle) / oracle < 0.005
+    @pytest.mark.parametrize(
+        "cfg, state",
+        [(PolicyConfig(), 1), (PolicyConfig(), 0), (PolicyConfig(rate=2.5), 1),
+         (PolicyConfig(mu1=-1.0, shape_multiplier_exposed=-1.5), 1),
+         (PolicyConfig(mu2=-1.0), 0)],
+        ids=["exposed", "control", "rate-2.5", "negative-multiplier", "control-mostly-truncated"],
+    )
+    def test_vectorized_sampler_matches_integration_oracle(self, cfg, state):
+        mu, sd, mult = cfg.shape_params(state)
+        _, actions = iid_row(cfg, 10**6, float(state), 3)
+        oracle = truncated_shape_mean(mu, sd, mult, cfg.rate)
+        assert abs(actions.mean() - oracle) / oracle < 0.005
+        # the closed-form shape moments behind the probe's limit
+        moments = simulation._shape_moments(cfg, state)
+        assert moments[0] == 1.0
+        assert moments[1] == pytest.approx(oracle * cfg.rate, rel=1e-9)
+        assert moments[1:] == pytest.approx(truncated_shape_moments(mu, sd, mult), rel=1e-13)
 
     def test_all_draws_positive(self):
         # mostly-negative shape noise, in both designs
@@ -344,20 +365,17 @@ def per_replicate_sweep(policy, ns, replicates, seed, optimal_action):
     return rows
 
 
-def per_replicate_probe(policy, ns, replicates, theta_fixed, seed, oracle_n):
+def per_replicate_probe(policy, ns, replicates, theta_fixed, seed):
     """Oracle: each iid row's objective from variance_objective on its own dataset."""
     spec = DivergenceSpec(optimal=np.array([0.0]))
-    oracle = generate_dataset(
-        policy, oracle_n, 0.5, np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    )
-    psi_hat_0 = variance_objective(theta_fixed, oracle, spec)
+    psi_0 = psi_limit(policy, theta_fixed)
     rows = []
     for n in ns:
         drawn = drawn_rows(policy, replicates, n, 0.5, [seed, n], iid=True)
         psis = np.array([variance_objective(theta_fixed, row_dataset(*row), spec) for row in drawn])
-        scaled = np.sqrt(n) * (psis - psi_hat_0)
-        rows.append((n, float(psis.mean()), float(scaled.mean()), float(scaled.std(ddof=1))))
-    return psi_hat_0, rows
+        mean, root_n = float(psis.mean()), np.sqrt(n)
+        rows.append((n, mean, root_n * (mean - psi_0), root_n * float(psis.std(ddof=1))))
+    return psi_0, rows
 
 
 def bits(values):
@@ -432,17 +450,13 @@ class TestBlockFit:
     def test_probe_matches_the_per_replicate_path(self, n, replicates, theta_fixed):
         # the last block is partial, or every block is one row
         assert block_rows(n) == 1 or replicates % block_rows(n)
-        probe = objective_convergence_probe(
-            PolicyConfig(), [n], replicates, theta_fixed, seed=n, oracle_n=1000
-        )
-        psi_hat_0, oracle = per_replicate_probe(
-            PolicyConfig(), [n], replicates, theta_fixed, n, oracle_n=1000
-        )
-        assert bits([probe.psi_hat_0]) == bits([psi_hat_0])
+        probe = objective_convergence_probe(PolicyConfig(), [n], replicates, theta_fixed, seed=n)
+        psi_0, oracle = per_replicate_probe(PolicyConfig(), [n], replicates, theta_fixed, n)
+        assert bits([probe.psi_0]) == bits([psi_0])
         got = [(r.n, bits([r.mean_psi, r.mean_scaled, r.sd_scaled])) for r in probe.rows]
         assert got == [(row[0], bits(row[1:])) for row in oracle]
 
-    def test_probe_builds_one_dataset_the_oracle(self, monkeypatch):
+    def test_probe_builds_no_dataset(self, monkeypatch):
         built = []
         post_init = Dataset.__post_init__
 
@@ -455,8 +469,8 @@ class TestBlockFit:
         generate_dataset(PolicyConfig(), 7, 0.5, np.random.default_rng(0))
         assert built == [7]
         built.clear()
-        objective_convergence_probe(PolicyConfig(), [10, 40], 20, 0.3, seed=0, oracle_n=500)
-        assert built == [500]
+        objective_convergence_probe(PolicyConfig(), [10, 40], 20, 0.3, seed=0)
+        assert built == []
 
     def test_first_refused_replicate_names_its_divergence(self, monkeypatch):
         # about 5% of the rows get actions too large to square, each its own maximum
@@ -688,22 +702,17 @@ class TestConvergenceProbe:
             return half_exposed(rows, n, 3.0)
 
         monkeypatch.setattr(simulation, "_draw_block", constant)
-        probe = objective_convergence_probe(
-            PolicyConfig(), [10, 20], 5, theta_fixed=0.5, seed=1, oracle_n=100
-        )
-        assert probe.psi_hat_0 == 0.0
+        probe = objective_convergence_probe(PolicyConfig(), [10, 20], 5, theta_fixed=0.5, seed=1)
+        # the centre is the policy's limit, which the constant actions do not follow
+        assert probe.psi_0 == psi_limit(PolicyConfig(), 0.5) > 0.0
         for row in probe.rows:
             assert row.mean_psi == 0.0
-            assert row.mean_scaled == 0.0
+            assert row.mean_scaled == -np.sqrt(row.n) * probe.psi_0
             assert row.sd_scaled == 0.0
 
     def test_rows_depend_only_on_seed_n_and_replicates(self):
-        probe_a = objective_convergence_probe(
-            PolicyConfig(), [100, 400], 10, theta_fixed=0.3, seed=2, oracle_n=10_000
-        )
-        probe_b = objective_convergence_probe(
-            PolicyConfig(), [400], 10, theta_fixed=0.3, seed=2, oracle_n=10_000
-        )
+        probe_a = objective_convergence_probe(PolicyConfig(), [100, 400], 10, 0.3, seed=2)
+        probe_b = objective_convergence_probe(PolicyConfig(), [400], 10, 0.3, seed=2)
         assert probe_a.rows[1] == probe_b.rows[0]
 
     def test_invalid_theta_rejected(self):
@@ -713,7 +722,7 @@ class TestConvergenceProbe:
     @pytest.mark.parametrize("replicates", [0, 1])
     def test_fewer_than_two_replicates_rejected(self, replicates):
         with pytest.raises(InputError, match="replicates must be >= 2"):
-            objective_convergence_probe(PolicyConfig(), [10], replicates, 0.3, 0, oracle_n=100)
+            objective_convergence_probe(PolicyConfig(), [10], replicates, 0.3, 0)
 
     def test_single_animal_sample_size_rejected_before_sampling(self, monkeypatch):
         def no_draw(*args):
@@ -721,15 +730,58 @@ class TestConvergenceProbe:
 
         monkeypatch.setattr(simulation, "_draw_block", no_draw)
         with pytest.raises(InputError):
-            objective_convergence_probe(PolicyConfig(), [1, 10], 2, 0.3, 0, oracle_n=100)
+            objective_convergence_probe(PolicyConfig(), [1, 10], 2, 0.3, 0)
 
-    def test_a_single_animal_oracle_is_refused_before_sampling(self, monkeypatch):
-        def no_draw(*args):
-            raise AssertionError("a replicate was drawn before oracle_n was checked")
+    @pytest.mark.parametrize(
+        "cfg, optimal", [(PolicyConfig(), 1e80), (PolicyConfig(rate=1e-80), 0.0)]
+    )
+    def test_no_sample_sizes_are_refused_before_the_limit(self, cfg, optimal):
+        # with no draws to refuse them, these limits would overflow
+        with pytest.raises(InputError, match=r"ns must be non-empty and non-decreasing, got \[\]"):
+            objective_convergence_probe(cfg, [], 2, 0.3, 0, optimal_action=optimal)
 
-        monkeypatch.setattr(simulation, "_draw_block", no_draw)
-        with pytest.raises(InputError, match="oracle_n: n must be >= 2, got 1"):
-            objective_convergence_probe(PolicyConfig(), [100, 400, 1600], 200, 0.3, 0, oracle_n=1)
+    def test_an_optimum_too_far_to_square_is_refused_by_the_draws(self):
+        # the limit is taken after the draws, whose divergences near 1e160 are refused
+        with pytest.raises(InputError, match=r"divergences must be finite and at most 1e\+150"):
+            objective_convergence_probe(PolicyConfig(), [10], 2, 0.3, 0, optimal_action=1e80)
+
+    def test_the_objective_is_unbiased_for_its_finite_sample_mean(self):
+        # iid rewards: E[Psi_n] = (1 - 1/n) Psi_0, with standard error sd_scaled / sqrt(n * R)
+        replicates = 200
+        probe = objective_convergence_probe(PolicyConfig(), [100, 400, 1600], replicates, 0.3, 0)
+        assert probe.psi_0 == pytest.approx(289.6452828745844, rel=1e-12)
+        for row in probe.rows:
+            se = row.sd_scaled / np.sqrt(row.n * replicates)
+            assert abs(row.mean_psi - (1 - 1 / row.n) * probe.psi_0) <= 4 * se, row
+
+    def test_working_memory_stays_bounded(self):
+        # the limit is a closed form: no large oracle sample is held
+        objective_convergence_probe(PolicyConfig(), [10], 2, 0.3, seed=0)
+        tracemalloc.start()
+        try:
+            objective_convergence_probe(PolicyConfig(), [100, 400, 1600], 200, 0.3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, peak
+
+
+@pytest.mark.parametrize(
+    "cfg, optimal",
+    [(PolicyConfig(), 0.0), (PolicyConfig(rate=2.5), 1.0),
+     (PolicyConfig(mu1=-1.0, shape_multiplier_exposed=-1.5), 0.5)],
+    ids=["defaults", "rate-2.5", "negative-multiplier"],
+)
+def test_closed_form_limits_match_large_iid_draws(cfg, optimal):
+    # 50 replicates of 20000 animals each, for the objective at 0.3 and for the estimate
+    n, replicates = 20_000, 50
+    probe = objective_convergence_probe(cfg, [n], replicates, 0.3, seed=11, optimal_action=optimal)
+    (row,) = probe.rows
+    assert probe.psi_0 == psi_limit(cfg, 0.3, optimal)
+    z_psi = (row.mean_psi - (1 - 1 / n) * probe.psi_0) / (row.sd_scaled / np.sqrt(n * replicates))
+    (sweep,) = consistency_sweep(cfg, [n], replicates, seed=12, optimal_action=optimal)
+    z_theta = (sweep.mean_theta - theta_limit(cfg, optimal)) / (sweep.sd_theta / np.sqrt(replicates))
+    assert abs(z_psi) <= 4 and abs(z_theta) <= 4, (z_psi, z_theta)
 
 
 def test_estimates_concentrate_below_half_under_default_policy():
@@ -749,7 +801,7 @@ SEEDED_CALLS = {
     "McConfig": lambda seed: McConfig(seed=seed),
     "consistency_sweep": lambda seed: consistency_sweep(PolicyConfig(), [10], 2, seed=seed),
     "objective_convergence_probe": lambda seed: objective_convergence_probe(
-        PolicyConfig(), [10], 2, theta_fixed=0.3, seed=seed, oracle_n=100
+        PolicyConfig(), [10], 2, theta_fixed=0.3, seed=seed
     ),
 }
 
