@@ -44,7 +44,6 @@ from .errors import (
     DegenerateObjectiveError,
     DivtolError,
     InputError,
-    LinkageError,
 )
 from .estimator import (
     BOOTSTRAP_MAX_REPLICATES,
@@ -194,26 +193,22 @@ def _parse_args(argv: list[str] | None) -> Namespace:
 
 
 def _load_dataset(cfg: Namespace):
-    """Return the dataset, its layout and the exposure ids that have no actions."""
-    if not os.path.exists(cfg.exposures):
-        raise LinkageError(f"exposures file not found: {cfg.exposures}")
+    """Return the dataset and the exposure ids that have no actions."""
     exposures = parse_exposures(cfg.exposures)
     if cfg.bins is not None:
         sessions = parse_binned_counts(cfg.bins)
     else:
         sessions = bin_events(parse_events(cfg.events), StudyLayout())
-    ds, unmatched = assemble_dataset(exposures, average_sessions(sessions))
-    return ds, sessions.layout, unmatched
+    return assemble_dataset(exposures, average_sessions(sessions))
 
 
-def _build_spec(cfg: Namespace, layout: StudyLayout) -> DivergenceSpec:
+def _build_spec(cfg: Namespace, n_bins: int) -> DivergenceSpec:
     optimal = np.array(cfg.optimal, dtype=float)
-    if optimal.shape[0] != layout.n_bins:
-        raise InputError(
-            f"--optimal has length {optimal.shape[0]} but the data has {layout.n_bins} bins"
-        )
+    if optimal.shape[0] != n_bins:
+        raise InputError(f"--optimal has length {optimal.shape[0]} but the data has {n_bins} bins")
     weights = None
     if cfg.weights == "sixty-minus-midpoint":
+        layout = StudyLayout(n_bins)
         weights = layout.interval_length_s - layout.midpoints
     return DivergenceSpec(optimal=optimal, norm=Norm(cfg.norm), weights=weights)
 
@@ -293,8 +288,8 @@ def _flatten(obj: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 
 def cmd_estimate(cfg: Namespace) -> None:
-    ds, layout, unmatched = _load_dataset(cfg)
-    spec = _build_spec(cfg, layout)
+    ds, unmatched = _load_dataset(cfg)
+    spec = _build_spec(cfg, ds.dimension)
     result = estimate_theta(ds, spec)
     interval = None
     if cfg.bootstrap is not None:
@@ -311,8 +306,8 @@ def cmd_estimate(cfg: Namespace) -> None:
 
 
 def cmd_curves(cfg: Namespace) -> None:
-    ds, layout, unmatched = _load_dataset(cfg)
-    spec = _build_spec(cfg, layout)
+    ds, unmatched = _load_dataset(cfg)
+    spec = _build_spec(cfg, ds.dimension)
     grid = np.linspace(0.0, 1.0, grid_intervals(cfg.grid_step) + 1)
     curves = reward_curves(ds, spec, grid)
     try:
@@ -365,7 +360,7 @@ def cmd_ingest_check(cfg: Namespace) -> None:
     violations: list[str] = []
     n = dimension = unmatched = None
     try:
-        ds, _, unmatched = _load_dataset(cfg)
+        ds, unmatched = _load_dataset(cfg)
     except DivtolError as exc:
         violations.append(f"{type(exc).__name__}: {exc}")
     else:

@@ -27,8 +27,8 @@ press-time and session errors name the mouse or the value instead.
 
 Raw events are binned on an idealized fixed-interval clock: a press at time
 t lands in bin ``floor((t mod interval_length) / bin_width)``.  Either way
-the result is a :class:`Sessions`, which carries its :class:`StudyLayout`
-and refuses counts of another width, so no later step takes a layout.
+the result is a :class:`Sessions`, whose :class:`StudyLayout` is read off
+its counts' width, so no later step takes a layout.
 Per-mouse actions are the componentwise mean of that mouse's session count
 vectors; mice with missing sessions are averaged over the sessions they do
 have rather than imputing zero-count sessions.
@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -64,23 +64,18 @@ _INT64 = np.iinfo(np.int64)
 
 @dataclass(frozen=True)
 class StudyLayout:
-    """Interval geometry of the study: 60 s intervals in 5 s bins by default."""
+    """Interval geometry of the study: a 60 s interval in ``n_bins`` equal bins, 5 s by default."""
 
-    interval_length_s: float = 60.0
-    bin_width_s: float = 5.0
+    n_bins: int = 12
+    interval_length_s: ClassVar[float] = 60.0
 
     def __post_init__(self):
-        if not (0 < self.interval_length_s < math.inf and 0 < self.bin_width_s < math.inf):
-            raise InputError("interval and bin lengths must be positive and finite")
-        ratio = self.interval_length_s / self.bin_width_s
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise InputError(
-                f"bin width {self.bin_width_s} must divide interval length {self.interval_length_s}"
-            )
+        if not isinstance(self.n_bins, int) or self.n_bins < 1:
+            raise InputError(f"bin count must be an integer >= 1, got {self.n_bins!r}")
 
     @property
-    def n_bins(self) -> int:
-        return int(round(self.interval_length_s / self.bin_width_s))
+    def bin_width_s(self) -> float:
+        return self.interval_length_s / self.n_bins
 
     @property
     def midpoints(self) -> np.ndarray:
@@ -90,50 +85,43 @@ class StudyLayout:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Sessions:
-    """Per-(mouse, session) bin counts held as columns, with their layout.
+    """Per-(mouse, session) bin counts held as columns.
 
     ``mouse_ids`` lists each mouse once, in the order its first row appears;
     ``codes[i]`` indexes it for row ``i``.  ``session`` is an int64 array of
-    shape (rows,), ``counts`` an int64 array of shape (rows, d) with
-    d = ``layout.n_bins``, and ``line_numbers`` the source line of each row,
-    used only in error messages.  Construction refuses counts of any other
-    width.
+    shape (rows,) and ``counts`` an int64 array of shape (rows, d); the
+    width d sets the :attr:`layout`.
     """
 
-    layout: StudyLayout
     mouse_ids: tuple[str, ...]
     codes: np.ndarray
     session: np.ndarray
     counts: np.ndarray
-    line_numbers: np.ndarray
 
     def __post_init__(self):
-        d = self.layout.n_bins
-        if len(self) and self.counts.shape[1] != d:
-            raise InputError(
-                f"session counts for mouse {self.mouse_ids[self.codes[0]]!r} have length "
-                f"{self.counts.shape[1]}, layout declares {d} bins"
-            )
         self.session.setflags(write=False)
         self.counts.setflags(write=False)
 
     def __len__(self) -> int:
         return self.codes.shape[0]
 
+    @property
+    def layout(self) -> StudyLayout:
+        return StudyLayout(self.counts.shape[1])
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Events:
     """Raw press events held as columns, one entry per press.
 
-    ``mouse_ids``, ``codes``, ``session`` and ``line_numbers`` are as in
-    :class:`Sessions`; ``time`` holds the float64 press times in seconds.
+    ``mouse_ids``, ``codes`` and ``session`` are as in :class:`Sessions`;
+    ``time`` holds the float64 press times in seconds.
     """
 
     mouse_ids: tuple[str, ...]
     codes: np.ndarray
     session: np.ndarray
     time: np.ndarray
-    line_numbers: np.ndarray
 
     def __len__(self) -> int:
         return self.codes.shape[0]
@@ -339,15 +327,15 @@ def _bins_row_error(row: list[str], line: int) -> DivtolError | None:
     return None
 
 
-def _check_sessions(sessions: Sessions) -> None:
+def _check_sessions(sessions: Sessions, lines: np.ndarray) -> None:
     """Raise the first row with a negative count, a session below 1 or a repeated key.
 
-    Within a row the checks run in that order, as a row-by-row reader's do.
-    A stable sort on (mouse, session) puts each repeat after the row it
-    repeats.
+    ``lines`` holds each row's line number.  Within a row the checks run in
+    that order, as a row-by-row reader's do.  A stable sort on
+    (mouse, session) puts each repeat after the row it repeats.
     """
     n = len(sessions)
-    codes, session, lines = sessions.codes, sessions.session, sessions.line_numbers
+    codes, session = sessions.codes, sessions.session
     order = np.lexsort((session, codes))
     starts = _run_starts(codes[order], session[order])
     first_of_key = np.empty(n, np.intp)
@@ -378,33 +366,23 @@ def parse_binned_counts(path) -> Sessions:
     counts, all within int64, and each (mouse_id, session) pair at most
     once; a repeat names both lines.
     """
-    layout = None
 
     def numeric(header: list[str]) -> list[type]:
-        nonlocal layout
         if len(header) < 3:
             raise InputError(f"cannot infer bin count from header of {path}")
-        layout = StudyLayout(interval_length_s=60.0, bin_width_s=60.0 / (len(header) - 2))
-        expected_header = ["mouse_id", "session"] + [f"b{j}" for j in range(layout.n_bins)]
+        expected_header = ["mouse_id", "session"] + [f"b{j}" for j in range(len(header) - 2)]
         if header != expected_header:
             raise SchemaError(
                 f"expected header '{','.join(expected_header)}', got '{','.join(header)}'",
                 line_number=1,
             )
-        return [int] * (layout.n_bins + 1)
+        return [int] * (len(header) - 1)
 
     mouse_ids, codes, (session, *counts), lines, fault = _table(
         path, numeric, SchemaError, _bins_row_error
     )
-    sessions = Sessions(
-        layout=layout,
-        mouse_ids=mouse_ids,
-        codes=codes,
-        session=session,
-        counts=np.column_stack(counts),
-        line_numbers=lines,
-    )
-    _check_sessions(sessions)
+    sessions = Sessions(mouse_ids, codes, session, np.column_stack(counts))
+    _check_sessions(sessions, lines)
     if fault is not None:
         raise fault
     return sessions
@@ -429,12 +407,12 @@ def parse_events(path) -> Events:
             raise SchemaError("expected header 'mouse_id,session,press_time_s'", line_number=1)
         return [int, float]
 
-    mouse_ids, codes, (session, time), lines, fault = _table(
+    mouse_ids, codes, (session, time), _, fault = _table(
         path, numeric, ParseError, _events_row_error
     )
     if fault is not None:
         raise fault
-    return Events(mouse_ids, codes, session, time, lines)
+    return Events(mouse_ids, codes, session, time)
 
 
 def bin_events(events: Events, layout: StudyLayout) -> Sessions:
@@ -469,14 +447,8 @@ def bin_events(events: Events, layout: StudyLayout) -> Sessions:
     row = np.cumsum(starts) - 1
     n_rows = session.shape[0]
     counts = np.bincount(row * d + bins[order], minlength=n_rows * d).reshape(n_rows, d)
-    return Sessions(
-        layout=layout,
-        mouse_ids=tuple(map(events.mouse_ids.__getitem__, by_name)),
-        codes=mouse[starts],
-        session=session,
-        counts=counts,
-        line_numbers=events.line_numbers[order[starts]],
-    )
+    mouse_ids = tuple(map(events.mouse_ids.__getitem__, by_name))
+    return Sessions(mouse_ids, mouse[starts], session, counts)
 
 
 def average_sessions(sessions: Sessions) -> dict[str, np.ndarray]:
@@ -492,7 +464,7 @@ def average_sessions(sessions: Sessions) -> dict[str, np.ndarray]:
     # a weighted bincount adds each column's float64 weights in row order
     sums = np.column_stack([np.bincount(codes, c, m) for c in sessions.counts.T])
     per_mouse = np.bincount(codes, minlength=m)
-    if sessions.layout.n_bins == 1 and sums.max(initial=0.0) >= 2.0**53:
+    if sessions.counts.shape[1] == 1 and sums.max(initial=0.0) >= 2.0**53:
         order = np.argsort(codes, kind="stable")
         groups = np.split(sessions.counts[order], np.cumsum(per_mouse)[:-1])
         means = np.array([np.mean(g, axis=0) for g in groups])

@@ -11,13 +11,9 @@ from divtol import Events, ingest
 
 
 def events_from_tuples(events) -> Events:
-    """The :class:`Events` of ``events``, ids coded as the parsers code them, rows on lines 1..n."""
+    """The :class:`Events` of ``events``, ids coded as the parsers code them."""
     ids, sessions, times = list(zip(*events)) or [(), (), ()]
     mouse_ids, codes = ingest._codes(ids)
     return Events(
-        mouse_ids,
-        codes,
-        np.array(sessions, dtype=np.int64),
-        np.array(times, dtype=np.float64),
-        np.arange(1, len(ids) + 1),
+        mouse_ids, codes, np.array(sessions, dtype=np.int64), np.array(times, dtype=np.float64)
     )

@@ -124,15 +124,18 @@ class TestEstimate:
         assert interval["replicates"] == 200
         assert 0.0 <= interval["lo"] <= interval["hi"] <= 1.0
 
-    def test_missing_exposures_file_is_a_linkage_error(self, two_mouse_files, tmp_path, capsys):
+    def test_missing_exposures_file_is_a_parse_error(self, two_mouse_files, tmp_path, capsys):
         _, bins = two_mouse_files
+        absent = tmp_path / "absent.csv"
         code, _, stderr = run(
-            ["--command", "estimate", "--exposures", str(tmp_path / "absent.csv"),
+            ["--command", "estimate", "--exposures", str(absent),
              "--bins", bins, "--optimal", "1", "--out", str(tmp_path / "r.json")],
             capsys,
         )
         assert code == 1
-        assert json.loads(stderr)["error"]["class"] == "LinkageError"
+        error = json.loads(stderr)["error"]
+        assert error["class"] == "ParseError"
+        assert error["message"].startswith(f"cannot read {absent}: ")
 
     def test_missing_bins_file_is_a_parse_error(self, two_mouse_files, tmp_path, capsys):
         exposures, _ = two_mouse_files
@@ -763,7 +766,9 @@ def strict_json(text):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    command=st.sampled_from(["estimate", "ingest-check"]),
+    command=st.sampled_from(
+        [["estimate"], ["estimate", "--bootstrap", "100"], ["curves"], ["ingest-check"]]
+    ),
     source=st.sampled_from(["bins", "events"]),
     files=st.fixed_dictionaries({name: mutated_file(v) for name, v in VALID_INPUTS.items()}),
     optimal=st.sampled_from([0.0, 1.0, 1e100, 1e200, 1.7e308]),
@@ -772,8 +777,10 @@ def strict_json(text):
 def test_fuzzed_inputs_exit_cleanly(command, source, files, optimal, sign):
     """Any input bytes give exit 0, 1 or 2, and every failure a JSON error on stderr.
 
-    A run that succeeds writes strict JSON, with an estimate in [0, 1].
+    A run that succeeds writes strict JSON, with an estimate in [0, 1] (or,
+    for ``curves``, none).
     """
+    command, *flags = command
     with tempfile.TemporaryDirectory() as directory:
         for name, data in files.items():
             with open(os.path.join(directory, f"{name}.csv"), "wb") as fh:
@@ -781,8 +788,8 @@ def test_fuzzed_inputs_exit_cleanly(command, source, files, optimal, sign):
         components = [sign * optimal] + ([] if source == "bins" else [0.0] * 11)
         out = os.path.join(directory, "r.json")
         argv = ["--command", command, "--exposures", os.path.join(directory, "exposures.csv"),
-                f"--{source}", os.path.join(directory, f"{source}.csv"), "--out", out]
-        if command == "estimate":  # ingest-check does not read --optimal
+                f"--{source}", os.path.join(directory, f"{source}.csv"), "--out", out, *flags]
+        if command != "ingest-check":  # ingest-check does not read --optimal
             # one token, or argparse reads a leading "-1e+100" as an option
             argv.append("--optimal=" + ",".join(map(repr, components)))
         stderr = io.StringIO()
@@ -797,6 +804,9 @@ def test_fuzzed_inputs_exit_cleanly(command, source, files, optimal, sign):
         assert isinstance(error["class"], str) and isinstance(error["message"], str)
     elif command == "estimate":
         assert 0.0 <= written["result"]["theta_e"] <= 1.0
+    elif command == "curves":
+        theta_e = written["metadata"]["theta_e"]
+        assert theta_e is None or 0.0 <= theta_e <= 1.0
 
 
 @pytest.mark.parametrize("optimal", ["1e100", "1e200"])

@@ -1,6 +1,7 @@
 """File parsing, event binning, session averaging, and dataset assembly."""
 
 import csv
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -22,7 +23,6 @@ from divtol import (
     LinkageError,
     ParseError,
     SchemaError,
-    Sessions,
     StudyLayout,
     assemble_dataset,
     average_sessions,
@@ -69,17 +69,21 @@ class TestStudyLayout:
         assert LAYOUT.n_bins == 12
         np.testing.assert_allclose(LAYOUT.midpoints, np.arange(2.5, 60.0, 5.0))
 
-    def test_bin_width_must_divide_interval(self):
-        with pytest.raises(InputError):
-            StudyLayout(interval_length_s=60.0, bin_width_s=7.0)
+    @pytest.mark.parametrize("n_bins", [0, -1, 2.5])
+    def test_a_bin_count_that_is_not_a_positive_integer_is_refused(self, n_bins):
+        with pytest.raises(InputError, match=f"^bin count must be an integer >= 1, got {n_bins}$"):
+            StudyLayout(n_bins)
 
-    @pytest.mark.parametrize(
-        "interval, width",
-        [(math.nan, 5.0), (60.0, math.nan), (math.inf, 5.0), (60.0, math.inf), (math.inf, math.inf)],
-    )
-    def test_non_finite_lengths_are_refused(self, interval, width):
-        with pytest.raises(InputError, match="^interval and bin lengths must be positive and finite$"):
-            StudyLayout(interval_length_s=interval, bin_width_s=width)
+    def test_the_counts_width_sets_the_layout_of_every_reader(self, tmp_path):
+        events = events_from_tuples([("m1", 1, 59.5), ("m2", 2, 0.5)])
+        for d in range(1, 61):
+            layout = StudyLayout(d)
+            assert layout.midpoints.tobytes() == ((np.arange(d) + 0.5) * (60.0 / d)).tobytes()
+            bins = write_binned_counts(tmp_path / "b.csv", [("m1", 1, range(d))], d)
+            assert parse_binned_counts(bins).layout == layout
+            with mock.patch.object(ingest, "_loadtxt_table", return_value=None):
+                assert parse_binned_counts(bins).layout == layout
+            assert bin_events(events, layout).layout == layout
 
 
 class TestParseExposures:
@@ -365,17 +369,9 @@ class TestSessions:
         assert sessions.codes.tolist() == [0, 1, 0]
         assert sessions.session.dtype == np.int64 and sessions.session.tolist() == [3, 1, 1]
         assert sessions.counts.dtype == np.int64 and sessions.counts.shape == (3, 2)
-        assert sessions.line_numbers.tolist() == [2, 4, 5]
-        assert sessions.layout == StudyLayout(bin_width_s=30.0)
+        assert sessions.layout == StudyLayout(2)
         assert session_rows(sessions) == [("m2", 3, [1, 2]), ("m1", 1, [0, 5]), ("m2", 1, [4, 4])]
         assert not sessions.counts.flags.writeable
-
-    def test_counts_of_another_width_than_the_layout_name_the_mouse(self):
-        one_row = dict(mouse_ids=("m7",), codes=np.array([0]), session=np.array([1]),
-                       counts=np.array([[1, 2]]), line_numbers=np.array([2]))
-        with pytest.raises(InputError, match="'m7' have length 2, layout declares 12 bins"):
-            Sessions(layout=LAYOUT, **one_row)
-        assert len(Sessions(layout=StudyLayout(bin_width_s=30.0), **one_row)) == 1
 
     def test_ids_differing_by_a_nul_or_inner_spaces_stay_distinct(self, tmp_path):
         ids = ["m1", "m1\x00", "m 1", "m  1", "m1\x00\x00"]
@@ -445,7 +441,6 @@ class TestEvents:
         assert isinstance(events, Events) and len(events) == 2
         assert events.mouse_ids == ("m2", "m1")
         assert events.session.tolist() == [1, 2] and events.time.tolist() == [4.5, 61.0]
-        assert events.line_numbers.tolist() == [2, 3]
 
     def test_parsed_and_tuple_events_bin_alike(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -699,7 +694,7 @@ def events_files(draw):
             field(rnd, lambda: repr(rnd.uniform(0.0, 1800.0)), time_faults, rate),
         ]
 
-    return StudyLayout(bin_width_s=60.0 / d), file_text(draw, "mouse_id,session,press_time_s", row)
+    return StudyLayout(d), file_text(draw, "mouse_id,session,press_time_s", row)
 
 
 def outcome(fn, *args):
@@ -732,7 +727,7 @@ def test_columnar_bins_parser_matches_the_row_loop(tmp_path_factory, case):
     d, text = case
     path = tmp_path_factory.mktemp("bins") / "b.csv"
     path.write_text(text, encoding="utf-8")
-    layout = StudyLayout(bin_width_s=60.0 / d)
+    layout = StudyLayout(d)
     expected = outcome(row_parse_binned_counts, path, layout)
     assert_same_sessions(expected, outcome(parse_binned_counts, path), layout)
 
@@ -843,9 +838,8 @@ def reader_texts(draw):
 
 def column_bits(parsed):
     """Every field of parsed Sessions or Events, arrays as (dtype, shape, bytes)."""
-    names = ["codes", "session", "time" if isinstance(parsed, Events) else "counts", "line_numbers"]
-    arrays = [getattr(parsed, name) for name in names]
-    return parsed.mouse_ids, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+    values = [getattr(parsed, f.name) for f in dataclasses.fields(parsed)]
+    return [(v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values]
 
 
 @settings(max_examples=400, deadline=None)
@@ -879,8 +873,11 @@ def test_plain_files_take_the_fast_path(monkeypatch, tmp_path):
     sessions = parse_binned_counts(bins)
     assert sessions.mouse_ids == ("m1", "m2")
     np.testing.assert_array_equal(sessions.counts, [[3, 0], [1, 4]])
-    np.testing.assert_array_equal(sessions.line_numbers, [2, 3])
     assert column_bits(parse_binned_counts(trailing)) == column_bits(sessions)
+    # the fast reader's rows keep their line numbers for the checks after it
+    repeat = write(tmp_path / "r.csv", "mouse_id,session,b0\nm1,1,3\nm2,1,1\nm1,1,4\n")
+    with pytest.raises(DataError, match="^duplicate session 1 for mouse 'm1' on lines 2 and 4$"):
+        parse_binned_counts(repeat)
     parsed = parse_events(events)
     np.testing.assert_array_equal(parsed.time, [2.5, 61.0])
     np.testing.assert_array_equal(parsed.session, [1, 1])
