@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import gc
 import math
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
@@ -69,9 +70,10 @@ class TestStudyLayout:
         assert LAYOUT.n_bins == 12
         np.testing.assert_allclose(LAYOUT.midpoints, np.arange(2.5, 60.0, 5.0))
 
-    @pytest.mark.parametrize("n_bins", [0, -1, 2.5])
+    @pytest.mark.parametrize("n_bins", [0, -1, 2.5, math.nan, math.inf, "12"])
     def test_a_bin_count_that_is_not_a_positive_integer_is_refused(self, n_bins):
-        with pytest.raises(InputError, match=f"^bin count must be an integer >= 1, got {n_bins}$"):
+        got = re.escape(repr(n_bins))
+        with pytest.raises(InputError, match=f"^bin count must be an integer >= 1, got {got}$"):
             StudyLayout(n_bins)
 
     def test_the_counts_width_sets_the_layout_of_every_reader(self, tmp_path):
