@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar
@@ -70,8 +71,10 @@ class StudyLayout:
     interval_length_s: ClassVar[float] = 60.0
 
     def __post_init__(self):
-        if not isinstance(self.n_bins, int) or self.n_bins < 1:
-            raise InputError(f"bin count must be an integer >= 1, got {self.n_bins!r}")
+        n = self.n_bins
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise InputError(f"bin count must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "n_bins", int(n))
 
     @property
     def bin_width_s(self) -> float:

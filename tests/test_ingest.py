@@ -70,11 +70,17 @@ class TestStudyLayout:
         assert LAYOUT.n_bins == 12
         np.testing.assert_allclose(LAYOUT.midpoints, np.arange(2.5, 60.0, 5.0))
 
-    @pytest.mark.parametrize("n_bins", [0, -1, 2.5, math.nan, math.inf, "12"])
+    @pytest.mark.parametrize("n_bins", [0, -1, 2.5, math.nan, math.inf, "12", True])
     def test_a_bin_count_that_is_not_a_positive_integer_is_refused(self, n_bins):
         got = re.escape(repr(n_bins))
         with pytest.raises(InputError, match=f"^bin count must be an integer >= 1, got {got}$"):
             StudyLayout(n_bins)
+
+    def test_a_numpy_integer_bin_count_is_stored_as_an_int(self):
+        layout = StudyLayout(np.int64(12))
+        assert type(layout.n_bins) is int
+        assert layout == LAYOUT
+        assert repr(layout) == repr(LAYOUT)
 
     def test_the_counts_width_sets_the_layout_of_every_reader(self, tmp_path):
         events = events_from_tuples([("m1", 1, 59.5), ("m2", 2, 0.5)])
