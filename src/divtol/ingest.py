@@ -1,7 +1,7 @@
 """Parsers for experiment files and session aggregation into action vectors.
 
 Three comma-separated formats are supported (UTF-8 with or without a byte
-order mark, LF or CRLF):
+order mark, lines ending in LF, CRLF or CR):
 
 * exposures:      header ``mouse_id,exposed``, state 0/1 per mouse
 * binned counts:  header ``mouse_id,session,b0,...,b{d-1}``, one row per session;
@@ -21,8 +21,12 @@ is parsed with csv alone.  Either way a field is an integer when ``int()``
 accepts it (a press time when ``float()`` does), and the body is held as
 columns, with no object per row: mouse ids become integer codes in
 first-seen order, and the checks run on whole columns.  An error names the
-first fault that a row-by-row reader would meet.  A malformed row is named
-by its line number; conflicting exposure rows and :func:`bin_events`'
+first fault that a row-by-row reader would meet.  A bad header or a row of
+the wrong width is a :class:`SchemaError`, a field that does not convert a
+:class:`ParseError` (so is an exposure state other than 0 or 1), and a
+value that is not allowed a :class:`DataError`.
+A faulty row is named by the line of the file it starts on, also after a
+quoted line break; conflicting exposure rows and :func:`bin_events`'
 press-time and session errors name the mouse or the value instead.
 
 Raw events are binned on an idealized fixed-interval clock: a press at time
@@ -30,8 +34,8 @@ t lands in bin ``floor((t mod interval_length) / bin_width)``.  Either way
 the result is a :class:`Sessions`, whose :class:`StudyLayout` is read off
 its counts' width, so no later step takes a layout.
 Per-mouse actions are the componentwise mean of that mouse's session count
-vectors; mice with missing sessions are averaged over the sessions they do
-have rather than imputing zero-count sessions.
+vectors, summed in row order; mice with missing sessions are averaged over
+the sessions they do have rather than imputing zero-count sessions.
 """
 
 from __future__ import annotations
@@ -144,15 +148,18 @@ def _read_text(path) -> str:
 
 
 def _read_rows(path, text: str) -> tuple[list[list[str]], np.ndarray]:
-    """The non-empty csv rows of the file's ``text`` and their 1-based record numbers."""
+    """The non-empty csv rows of ``text`` and the line each starts on (LF, CRLF and CR end one)."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, lines, line = [], [], 1
     try:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(line)
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(f"cannot parse {path}: {exc}") from exc
-    lines = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows))) + 1
-    if lines.shape[0] < len(rows):
-        rows = list(filter(None, rows))
-    return rows, lines
+    return rows, np.array(lines, np.intp)
 
 
 def _first(mask: np.ndarray) -> int:
@@ -241,7 +248,7 @@ def _loadtxt_table(text: str, numeric):
     return mouse_ids, head_codes[np.cumsum(starts) - 1], columns, lines_read, None
 
 
-def _table(path, numeric, width_error: type[ParseError], row_error):
+def _table(path, numeric, row_error):
     """Read a data file into mouse ids and numeric columns, up to its first faulty row.
 
     ``numeric(header)`` checks the header's stripped fields (none for an
@@ -249,10 +256,9 @@ def _table(path, numeric, width_error: type[ParseError], row_error):
     after the id.  Returns ``(mouse_ids, codes, columns, lines, fault)``:
     the stripped ids as :func:`_codes` codes them, one int64 or float64
     array per numeric column and the line numbers of the rows before the
-    first faulty one, and that row's error
-    (None when every row converts).  A row of the wrong width is a
-    ``width_error``; ``row_error(row, line)`` names the fault of a row
-    whose fields do not convert.
+    first faulty one, and that row's error (None when every row converts).
+    A row of the wrong width is a :class:`SchemaError`; ``row_error(row,
+    line)`` names the fault of a row whose fields do not convert.
 
     The file is read and decoded once.  :func:`_loadtxt_table` parses most
     files; the csv path parses the rest and is the one that finds and names
@@ -269,7 +275,7 @@ def _table(path, numeric, width_error: type[ParseError], row_error):
     end = _first(np.fromiter(map(len, body), np.intp, len(body)) != width)
     fault = None
     if end < len(body):
-        fault = width_error(
+        fault = SchemaError(
             f"expected {width} columns, got {len(body[end])}", line_number=int(lines[end])
         )
 
@@ -301,7 +307,7 @@ def parse_exposures(path) -> dict[str, int]:
     exposures: dict[str, int] = {}
     for lineno, row in zip(lines[1:].tolist(), rows[1:]):
         if len(row) != 2:
-            raise ParseError(f"expected 2 columns, got {len(row)}", line_number=lineno)
+            raise SchemaError(f"expected 2 columns, got {len(row)}", line_number=lineno)
         mouse_id = row[0].strip()
         raw_state = row[1].strip()
         if not mouse_id:
@@ -381,9 +387,7 @@ def parse_binned_counts(path) -> Sessions:
             )
         return [int] * (len(header) - 1)
 
-    mouse_ids, codes, (session, *counts), lines, fault = _table(
-        path, numeric, SchemaError, _bins_row_error
-    )
+    mouse_ids, codes, (session, *counts), lines, fault = _table(path, numeric, _bins_row_error)
     sessions = Sessions(mouse_ids, codes, session, np.column_stack(counts))
     _check_sessions(sessions, lines)
     if fault is not None:
@@ -410,9 +414,7 @@ def parse_events(path) -> Events:
             raise SchemaError("expected header 'mouse_id,session,press_time_s'", line_number=1)
         return [int, float]
 
-    mouse_ids, codes, (session, time), _, fault = _table(
-        path, numeric, ParseError, _events_row_error
-    )
+    mouse_ids, codes, (session, time), _, fault = _table(path, numeric, _events_row_error)
     if fault is not None:
         raise fault
     return Events(mouse_ids, codes, session, time)
@@ -422,8 +424,9 @@ def bin_events(events: Events, layout: StudyLayout) -> Sessions:
     """Aggregate raw press times into per-(mouse, session) bin counts.
 
     Times are reduced modulo the interval length (idealized fixed-interval
-    clock), so the total count is conserved across bins.  Rows come out
-    sorted by (mouse_id, session).
+    clock), so the total count is conserved across bins.  The result keeps
+    the events' mouse coding: its rows come out mouse by mouse in
+    first-seen order, each mouse's sessions ascending.
     """
     t = events.time
     bad = _first(~((t >= 0.0) & (t < np.inf)))
@@ -436,12 +439,8 @@ def bin_events(events: Events, layout: StudyLayout) -> Sessions:
     phase = np.mod(t, layout.interval_length_s)
     # the minimum guards the t % interval == interval float edge
     bins = np.minimum(np.floor_divide(phase, layout.bin_width_s), d - 1).astype(np.intp)
-    by_name = sorted(range(len(events.mouse_ids)), key=events.mouse_ids.__getitem__)
-    rank = np.empty(len(by_name), np.intp)
-    rank[by_name] = np.arange(len(by_name))
-    mouse = rank[events.codes]
-    order = np.lexsort((events.session, mouse))
-    mouse, session = mouse[order], events.session[order]
+    order = np.lexsort((events.session, events.codes))
+    mouse, session = events.codes[order], events.session[order]
     starts = _run_starts(mouse, session)
     session = session[starts]
     low = _first(session < 1)
@@ -450,30 +449,20 @@ def bin_events(events: Events, layout: StudyLayout) -> Sessions:
     row = np.cumsum(starts) - 1
     n_rows = session.shape[0]
     counts = np.bincount(row * d + bins[order], minlength=n_rows * d).reshape(n_rows, d)
-    mouse_ids = tuple(map(events.mouse_ids.__getitem__, by_name))
-    return Sessions(mouse_ids, mouse[starts], session, counts)
+    return Sessions(events.mouse_ids, mouse[starts], session, counts)
 
 
 def average_sessions(sessions: Sessions) -> dict[str, np.ndarray]:
     """Per-mouse componentwise mean count vector over the observed sessions.
 
-    Sums accumulate in float64 in row order and are divided by each mouse's
-    session count, which is what ``np.mean`` over the mouse's stacked rows
-    computes when d > 1.  For d = 1 ``np.mean`` adds pairwise; that order
-    only shows in the bits once a sum passes 2**53, and then the means are
-    taken with ``np.mean`` itself.
+    Each count is taken as a float64 and the sums accumulate in row order;
+    each sum is then divided by the mouse's session count.  Below 2**53
+    every sum is exact, so the order shows in no bit.
     """
     m, codes = len(sessions.mouse_ids), sessions.codes
     # a weighted bincount adds each column's float64 weights in row order
     sums = np.column_stack([np.bincount(codes, c, m) for c in sessions.counts.T])
-    per_mouse = np.bincount(codes, minlength=m)
-    if sessions.counts.shape[1] == 1 and sums.max(initial=0.0) >= 2.0**53:
-        order = np.argsort(codes, kind="stable")
-        groups = np.split(sessions.counts[order], np.cumsum(per_mouse)[:-1])
-        means = np.array([np.mean(g, axis=0) for g in groups])
-    else:
-        means = sums / per_mouse[:, None]
-    return dict(zip(sessions.mouse_ids, means))
+    return dict(zip(sessions.mouse_ids, sums / np.bincount(codes, minlength=m)[:, None]))
 
 
 def assemble_dataset(

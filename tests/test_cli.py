@@ -482,6 +482,38 @@ class TestIngestCheck:
         violations = json.loads(out.read_text())["violations"]["violation"]
         assert violations == ["DataError: line 3: session beyond int64 for mouse 'm2'"]
 
+    @pytest.mark.parametrize("reader", ["exposures", "bins", "events"])
+    def test_a_short_row_after_a_quoted_line_break_is_a_schema_error_on_its_line(
+        self, reader, tmp_path, capsys
+    ):
+        rows = {
+            "exposures": ["mouse_id,exposed", '"a\nb",1', "c,0"],
+            "bins": ["mouse_id,session,b0", '"a\nb",1,3', "c,1,2"],
+            "events": ["mouse_id,session,press_time_s", '"a\nb",1,3.5', "c,1,2.5"],
+        }
+        # the last row, the file's third record, starts on line 4; drop its last field
+        rows[reader][-1] = rows[reader][-1].rsplit(",", 1)[0]
+        width = rows[reader][0].count(",") + 1
+        paths = {name: tmp_path / f"{name}.csv" for name in rows}
+        for name, lines in rows.items():
+            paths[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        parse = {"exposures": divtol.parse_exposures, "bins": divtol.parse_binned_counts,
+                 "events": divtol.parse_events}[reader]
+        message = f"line 4: expected {width} columns, got {width - 1}"
+        with pytest.raises(divtol.SchemaError, match=f"^{message}$") as err:
+            parse(paths[reader])
+        assert err.value.line_number == 4
+        source = "events" if reader == "events" else "bins"
+        out = tmp_path / "report.json"
+        code, _, _ = run(
+            ["--command", "ingest-check", "--exposures", str(paths["exposures"]),
+             f"--{source}", str(paths[source]), "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        violations = json.loads(out.read_text())["violations"]["violation"]
+        assert violations == [f"SchemaError: {message}"]
+
 
 class TestEventsInput:
     def test_estimate_from_raw_events(self, tmp_path, capsys):

@@ -152,7 +152,7 @@ INGEST_OUT_SHA256 = {
     ("estimate-big-counts-d12", "json"):
         "c1d3414234b03156d9a9ef54da355557d82032584a3eff2432d262660aa88625",
     ("estimate-big-counts-d1", "json"):
-        "0a0393ecc3634400eddc7c6e2923d91509eb843a9a246e71ce3ac062a3d17396",
+        "da06f35488bbf07c71d81ce3c5c127e82c2f983c4fa5ad966eca088b74f1dd33",
 }
 
 

@@ -221,6 +221,25 @@ def test_byte_order_mark_is_ignored(tmp_path):
     np.testing.assert_array_equal(plain.actions, bommed.actions)
 
 
+@pytest.mark.parametrize(
+    "parse, text, error, message",
+    [
+        (parse_exposures, 'mouse_id,exposed\n"a\nb",1\nc,2\n', ParseError,
+         "line 4: state must be 0 or 1, got '2'"),
+        (parse_binned_counts, 'mouse_id,session,b0\n"a\nb",1,3\nc,1,2\nc,1,5\n', DataError,
+         "duplicate session 1 for mouse 'c' on lines 4 and 5"),
+        (parse_events, "mouse_id,session,press_time_s\rm1,1,2.5\rm1,1,3.5\rm1,1\r", SchemaError,
+         "line 4: expected 3 columns, got 2"),
+    ],
+    ids=["exposures", "bins", "events-cr"],
+)
+def test_a_fault_is_named_by_the_line_it_starts_on(parse, text, error, message, tmp_path):
+    path = write(tmp_path / "f.csv", text)
+    with pytest.raises(DivtolError) as err:
+        parse(path)
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
 class TestBinEvents:
     def test_early_presses_share_the_first_bin(self):
         sessions = bin_events(events_from_tuples([("m1", 1, 0.1), ("m1", 1, 4.9)]), LAYOUT)
@@ -300,15 +319,18 @@ class TestAverageSessions:
         np.testing.assert_array_equal(forward["m1"], shuffled["m1"])
 
     @pytest.mark.parametrize("d", [1, 3])
-    def test_sums_beyond_2_53_keep_the_bits_of_np_mean(self, d, tmp_path):
+    def test_sums_beyond_2_53_are_row_order_sums_over_the_session_count(self, d, tmp_path):
         rng = np.random.default_rng(6)
         counts = 2**53 + rng.integers(0, 4096, size=(40, d))
         sessions = [(f"m{k % 3}", k + 1, counts[k]) for k in range(40)]
         parsed = parsed_sessions(tmp_path / "b.csv", sessions, d)
         out = average_sessions(parsed)
         for m in ("m0", "m1", "m2"):
-            mine = np.stack([c for mouse_id, _, c in sessions if mouse_id == m])
-            assert out[m].tobytes() == np.mean(mine, axis=0).tobytes()
+            mine = [c.tolist() for mouse_id, _, c in sessions if mouse_id == m]
+            sums = [0.0] * d
+            for row in mine:
+                sums = [total + float(c) for total, c in zip(sums, row)]
+            assert out[m].tobytes() == (np.array(sums) / len(mine)).tobytes()
 
 
 class TestAssembleDataset:
@@ -462,11 +484,11 @@ class TestEvents:
         )
         from_file = bin_events(parse_events(path), LAYOUT)
         from_tuples = bin_events(events_from_tuples(events), LAYOUT)
-        mice = tuple(sorted({m for m, _, _ in events}))
+        mice = tuple(dict.fromkeys(m for m, _, _ in events))
         assert from_file.mouse_ids == from_tuples.mouse_ids == mice
         np.testing.assert_array_equal(from_file.session, from_tuples.session)
         np.testing.assert_array_equal(from_file.counts, from_tuples.counts)
-        keys = [(m, s) for m, s, _ in session_rows(from_file)]
+        keys = [(mice.index(m), s) for m, s, _ in session_rows(from_file)]
         assert keys == sorted(set(keys)) and len(keys) == len(set((m, s) for m, s, _ in events))
 
     def test_vector_bins_match_the_scalar_rule_at_bin_edges(self):
@@ -483,8 +505,10 @@ class TestEvents:
 
 
 # ---------------------------------------------------------------------------
-# Row-at-a-time reference: the parsers as they were before columnar ingest,
-# kept verbatim (names prefixed) as the oracle for the differential tests.
+# Row-at-a-time reference: the parsers as they were before columnar ingest
+# (names prefixed), the oracle for the differential tests.  Since then they
+# number the line a record starts on, call a row of the wrong width a
+# SchemaError, bin mice in first-seen order and sum each mouse's rows in order.
 
 
 @dataclass(frozen=True)
@@ -513,9 +537,15 @@ class RowBinnedSession:
 
 
 def row_read_rows(path) -> list[tuple[int, list[str]]]:
+    """Each non-empty record with the line (LF, CRLF or CR) it starts on."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            return [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
+            reader, rows, line = csv.reader(fh), [], 1
+            for row in reader:
+                if row:
+                    rows.append((line, row))
+                line = reader.line_num + 1
+            return rows
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -573,7 +603,7 @@ def row_parse_events(path) -> list[tuple[str, int, float]]:
     events = []
     for lineno, row in rows[1:]:
         if len(row) != 3:
-            raise ParseError(f"expected 3 columns, got {len(row)}", line_number=lineno)
+            raise SchemaError(f"expected 3 columns, got {len(row)}", line_number=lineno)
         try:
             events.append((row[0].strip(), int(row[1]), float(row[2])))
         except ValueError as exc:
@@ -587,9 +617,11 @@ def row_bin_events(
     """Aggregate raw press times into per-(mouse, session) bin counts.
 
     Times are reduced modulo the interval length (idealized fixed-interval
-    clock), so the total count is conserved across bins.
+    clock), so the total count is conserved across bins.  Mice come out in
+    first-seen order, each mouse's sessions ascending.
     """
     d = layout.n_bins
+    seen = {m: k for k, m in enumerate(dict.fromkeys(m for m, _, _ in events))}
     table: dict[tuple[str, int], np.ndarray] = {}
     for mouse_id, session, t in events:
         if not 0.0 <= t < math.inf:
@@ -602,14 +634,14 @@ def row_bin_events(
         table[key][idx] += 1
     return [
         RowBinnedSession(mouse_id=m, session=s, counts=c)
-        for (m, s), c in sorted(table.items())
+        for (m, s), c in sorted(table.items(), key=lambda item: (seen[item[0][0]], item[0][1]))
     ]
 
 
 def row_average_sessions(
     sessions: list[RowBinnedSession], layout: StudyLayout
 ) -> dict[str, np.ndarray]:
-    """Per-mouse componentwise mean count vector over the observed sessions."""
+    """Per-mouse mean count vector: float64 sums in row order over the session count."""
     d = layout.n_bins
     grouped: dict[str, list[np.ndarray]] = {}
     for s in sessions:
@@ -619,15 +651,21 @@ def row_average_sessions(
                 f"layout declares {d} bins"
             )
         grouped.setdefault(s.mouse_id, []).append(s.counts)
-    return {
-        mouse_id: np.mean(np.stack(counts), axis=0) for mouse_id, counts in grouped.items()
-    }
+    means = {}
+    for mouse_id, counts in grouped.items():
+        total = np.zeros(d)
+        for c in counts:
+            total += c
+        means[mouse_id] = total / len(counts)
+    return means
 
 
 # ---------------------------------------------------------------------------
 # Differential tests: files with injected faults through both parsers.
 
 IDS = ["m1", "m2", "m3", "m1\x00", "m 1", "m  1", " m2 "]
+#: quoted ids holding a line break, so that a record spans two lines
+QUOTED_IDS = ['"m\n4"', '"m\r\n5"', '"m\r6"']
 INT_LIKE = [" 7", "+3", "1_0", "٣", "007"]
 NOT_INT = ["x", "1.5", "", "1e3", "--1", "0x10", "½", "2#x", "#"]
 
@@ -661,7 +699,8 @@ def file_text(draw, header, row):
 @st.composite
 def bins_files(draw):
     d = draw(st.integers(1, 3))
-    ids = IDS[: draw(st.integers(1, len(IDS)))]  # few mice: many sessions each
+    pool = draw(st.sampled_from([IDS, QUOTED_IDS + IDS]))
+    ids = pool[: draw(st.integers(1, len(IDS)))]  # few mice: many sessions each
     max_session = draw(st.sampled_from([3, 10**4]))
     big = draw(st.booleans())  # counts past 2**53, where a mean's addition order shows
     rate = draw(st.sampled_from([10, 40, 400]))
@@ -694,10 +733,11 @@ def events_files(draw):
                    "60", "x", "", "1_0.5", " 2.5", "٣.5", "2#x", "#"] + edges
     session_faults = ["0", "-2"] + INT_LIKE + NOT_INT
     rate = draw(st.sampled_from([10, 40, 400]))
+    ids = draw(st.sampled_from([IDS, QUOTED_IDS + IDS]))
 
     def row(rnd):
         return [
-            rnd.choice(IDS),
+            rnd.choice(ids),
             field(rnd, lambda: str(rnd.randint(1, 4)), session_faults, rate),
             field(rnd, lambda: repr(rnd.uniform(0.0, 1800.0)), time_faults, rate),
         ]
